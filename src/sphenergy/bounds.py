@@ -184,7 +184,6 @@ def uub(
     *,
     extra_node: bool = False,
     grid_size: int = DEFAULT_GRID,
-    tol: float = 1e-13,
 ) -> BoundCertificate:
     """Universal upper bound on E_h for M points with separation at most s.
 
@@ -197,7 +196,7 @@ def uub(
     M = float(M)
     if not M >= 2.0:
         raise ValueError(f"cardinality must be at least 2, got {M!r}")
-    quad = quadrature(n, s, tol)
+    quad = quadrature(n, s)
     L = quad.N
     if M > L + 1e-9:
         raise InfeasibleClassError(

@@ -82,7 +82,6 @@ def _add_common(sp, with_M: bool = True, with_s: bool = True):
     sp.add_argument("-h", "--potential", default="newton",
                     help="kernel: newton | riesz:a | gauss:a | log (default newton)")
     sp.add_argument("--format", choices=("text", "json"), default="text", help="output format")
-    sp.add_argument("--tol", type=float, default=1e-13, help="root-finding tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +273,7 @@ def cmd_bound(args) -> int:
     s = _parse_separation(args.separation, n)
     if args.points < 2:
         raise ValueError(f"M must be at least 2, got {args.points}")
-    cert = uub(n, args.points, s, pot, tol=args.tol)
+    cert = uub(n, args.points, s, pot)
     if args.format == "json":
         _emit_json(certificate_to_dict(cert))
     else:

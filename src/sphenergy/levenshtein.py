@@ -29,9 +29,8 @@ from .errors import CertificationError, NumericsError
 from .orthopoly import (
     GegenPoly,
     JacobiParams,
+    _check_dim,
     eval_gegenbauer,
-    eval_jacobi,
-    eval_jacobi_deriv,
     gegenbauer_table,
     greatest_zero,
     jacobi_zeros,
@@ -59,6 +58,13 @@ MAX_INTERVAL = 64
 # endpoint of two consecutive intervals.
 TIE_TOL = 1e-12
 
+# Snap of the smallest node to -1.  At the left end of an odd interval the
+# exact smallest node is -1, but the endpoint itself is an eigenvalue with
+# an absolute error of a few u (up to 2e-15 against a 50-digit reference),
+# and the smallest node moves with s at a rate of up to ~300 there: for
+# n <= 24, m <= 64 it lands within 6e-13 of -1.  1e-11 leaves a margin of 15.
+NODE_SNAP = 1e-11
+
 
 @dataclass(frozen=True)
 class IntervalIndex:
@@ -70,12 +76,6 @@ class IntervalIndex:
     lo: float
     hi: float
     tie_with: int | None = None
-
-
-def _check_dim(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    return int(n)
 
 
 @lru_cache(maxsize=None)
@@ -162,95 +162,34 @@ def _node_params(n: int, eps: int) -> JacobiParams:
     return JacobiParams((n - 1) / 2.0, eps + (n - 3) / 2.0)
 
 
-def lev_poly_roots(n: int, interval: IntervalIndex, s: float, tol: float = 1e-13) -> np.ndarray:
+def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
     """Distinct quadrature nodes alpha_0 < ... < alpha_{k-1+eps} = s.
 
-    The k roots of Q_k(t) Q_{k-1}(s) - Q_k(s) Q_{k-1}(t) are simple and, by
-    the interlacing of Jacobi zeros, exactly one lies in each of the
-    brackets (-1, w_1), (w_1, w_2), ..., (w_{k-1}, w_k) formed by the zeros
-    w_j of Q_k.  For eps = 1 the node -1 is prepended.
+    With pi_i the monic Q_i, the k roots of Q_k(t) Q_{k-1}(s) -
+    Q_k(s) Q_{k-1}(t) are the zeros of pi_k - c pi_{k-1} with
+    c = pi_k(s) / pi_{k-1}(s): the eigenvalues of the Jacobi matrix of Q_k
+    modified to have s as an eigenvalue.  On I_m, s lies above every zero of
+    Q_{k-1}, as that shift requires.  For eps = 1 the node -1 is prepended.
     """
     n = _check_dim(n)
     s = float(s)
     k, eps = interval.k, interval.eps
-    p = _node_params(n, eps)
-    w = jacobi_zeros(p, k, tol)
-    qs = eval_jacobi(p, k, s)
-    q_scale = abs(eval_jacobi(p, k, 1.0)) + abs(eval_jacobi(p, k, -1.0))
-    if abs(qs) <= 1e-12 * q_scale:
-        # s sits on the greatest zero of Q_k (right interval endpoint):
-        # the node polynomial collapses to Q_k itself.
-        roots = list(w)
-    else:
-        qs_prev = eval_jacobi(p, k - 1, s)
-
-        def phi(t: float) -> float:
-            return eval_jacobi(p, k, t) * qs_prev - qs * eval_jacobi(p, k - 1, t)
-
-        def dphi(t: float) -> float:
-            return eval_jacobi_deriv(p, k, t) * qs_prev - qs * eval_jacobi_deriv(p, k - 1, t)
-
-        pts = [-1.0, *w]
-        vals = [phi(t) for t in pts]
-        scale = max(abs(v) for v in vals) or 1.0
-        roots = []
-        for j in range(k):
-            lo, hi = pts[j], pts[j + 1]
-            flo, fhi = vals[j], vals[j + 1]
-            if flo == 0.0 or math.copysign(1.0, flo) != math.copysign(1.0, fhi):
-                roots.append(_bisect_newton(phi, dphi, lo, hi, flo, fhi, tol))
-        if len(roots) == k - 1 and abs(vals[0]) <= 1e-9 * scale:
-            # The smallest root has collided with -1 (sharp antipodal case);
-            # the bracket scan cannot see a sign change there.
-            roots.insert(0, -1.0)
-        if len(roots) != k:
-            raise NumericsError(
-                f"expected {k} node-polynomial roots for (n={n}, m={interval.m}, s={s}), "
-                f"found {len(roots)}"
-            )
+    roots = jacobi_zeros(_node_params(n, eps), k, fixed=s)
+    if abs(roots[0] + 1.0) <= NODE_SNAP:
+        roots[0] = -1.0
     if abs(roots[-1] - s) > 1e-8:
         raise NumericsError(
             f"largest node {roots[-1]} does not match separation {s} (n={n}, m={interval.m})"
         )
     roots[-1] = s
-    if eps == 1:
-        roots = [-1.0, *roots]
-    out = np.array(roots, dtype=float)
+    if roots[0] < -1.0:
+        raise NumericsError(
+            f"node {roots[0]} lies below -1 (n={n}, m={interval.m}, s={s})"
+        )
+    out = np.concatenate(([-1.0], roots)) if eps == 1 else roots
     if np.any(np.diff(out) <= 0):
         raise NumericsError(f"nodes are not strictly increasing: {out}")
     return out
-
-
-def _bisect_newton(f, df, lo, hi, flo, fhi, tol):
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    a, b, fa = lo, hi, flo
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == math.copysign(1.0, fa):
-            a, fa = mid, fm
-        else:
-            b = mid
-    root = 0.5 * (a + b)
-    for _ in range(5):
-        d = df(root)
-        if d == 0.0:
-            break
-        step = f(root) / d
-        nxt = root - step
-        if not (a <= nxt <= b):
-            break
-        root = nxt
-        if abs(step) < 0.25 * tol:
-            break
-    return root
 
 
 @dataclass(frozen=True)
@@ -323,7 +262,7 @@ class QuadratureRule:
         return self.interval.m
 
 
-def quadrature(n: int, s: float, tol: float = 1e-13) -> QuadratureRule:
+def quadrature(n: int, s: float) -> QuadratureRule:
     """Nodes and weights of the 1/N quadrature at separation s.
 
     The weights solve the square system sum_i rho_i P_j(alpha_i) =
@@ -333,7 +272,7 @@ def quadrature(n: int, s: float, tol: float = 1e-13) -> QuadratureRule:
     n = _check_dim(n)
     s = float(s)
     interval = find_interval(n, s)
-    roots = lev_poly_roots(n, interval, s, tol)
+    roots = lev_poly_roots(n, interval, s)
     N = lev_value(n, interval, s)
     q = roots.size  # = k + eps
     table = gegenbauer_table(n, interval.m, roots)
@@ -357,35 +296,28 @@ def quadrature(n: int, s: float, tol: float = 1e-13) -> QuadratureRule:
 def solve_cardinality(n: int, M: float, tol: float = 1e-13) -> tuple[float, QuadratureRule]:
     """Invert L(n, .) at cardinality M and return the quadrature there.
 
-    L(n, .) is continuous and strictly increasing on [-1, 1) with
-    L(n, -1) = 2, so plain bisection applies; the bracket is grown toward
-    1 until it straddles M.
+    L_m(n, .) climbs from D(n, m) to D(n, m + 1) across I_m (``dgs_number``),
+    so M picks the interval and bisection runs inside it until the bracket
+    is narrower than ``tol``.
     """
     n = _check_dim(n)
     M = float(M)
     if not M >= 2.0:
         raise ValueError(f"cardinality must be at least 2, got {M!r}")
     if M == 2.0:
-        return -1.0, quadrature(n, -1.0, tol)
-    lo = -1.0
-    hi = 0.5
-    for _ in range(80):
-        try:
-            if lev_function(n, hi) >= M:
-                break
-        except ValueError:
-            raise ValueError(f"cardinality {M} needs intervals beyond index {MAX_INTERVAL}") from None
-        lo = hi
-        hi = 0.5 * (1.0 + hi)
-    else:
-        raise NumericsError(f"could not bracket cardinality {M} in dimension {n}")
+        return -1.0, quadrature(n, -1.0)
+    m = next((m for m in range(1, MAX_INTERVAL + 1) if M <= dgs_number(n, m + 1)), None)
+    if m is None:
+        raise ValueError(f"cardinality {M} needs intervals beyond index {MAX_INTERVAL}")
+    interval = interval_for(n, m)
+    lo, hi = interval.lo, interval.hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if lev_function(n, mid) < M:
+        if lev_value(n, interval, mid) < M:
             lo = mid
         else:
             hi = mid
     r = 0.5 * (lo + hi)
-    return r, quadrature(n, r, tol)
+    return r, quadrature(n, r)

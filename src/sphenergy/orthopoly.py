@@ -12,13 +12,13 @@ not used anywhere.
 
 Jacobi polynomials P_i^{(a,b)} (standard normalization, not rescaled at
 t = 1) supply the interval endpoints and quadrature node equations.
-Zeros are found by bisection on interlacing brackets followed by a few
-safeguarded Newton steps.
+Their zeros are the eigenvalues of the symmetric tridiagonal Jacobi
+matrix built from the monic three-term recurrence (Golub and Welsch,
+Math. Comp. 23, 1969), computed by one dense symmetric eigensolve.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,72 +158,57 @@ def eval_jacobi_deriv(p: JacobiParams, i: int, t):
     return out if out.ndim else float(out)
 
 
-def _refine_zero(p: JacobiParams, i: int, lo: float, hi: float, tol: float) -> float:
-    """One simple zero of P_i^{(a,b)} inside (lo, hi), where the signs differ."""
-    flo = eval_jacobi(p, i, lo)
-    fhi = eval_jacobi(p, i, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        raise NumericsError(
-            f"no sign change for Jacobi({p.a},{p.b}) degree {i} on [{lo}, {hi}]"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fmid = eval_jacobi(p, i, mid)
-        if fmid == 0.0:
-            return mid
-        if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    root = 0.5 * (lo + hi)
-    for _ in range(5):
-        d = eval_jacobi_deriv(p, i, root)
-        if d == 0.0:
-            break
-        step = eval_jacobi(p, i, root) / d
-        nxt = root - step
-        if not (lo <= nxt <= hi):
-            break
-        root = nxt
-        if abs(step) < 0.25 * tol:
-            break
-    return root
+def _monic_recurrence(p: JacobiParams, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """alpha_0..alpha_{i-1} and beta_1..beta_{i-1} of the monic Jacobi recurrence, i >= 1.
+
+    pi_{j+1}(t) = (t - alpha_j) pi_j(t) - beta_j pi_{j-1}(t), where pi_j is
+    P_j^{(a,b)} divided by its (positive) leading coefficient.
+    """
+    a, b = p.a, p.b
+    j = np.arange(i, dtype=float)
+    s = 2 * j + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (b * b - a * a) / (s * (s + 2))
+        beta = 4 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1) * (s - 1))
+    alpha[0] = (b - a) / (a + b + 2)
+    if i >= 2:
+        # j = 1 written with (1 + a + b) cancelled, which vanishes for a + b = -1.
+        beta[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    return alpha, beta[1:]
 
 
-@lru_cache(maxsize=None)
-def _jacobi_zeros_cached(a: float, b: float, i: int, tol: float) -> tuple[float, ...]:
-    if i == 0:
-        return ()
-    p = JacobiParams(a, b)
-    prev = _jacobi_zeros_cached(a, b, i - 1, tol)
-    brackets = (-1.0,) + prev + (1.0,)
-    return tuple(
-        _refine_zero(p, i, brackets[j], brackets[j + 1], tol) for j in range(i)
-    )
+def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndarray:
+    """All zeros of P_i^{(a,b)} in increasing order, as Jacobi-matrix eigenvalues.
 
-
-def jacobi_zeros(p: JacobiParams, i: int, tol: float = 1e-13) -> np.ndarray:
-    """All zeros of P_i^{(a,b)} in increasing order.
-
-    Computed degree by degree: the zeros of P_i strictly interlace those of
-    P_{i-1}, which gives sign-definite bisection brackets at every step.
+    With ``fixed`` given, the last diagonal entry of the Jacobi matrix is
+    shifted by c = pi_i(fixed) / pi_{i-1}(fixed), so the result is the zeros
+    of pi_i - c pi_{i-1}, one of which is ``fixed`` (the Gauss-Radau
+    modification; Golub, SIAM Rev. 15, 1973).  The ratio recurrence for c
+    needs pi_j(fixed) != 0 for j < i, which holds above the greatest zero
+    of P_{i-1}^{(a,b)}.
     """
     i = _check_degree(i)
-    return np.array(_jacobi_zeros_cached(p.a, p.b, i, tol))
+    if i == 0:
+        return np.empty(0)
+    alpha, beta = _monic_recurrence(p, i)
+    c = 0.0
+    if fixed is not None:
+        c = fixed - alpha[0]
+        for j in range(1, i):
+            c = fixed - alpha[j] - beta[j - 1] / c
+    T = np.diag(alpha)
+    T[-1, -1] += c
+    j = np.arange(i - 1)
+    T[j, j + 1] = T[j + 1, j] = np.sqrt(beta)
+    return np.linalg.eigvalsh(T)
 
 
-def greatest_zero(p: JacobiParams, i: int, tol: float = 1e-13) -> float:
+def greatest_zero(p: JacobiParams, i: int) -> float:
     """Greatest zero of P_i^{(a,b)}; by convention -1 for i = 0."""
     i = _check_degree(i)
     if i == 0:
         return -1.0
-    return _jacobi_zeros_cached(p.a, p.b, i, tol)[-1]
+    return float(jacobi_zeros(p, i)[-1])
 
 
 @dataclass(frozen=True)

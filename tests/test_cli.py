@@ -1,9 +1,13 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sphenergy
 from sphenergy.cli import main, recheck_certificate, table_rows
 
 SCHEMA_KEYS = {
@@ -213,3 +217,25 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "sphenergy" in capsys.readouterr().out
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+from sphenergy.cli import main
+for argv in (["bound", "-n", "5", "-M", "11", "-s", "auto-ez"],
+             ["strip", "-n", "8", "-M", "240", "-s", "0.5", "--format", "json"],
+             ["table", "--nmin", "2", "--nmax", "4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_cli_bound_strip_table_never_import_scipy():
+    # importing scipy costs about as much as the rest of a CLI call
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

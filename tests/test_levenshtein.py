@@ -203,3 +203,34 @@ def test_solve_cardinality_round_trip():
 def test_solve_cardinality_rejects_small_m():
     with pytest.raises(ValueError):
         solve_cardinality(4, 1.5)
+
+
+def test_lev_poly_roots_left_endpoints_stay_in_range():
+    # At the left end of an odd interval the smallest node is exactly -1;
+    # at the left end of an even one it lies strictly above the prepended -1.
+    for n in range(2, 25):
+        for m in range(1, 65):
+            iv = interval_for(n, m)
+            roots = lev_poly_roots(n, iv, iv.lo)
+            assert roots[0] == -1.0
+            assert roots[-1] == iv.lo
+            if m > 1 and iv.eps == 1:
+                assert roots[1] > -1.0
+    # a lone node just above -1 is s itself, not snapped to -1
+    assert lev_poly_roots(4, interval_for(4, 1), -1.0 + 1e-12)[0] == -1.0 + 1e-12
+
+
+def test_solve_cardinality_inside_the_last_intervals():
+    # L(3, .) passes 1000 inside I_61, close to the top of the supported range
+    r, rule = solve_cardinality(3, 1000)
+    assert rule.m == 61
+    iv = interval_for(3, 61)
+    assert iv.lo <= r <= iv.hi
+    assert lev_value(3, rule.interval, r) == pytest.approx(1000.0, rel=1e-9)
+
+
+def test_solve_cardinality_beyond_the_last_interval():
+    for n in (3, 8):
+        M = dgs_number(n, 65) * 1.001
+        with pytest.raises(ValueError, match="needs intervals beyond index 64"):
+            solve_cardinality(n, M)
