@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -112,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--nmax", type=int, default=10)
     t.add_argument("-h", "--potential", default="newton",
                    help="kernel: newton | riesz:a | gauss:a | log (default newton)")
-    t.add_argument("--jobs", type=int, default=1, help="rows computed concurrently")
     t.add_argument("--format", choices=("text", "json"), default="text", help="output format")
 
     tf = sub.add_parser("testfn", add_help=False, help="test functions R_j at (n, s)")
@@ -368,19 +366,15 @@ def _table_row(n: int, potential_spec: str) -> dict:
     }
 
 
-def table_rows(nmin: int = 2, nmax: int = 10, potential_spec: str = "newton", jobs: int = 1) -> list[dict]:
+def table_rows(nmin: int = 2, nmax: int = 10, potential_spec: str = "newton") -> list[dict]:
     """Energy table across the kissing ranges at s = 1/2, one row per n."""
     if nmin < 2 or nmax < nmin:
         raise ValueError(f"bad dimension range {nmin}..{nmax}")
-    dims = [n for n in range(nmin, nmax + 1) if n in KISSING_RANGES]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda n: _table_row(n, potential_spec), dims))
-    return [_table_row(n, potential_spec) for n in dims]
+    return [_table_row(n, potential_spec) for n in range(nmin, nmax + 1) if n in KISSING_RANGES]
 
 
 def cmd_table(args) -> int:
-    rows = table_rows(args.nmin, args.nmax, args.potential, args.jobs)
+    rows = table_rows(args.nmin, args.nmax, args.potential)
     if args.format == "json":
         _emit_json({"meta": {"tool": "sphenergy", "version": __version__, "schema": 1},
                     "potential": args.potential, "rows": rows})

@@ -30,8 +30,8 @@ from .orthopoly import (
     GegenPoly,
     JacobiParams,
     _check_dim,
-    eval_gegenbauer,
     gegenbauer_table,
+    gegenbauer_terms,
     greatest_zero,
     jacobi_zeros,
     product_to_gegen,
@@ -49,6 +49,7 @@ __all__ = [
     "levenshtein_poly",
     "quadrature",
     "solve_cardinality",
+    "illinois_root",
     "dgs_number",
 ]
 
@@ -121,15 +122,16 @@ def lev_value(n: int, interval: IntervalIndex, s: float) -> float:
     n = _check_dim(n)
     s = float(s)
     k, eps = interval.k, interval.eps
-    pk = eval_gegenbauer(n, k, s)
+    p = [1.0, *gegenbauer_terms(n, k + eps, s)]
+    pk = p[k]
     if eps == 0:
-        pk_prev = eval_gegenbauer(n, k - 1, s)
+        pk_prev = p[k - 1]
         denom = (1.0 - s) * pk
         if denom == 0.0:
             raise NumericsError(f"degenerate denominator in L_{interval.m}({n}, {s})")
         ratio = (pk_prev - pk) / denom
         return math.comb(k + n - 3, k - 1) * ((2 * k + n - 3) / (n - 1) - ratio)
-    pk_next = eval_gegenbauer(n, k + 1, s)
+    pk_next = p[k + 1]
     denom = (1.0 - s) * (pk + pk_next)
     if denom == 0.0:
         raise NumericsError(f"degenerate denominator in L_{interval.m}({n}, {s})")
@@ -293,12 +295,52 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     return QuadratureRule(n, interval, s, N, roots, weights, residual)
 
 
+def illinois_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
+    """A zero of f in [lo, hi], given flo = f(lo) and fhi = f(hi) of opposite signs.
+
+    Regula falsi with the Illinois modification: when the same end of the
+    bracket is replaced twice in a row, the function value kept at the other
+    end is halved, which makes that end move too.  A secant point is kept at
+    least tol / 2 from both ends, so an end that already sits on the zero
+    closes the bracket in one more step; one that is not strictly inside
+    the bracket is replaced by the midpoint.  Stops once the bracket is
+    narrower than ``tol`` (or cannot shrink) and returns its midpoint, or
+    returns a point where f is exactly zero.
+    """
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    kept = 0  # -1: the last step replaced hi, +1: it replaced lo
+    while hi - lo > tol:
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                break
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fhi > 0.0):
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+        else:
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
+    return 0.5 * (lo + hi)
+
+
 def solve_cardinality(n: int, M: float, tol: float = 1e-13) -> tuple[float, QuadratureRule]:
     """Invert L(n, .) at cardinality M and return the quadrature there.
 
     L_m(n, .) climbs from D(n, m) to D(n, m + 1) across I_m (``dgs_number``),
-    so M picks the interval and bisection runs inside it until the bracket
-    is narrower than ``tol``.
+    so M picks the interval, those two values bracket L - M at its ends, and
+    ``illinois_root`` runs inside it until the bracket is narrower than ``tol``.
     """
     n = _check_dim(n)
     M = float(M)
@@ -310,14 +352,8 @@ def solve_cardinality(n: int, M: float, tol: float = 1e-13) -> tuple[float, Quad
     if m is None:
         raise ValueError(f"cardinality {M} needs intervals beyond index {MAX_INTERVAL}")
     interval = interval_for(n, m)
-    lo, hi = interval.lo, interval.hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if lev_value(n, interval, mid) < M:
-            lo = mid
-        else:
-            hi = mid
-    r = 0.5 * (lo + hi)
+    r = illinois_root(
+        lambda t: lev_value(n, interval, t) - M,
+        interval.lo, interval.hi, dgs_number(n, m) - M, dgs_number(n, m + 1) - M, tol,
+    )
     return r, quadrature(n, r)

@@ -33,6 +33,7 @@ __all__ = [
     "eval_gegenbauer",
     "eval_gegenbauer_deriv",
     "gegenbauer_table",
+    "gegenbauer_terms",
     "eval_jacobi",
     "eval_jacobi_deriv",
     "jacobi_zeros",
@@ -60,6 +61,22 @@ def _check_degree(i) -> int:
     return int(i)
 
 
+def gegenbauer_terms(n: int, i_max: int, t):
+    """Yield P_1^{(n)}(t), ..., P_{i_max}^{(n)}(t) by the forward recurrence.
+
+    P_0 = 1 is left to the caller.  t may be a float, which keeps the whole
+    recurrence in plain Python floats, or an ndarray; only the two latest
+    terms are held, so a stream of degrees costs two arrays of t's shape.
+    """
+    if i_max < 1:
+        return
+    prev, cur = 1.0, t
+    yield cur
+    for i in range(1, i_max):
+        prev, cur = cur, ((2 * i + n - 2) * t * cur - i * prev) / (i + n - 2)
+        yield cur
+
+
 def gegenbauer_table(n: int, i_max: int, t) -> np.ndarray:
     """Stack P_0^{(n)}(t), ..., P_{i_max}^{(n)}(t) along a new leading axis.
 
@@ -70,25 +87,25 @@ def gegenbauer_table(n: int, i_max: int, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     out = np.empty((i_max + 1,) + t.shape, dtype=float)
     out[0] = 1.0
-    if i_max >= 1:
-        out[1] = t
-    for i in range(1, i_max):
-        out[i + 1] = ((2 * i + n - 2) * t * out[i] - i * out[i - 1]) / (i + n - 2)
+    for i, p in enumerate(gegenbauer_terms(n, i_max, t), start=1):
+        out[i] = p
     return out
 
 
 def eval_gegenbauer(n: int, i: int, t):
-    """P_i^{(n)}(t) by the forward recurrence, normalized so P_i^{(n)}(1) = 1."""
+    """P_i^{(n)}(t) by the forward recurrence, normalized so P_i^{(n)}(1) = 1.
+
+    A scalar t gives a float, computed in plain Python floats.
+    """
     n = _check_dim(n)
     i = _check_degree(i)
-    t = np.asarray(t, dtype=float)
-    prev = np.ones_like(t)
-    if i == 0:
-        return prev if prev.ndim else float(prev)
-    cur = t.copy()
-    for j in range(1, i):
-        prev, cur = cur, ((2 * j + n - 2) * t * cur - j * prev) / (j + n - 2)
-    return cur if cur.ndim else float(cur)
+    t = np.array(t, dtype=float)  # a copy, since P_1 is t itself
+    cur = np.ones_like(t)
+    if t.ndim == 0:
+        t, cur = float(t), 1.0
+    for cur in gegenbauer_terms(n, i, t):
+        pass
+    return cur
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import sphenergy
-from sphenergy.cli import main, recheck_certificate, table_rows
+from sphenergy.cli import main, recheck_certificate
 
 SCHEMA_KEYS = {
     "meta",
@@ -170,12 +170,6 @@ def test_table_plane_row_is_sharp(capsys):
     code, out, _ = run(capsys, "table", "--nmin", "2", "--nmax", "2")
     assert code == 0
     assert "-10.7506" in out
-
-
-def test_table_rows_parallel_determinism():
-    serial = table_rows(2, 10, "newton", jobs=1)
-    threaded = table_rows(2, 10, "newton", jobs=2)
-    assert json.dumps(serial) == json.dumps(threaded)
 
 
 def test_testfn_text_and_json(capsys):

@@ -5,6 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import tracemalloc
+
+import sphenergy.codes as codes_module
 from sphenergy.codes import (
     EZ_N5_COSINES,
     SphericalCode,
@@ -21,6 +24,7 @@ from sphenergy.codes import (
 )
 from sphenergy.errors import InfiniteEnergyError
 from sphenergy.levenshtein import quadrature
+from sphenergy.orthopoly import gegenbauer_table
 from sphenergy.potentials import make_potential
 
 
@@ -124,6 +128,60 @@ def test_moments_reference_and_nonnegativity():
         mom = moments(code, 6)
         assert mom[0] == pytest.approx(code.size**2, rel=1e-12)
         assert np.min(mom) >= -1e-9
+
+
+def test_block_streaming_matches_dense_reference(monkeypatch):
+    # 50 products per block split the 37-point triangle into 21 blocks:
+    # one-row blocks first, several-row blocks later, a one-row block last.
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 50)
+    rng = np.random.RandomState(73)
+    code = random_code(rng, 37, 10)
+    sizes = [vals.size for vals in codes_module._triu_blocks(code.points)]
+    assert len(sizes) == 21 and sizes[0] == 36 and sizes[-1] == 1
+    assert sum(sizes) == 37 * 36 // 2
+
+    gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
+    off = gram[np.triu_indices(code.size, k=1)]
+    pot = make_potential("riesz", alpha=1.0)
+    assert separation(code) == pytest.approx(float(np.max(off)), abs=1e-15)
+    assert energy(code, pot) == pytest.approx(2.0 * float(np.sum(pot(off))), rel=1e-13)
+    dense = gegenbauer_table(code.dim, 7, gram).sum(axis=(1, 2))
+    assert moments(code, 7) == pytest.approx(dense, abs=1e-12 * code.size**2)
+
+    v = verify_strip(code, pot)
+    assert v.separation == separation(code)
+    assert v.energy == pytest.approx(energy(code, pot), rel=1e-13)
+    assert v.moments == pytest.approx(moments(code, v.strip.uub_cert.quad.m), abs=1e-12 * code.size**2)
+    nodes = v.strip.uub_cert.quad.nodes
+    gap = float(np.max(np.min(np.abs(off[:, None] - nodes[None, :]), axis=1)))
+    assert v.nodes_cover_products == (gap <= 1e-7)
+
+    # A code whose products all sit on the nodes covers them block by block.
+    cross = generate("cross_polytope", 6)
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 7)
+    v = verify_strip(cross, pot)
+    assert v.nodes_cover_products and v.attains_uub
+
+
+def test_verify_strip_memory_is_linear_in_the_size():
+    # 3000 of the 3136 norm-6 vectors of D8, scaled to the sphere: a code in
+    # R^8 with separation 5/6 that the bound pipeline certifies.  Its Gram
+    # matrix alone would take 8 M^2 bytes (72 MB); verify_strip must stay
+    # below a quarter of that.
+    axis = np.arange(-2, 3, dtype=np.int8)
+    grid = np.stack(np.meshgrid(*[axis] * 8, indexing="ij"), axis=-1).reshape(-1, 8)
+    shell = grid[np.sum(grid.astype(int) ** 2, axis=1) == 6]
+    code = SphericalCode(shell[:3000] / math.sqrt(6.0))
+    pot = make_potential("gauss", alpha=1.0)
+    tracemalloc.start()
+    try:
+        v = verify_strip(code, pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.separation == pytest.approx(5.0 / 6.0, abs=1e-15)
+    assert v.inside and v.moments[0] == code.size**2
+    assert peak < 8 * code.size**2 / 4
 
 
 def test_distance_distribution_named_codes():
@@ -287,6 +345,14 @@ def test_ez_separation_value_and_cubic():
         assert abs(residual) < 1e-12
     with pytest.raises(ValueError):
         ez_separation(2)
+
+
+def test_ez_separation_is_the_root_of_the_cubic():
+    for n in range(3, 25):
+        roots = np.roots([n * (n - 2) ** 2, -(n * n), -n, 1.0])
+        inside = [r.real for r in roots if abs(r.imag) < 1e-12 and 0.0 < r.real < 1.0 / n]
+        assert len(inside) == 1
+        assert ez_separation(n) == pytest.approx(inside[0], rel=1e-13, abs=1e-15)
 
 
 def test_ez_energy_reference_values():

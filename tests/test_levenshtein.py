@@ -200,6 +200,17 @@ def test_solve_cardinality_round_trip():
         assert lev_value(n, rule.interval, r) == pytest.approx(M, rel=1e-9)
 
 
+def test_solve_cardinality_inverts_lev_on_every_sweep_interval():
+    # For each interval I_1..I_20 of the benchmark dimensions: a cardinality
+    # inside (D(n, m), D(n, m + 1)), just above D(n, m) and at D(n, m + 1).
+    for n in (3, 4, 5, 8, 10, 24):
+        for m in range(1, 21):
+            lo, hi = dgs_number(n, m), dgs_number(n, m + 1)
+            for M in (0.5 * (lo + hi), lo + 1e-3 * (hi - lo), hi):
+                r, rule = solve_cardinality(n, M)
+                assert lev_value(n, rule.interval, r) == pytest.approx(M, rel=1e-9)
+
+
 def test_solve_cardinality_rejects_small_m():
     with pytest.raises(ValueError):
         solve_cardinality(4, 1.5)
