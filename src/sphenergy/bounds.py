@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,13 @@ __all__ = [
 GAP_TOL = 1e-9
 COEFF_TOL = 1e-12
 DEFAULT_GRID = 2048
+# Relative slack between M and L_m(n, s) computed in floating point: within
+# it the class is sharp (M = L), beyond it on the high side infeasible.
+SHARP_TOL = 1e-9
+
+
+def _sharp_slack(L: float) -> float:
+    return SHARP_TOL * max(1.0, L)
 
 
 def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
@@ -68,27 +76,28 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     Node multiplicity up to 2 is supported; a doubled node matches the
     first derivative there.  Newton's divided differences supply the
     coefficients, and the Newton form is resynthesized directly over the
-    Gegenbauer basis.
+    Gegenbauer basis.  Both run on plain floats: the table is kept as one
+    column, overwritten top-down, whose head is the next Newton coefficient.
     """
-    z = np.array(sorted(float(t) for t in nodes), dtype=float)
-    if z.size == 0:
+    z = sorted(float(t) for t in nodes)
+    if not z:
         raise ValueError("node multiset must be nonempty")
-    if np.max(z) >= 1.0 or np.min(z) < -1.0:
+    if z[-1] >= 1.0 or z[0] < -1.0:
         raise ValueError("interpolation nodes must lie in [-1, 1)")
-    counts = Counter(z.tolist())
-    if max(counts.values()) > 2:
+    if max(Counter(z).values()) > 2:
         raise ValueError("node multiplicity above 2 is not supported")
-    d = z.size
-    table = np.zeros((d, d))
-    table[:, 0] = pot(z)
+    d = len(z)
+    # A custom kernel may return a scalar for an array argument.
+    col = np.broadcast_to(np.asarray(pot(np.array(z)), dtype=float), (d,)).tolist()
+    newton = [col[0]]
     for j in range(1, d):
         for i in range(d - j):
             if z[i + j] == z[i]:
-                table[i, j] = pot.deriv(z[i])
+                col[i] = pot.deriv(z[i])
             else:
-                table[i, j] = (table[i + 1, j - 1] - table[i, j - 1]) / (z[i + j] - z[i])
-    newton = table[0]
-    coeffs = np.array([newton[d - 1]])
+                col[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
+        newton.append(col[0])
+    coeffs = [newton[d - 1]]
     for j in range(d - 2, -1, -1):
         coeffs = _mul_linear(n, coeffs, z[j])
         coeffs[0] += newton[j]
@@ -156,12 +165,18 @@ class BoundCertificate:
     feasibility: FeasibilityReport
 
 
+@lru_cache(maxsize=8)
+def _chebyshev_cosines(size: int) -> np.ndarray:
+    cosines = np.cos(np.linspace(0.0, math.pi, size))
+    cosines.setflags(write=False)
+    return cosines
+
+
 def _feasibility_grid(s: float, nodes: np.ndarray, size: int) -> np.ndarray:
     # Chebyshev-distributed points cluster near both ends of [-1, s], where
     # the gap f - h is smallest; the quadrature nodes (gap exactly zero)
     # are appended explicitly.
-    theta = np.linspace(0.0, math.pi, size)
-    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * np.cos(theta)
+    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _chebyshev_cosines(size)
     return np.unique(np.concatenate([grid, nodes]))
 
 
@@ -187,8 +202,8 @@ def uub(
 ) -> BoundCertificate:
     """Universal upper bound on E_h for M points with separation at most s.
 
-    Requires M <= L_m(n, s) (a small absolute slack covers the sharp case
-    M = L computed in floating point).  ``extra_node`` augments the
+    Requires M <= L_m(n, s), up to the relative slack ``SHARP_TOL`` that
+    also decides sharpness in ``strip``.  ``extra_node`` augments the
     interpolation multiset with the spare simple node (-1 for odd m, a
     doubling of s for even m); by construction this cannot change the
     bound, which the invariant tests exercise.
@@ -198,9 +213,9 @@ def uub(
         raise ValueError(f"cardinality must be at least 2, got {M!r}")
     quad = quadrature(n, s)
     L = quad.N
-    if M > L + 1e-9:
+    if M > L + _sharp_slack(L):
         raise InfeasibleClassError(
-            f"no code class: M = {M:g} exceeds L_{quad.m}({n}, {s:g}) = {L:.12g}"
+            f"no code class: M = {M!r} exceeds L_{quad.m}({n}, {s:g}) = {L!r}"
         )
     lev = levenshtein_poly(n, quad.interval, quad.s, quad.nodes)
     m = quad.m
@@ -275,14 +290,14 @@ class EnergyStrip:
 
 
 def strip(n: int, M: float, s: float, pot: Potential, *, grid_size: int = DEFAULT_GRID) -> EnergyStrip:
-    """Two-sided energy strip; ``sharp`` flags M = L_m(n, s) within 1e-9."""
+    """Two-sided energy strip; ``sharp`` flags M = L_m(n, s) within ``SHARP_TOL``."""
     cert = uub(n, M, s, pot, grid_size=grid_size)
     low, rule = ulb(n, M, pot)
     if low > cert.uub_value + 1e-9 * max(1.0, abs(cert.uub_value)):
         raise CertificationError(
             f"strip is inverted: ulb {low!r} exceeds uub {cert.uub_value!r}"
         )
-    sharp = abs(cert.quad.N - float(M)) <= 1e-9 * max(1.0, cert.quad.N)
+    sharp = abs(cert.quad.N - float(M)) <= _sharp_slack(cert.quad.N)
     return EnergyStrip(low, cert.uub_value, sharp, rule, cert)
 
 

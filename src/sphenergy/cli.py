@@ -6,7 +6,8 @@ digits while JSON output carries full double precision and is
 byte-for-byte reproducible for identical flags (no timestamps).
 
 Exit codes: 0 success, 2 the class (n, M, s) is infeasible, 3 a
-certification check failed, 4 bad input.
+certification check failed or the class lies beyond the last supported
+interval I_64, 4 bad input.
 """
 
 from __future__ import annotations

@@ -103,7 +103,8 @@ def find_interval(n: int, s: float) -> IntervalIndex:
 
     At a shared endpoint of I_m and I_{m+1} the smaller index wins and the
     tie is recorded in ``tie_with``; by continuity both choices give the
-    same maximal cardinality.
+    same maximal cardinality.  A valid s above I_MAX_INTERVAL raises
+    CertificationError: the input is fine, the supported range is not.
     """
     n = _check_dim(n)
     s = float(s)
@@ -114,7 +115,10 @@ def find_interval(n: int, s: float) -> IntervalIndex:
         if s <= hi + TIE_TOL:
             tie = m + 1 if abs(s - hi) <= TIE_TOL else None
             return IntervalIndex(m, (m + 1) // 2, (m + 1) % 2, lo, hi, tie)
-    raise ValueError(f"separation {s} too close to 1: interval index exceeds {MAX_INTERVAL}")
+    raise CertificationError(
+        f"separation {s!r} lies beyond I_{MAX_INTERVAL} = [{lo!r}, {hi!r}], "
+        f"the last supported interval for n = {n}"
+    )
 
 
 def lev_value(n: int, interval: IntervalIndex, s: float) -> float:
@@ -350,7 +354,10 @@ def solve_cardinality(n: int, M: float, tol: float = 1e-13) -> tuple[float, Quad
         return -1.0, quadrature(n, -1.0)
     m = next((m for m in range(1, MAX_INTERVAL + 1) if M <= dgs_number(n, m + 1)), None)
     if m is None:
-        raise ValueError(f"cardinality {M} needs intervals beyond index {MAX_INTERVAL}")
+        raise CertificationError(
+            f"cardinality {M} needs intervals beyond index {MAX_INTERVAL}; "
+            f"I_{MAX_INTERVAL} reaches D({n}, {MAX_INTERVAL + 1}) = {dgs_number(n, MAX_INTERVAL + 1):g}"
+        )
     interval = interval_for(n, m)
     r = illinois_root(
         lambda t: lev_value(n, interval, t) - M,

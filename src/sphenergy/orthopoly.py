@@ -8,7 +8,18 @@ factors are expanded with the three-term linearization
     t * P_i = ((i + n - 2) * P_{i+1} + i * P_{i-1}) / (2i + n - 2),
 
 so coefficient arithmetic never leaves the basis; the monomial basis is
-not used anywhere.
+not used anywhere.  Derivatives shift the dimension by two:
+
+    d/dt P_i^{(n)} = i (i + n - 2) / (n - 1) * P_{i-1}^{(n+2)}.
+
+Coefficient arithmetic (products of linear factors, divided differences,
+Newton-to-Gegenbauer resynthesis) runs on Python lists of floats: at most
+65 coefficients, where a loop over numpy scalars costs more in dispatch
+than in arithmetic.  The coefficients become an ndarray once, when a
+``GegenPoly`` is built.  Evaluation on grids and on blocks of inner
+products runs on ndarrays, through the one recurrence ``gegenbauer_terms``;
+for an ndarray argument it reuses three buffers, so a yielded array is
+overwritten two steps later and a caller that keeps terms must copy them.
 
 Jacobi polynomials P_i^{(a,b)} (standard normalization, not rescaled at
 t = 1) supply the interval endpoints and quadrature node equations.
@@ -65,16 +76,33 @@ def gegenbauer_terms(n: int, i_max: int, t):
     """Yield P_1^{(n)}(t), ..., P_{i_max}^{(n)}(t) by the forward recurrence.
 
     P_0 = 1 is left to the caller.  t may be a float, which keeps the whole
-    recurrence in plain Python floats, or an ndarray; only the two latest
-    terms are held, so a stream of degrees costs two arrays of t's shape.
+    recurrence in plain Python floats, or an ndarray.  P_1 is t itself.
+    For an ndarray the later terms live in three buffers of t's shape that
+    take turns, and each step applies the same ufuncs in place: the array
+    yielded as P_j is overwritten while P_{j+2} is computed, so a caller
+    that keeps a term past the next step must copy it.  t is never written.
     """
     if i_max < 1:
         return
+    yield t
+    if not isinstance(t, np.ndarray):
+        prev, cur = 1.0, t
+        for i in range(1, i_max):
+            prev, cur = cur, ((2 * i + n - 2) * t * cur - i * prev) / (i + n - 2)
+            yield cur
+        return
+    # Step i writes P_{i+1} into bufs[i % 3] and i * P_{i-1} into
+    # bufs[(i + 1) % 3], which from i = 3 on is the buffer of P_{i-1} itself.
+    bufs = [np.empty_like(t, dtype=float) for _ in range(3)]
     prev, cur = 1.0, t
-    yield cur
     for i in range(1, i_max):
-        prev, cur = cur, ((2 * i + n - 2) * t * cur - i * prev) / (i + n - 2)
-        yield cur
+        new, scaled = bufs[i % 3], bufs[(i + 1) % 3]
+        np.multiply(2 * i + n - 2, t, out=new)
+        new *= cur
+        new -= np.multiply(i, prev, out=scaled)
+        new /= i + n - 2
+        prev, cur = cur, new
+        yield new
 
 
 def gegenbauer_table(n: int, i_max: int, t) -> np.ndarray:
@@ -108,28 +136,11 @@ def eval_gegenbauer(n: int, i: int, t):
     return cur
 
 
-@lru_cache(maxsize=None)
-def _jacobi_at_one(a: float, i: int) -> float:
-    # P_i^{(a,b)}(1) = binomial(i + a, i), independent of b.
-    val = 1.0
-    for j in range(1, i + 1):
-        val *= (a + j) / j
-    return val
-
-
 def eval_gegenbauer_deriv(n: int, i: int, t):
-    """d/dt P_i^{(n)}(t), via the Jacobi derivative identity."""
+    """d/dt P_i^{(n)}(t) = i (i + n - 2) / (n - 1) * P_{i-1}^{(n+2)}(t)."""
     n = _check_dim(n)
     i = _check_degree(i)
-    t = np.asarray(t, dtype=float)
-    if i == 0:
-        out = np.zeros_like(t)
-        return out if out.ndim else 0.0
-    a = (n - 3) / 2.0
-    inner = eval_jacobi(JacobiParams(a + 1.0, a + 1.0), i - 1, t)
-    scale = 0.5 * (i + n - 2) / _jacobi_at_one(a, i)
-    out = scale * np.asarray(inner, dtype=float)
-    return out if out.ndim else float(out)
+    return i * (i + n - 2) / (n - 1) * eval_gegenbauer(n + 2, max(i - 1, 0), t)
 
 
 @dataclass(frozen=True)
@@ -175,13 +186,15 @@ def eval_jacobi_deriv(p: JacobiParams, i: int, t):
     return out if out.ndim else float(out)
 
 
-def _monic_recurrence(p: JacobiParams, i: int) -> tuple[np.ndarray, np.ndarray]:
+@lru_cache(maxsize=1024)
+def _monic_recurrence(a: float, b: float, i: int) -> tuple[np.ndarray, np.ndarray]:
     """alpha_0..alpha_{i-1} and beta_1..beta_{i-1} of the monic Jacobi recurrence, i >= 1.
 
     pi_{j+1}(t) = (t - alpha_j) pi_j(t) - beta_j pi_{j-1}(t), where pi_j is
-    P_j^{(a,b)} divided by its (positive) leading coefficient.
+    P_j^{(a,b)} divided by its (positive) leading coefficient.  The arrays
+    are cached, hence read-only; 1024 entries of at most 2 x 64 doubles
+    cover eight dimensions at every degree up to MAX_DEGREE.
     """
-    a, b = p.a, p.b
     j = np.arange(i, dtype=float)
     s = 2 * j + a + b
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -191,7 +204,10 @@ def _monic_recurrence(p: JacobiParams, i: int) -> tuple[np.ndarray, np.ndarray]:
     if i >= 2:
         # j = 1 written with (1 + a + b) cancelled, which vanishes for a + b = -1.
         beta[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
-    return alpha, beta[1:]
+    beta = beta[1:].copy()
+    alpha.setflags(write=False)
+    beta.setflags(write=False)
+    return alpha, beta
 
 
 def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndarray:
@@ -207,12 +223,13 @@ def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndar
     i = _check_degree(i)
     if i == 0:
         return np.empty(0)
-    alpha, beta = _monic_recurrence(p, i)
+    alpha, beta = _monic_recurrence(p.a, p.b, i)
     c = 0.0
     if fixed is not None:
-        c = fixed - alpha[0]
+        al, be = alpha.tolist(), beta.tolist()
+        c = fixed - al[0]
         for j in range(1, i):
-            c = fixed - alpha[j] - beta[j - 1] / c
+            c = fixed - al[j] - be[j - 1] / c
     T = np.diag(alpha)
     T[-1, -1] += c
     j = np.arange(i - 1)
@@ -263,22 +280,26 @@ class GegenPoly:
         return out if np.ndim(out) else float(out)
 
     def deriv(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(t_arr)
-        for i in range(1, self.coeffs.size):
-            ci = self.coeffs[i]
-            if ci != 0.0:
-                out = out + ci * np.asarray(eval_gegenbauer_deriv(self.dim, i, t_arr))
-        return out if out.ndim else float(out)
+        # d/dt P_i^{(n)} = i (i + n - 2) / (n - 1) * P_{i-1}^{(n+2)}.
+        n, c = self.dim, self.coeffs
+        i = np.arange(1, c.size)
+        shifted = c[1:] * (i * (i + n - 2)) / (n - 1)
+        return GegenPoly(n + 2, shifted if shifted.size else [0.0])(t)
 
     def at_one(self) -> float:
         # P_i^{(n)}(1) = 1 for every i.
         return float(self.coeffs.sum())
 
 
-def _mul_linear(n: int, coeffs: np.ndarray, root: float) -> np.ndarray:
-    """Coefficients of (t - root) * f, staying in the Gegenbauer basis."""
-    out = np.zeros(coeffs.size + 1, dtype=float)
+def _mul_linear(n: int, coeffs: list[float], root: float) -> list[float]:
+    """Coefficients of (t - root) * f, staying in the Gegenbauer basis.
+
+    Plain floats in and out.  Each output collects, in this order, the up
+    term of i - 1, -root * c_i and the down term of i + 1; i = 0 has no
+    down term and an up factor of exactly 1, which n = 2 (2i + n - 2 = 0)
+    needs spelled out.
+    """
+    out = [0.0] * (len(coeffs) + 1)
     for i, ci in enumerate(coeffs):
         if ci == 0.0:
             continue
@@ -298,7 +319,7 @@ def product_to_gegen(n: int, roots) -> GegenPoly:
     roots = [float(r) for r in roots]
     if len(roots) > MAX_DEGREE:
         raise ValueError(f"product degree {len(roots)} exceeds the supported maximum {MAX_DEGREE}")
-    coeffs = np.array([1.0])
+    coeffs = [1.0]
     for r in roots:
         coeffs = _mul_linear(n, coeffs, r)
     return GegenPoly(n, coeffs)

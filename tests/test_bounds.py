@@ -229,6 +229,16 @@ def test_strip_requires_m_at_most_lev():
         strip(4, 27, 0.5, make_potential("newton", n=4))
 
 
+def test_one_relative_slack_decides_sharp_and_infeasible():
+    # L_m(24, 1/2) = 196560; the slack is 1e-9 * L, about 2e-4 here
+    pot = make_potential("newton", n=24)
+    assert strip(24, 196560 * (1 + 1e-12), 0.5, pot).sharp
+    assert strip(24, 196560 * (1 + 9e-10), 0.5, pot).sharp
+    over = 196560 * (1 + 1.1e-9)
+    with pytest.raises(InfeasibleClassError, match=f"M = {over!r} exceeds"):
+        strip(24, over, 0.5, pot)
+
+
 def test_test_functions_vanish_through_m():
     for n, s in [(5, 0.0), (4, 0.5), (6, 0.3)]:
         rep = lp_test_functions(n, s, 12)

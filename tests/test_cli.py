@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sphenergy
@@ -152,6 +153,18 @@ def test_verify_code_file(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--code", str(bad))
     assert code == 4
     assert "norm" in err
+
+
+def test_verify_random_code_beyond_the_last_interval(capsys, tmp_path):
+    # 200 random points in R^5 have s(C) ~ 0.9895, past I_64 = [.., 0.98893]
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((200, 5))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    path = tmp_path / "random.txt"
+    path.write_text("\n".join(" ".join(repr(x) for x in row) for row in pts.tolist()))
+    code, _, err = run(capsys, "verify", "--code", str(path))
+    assert code == 3
+    assert "beyond I_64" in err
 
 
 def test_table_reference_row(capsys):

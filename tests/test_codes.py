@@ -323,6 +323,15 @@ def test_verify_strip_icosahedron_attains_ulb():
     assert v.strip.sharp
 
 
+def test_moments_and_verify_strip_leave_the_points_unchanged():
+    code = random_code(np.random.RandomState(83), 16, 6)
+    before = code.points.copy()
+    code.points.flags.writeable = False  # any write into the points would raise
+    moments(code, 9)
+    verify_strip(code, make_potential("newton", n=6))
+    assert np.array_equal(code.points, before)
+
+
 def test_verify_strip_random_code_inside():
     rng = np.random.RandomState(79)
     code = random_code(rng, 7, 3)

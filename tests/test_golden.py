@@ -1,0 +1,62 @@
+"""Certificates against stored golden output.
+
+``tests/data`` holds the JSON that ``bound``, ``strip`` and ``table`` printed
+for the four anchor classes before the coefficient kernels moved to plain
+floats.  Ints, strings, bools and nulls must match exactly; floats within
+1e-12 * max(1, |old|, |new|).
+"""
+
+import json
+import math
+import os
+
+import pytest
+
+from sphenergy.cli import main
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+ANCHORS = [
+    ("5", "11", "auto-ez"),
+    ("8", "240", "0.5"),
+    ("10", "554", "0.5"),
+    ("24", "196560", "0.5"),
+]
+CASES = [
+    (f"{cmd}_n{n}_M{M}.json", [cmd, "-n", n, "-M", M, "-s", s, "--format", "json"])
+    for cmd in ("bound", "strip")
+    for n, M, s in ANCHORS
+] + [("table.json", ["table", "--format", "json"])]
+
+
+def mismatches(old, new, path="$"):
+    """Paths at which new differs from old beyond the golden tolerance."""
+    if isinstance(old, float) and isinstance(new, float):
+        tol = 1e-12 * max(1.0, abs(old), abs(new))
+        return [] if math.isclose(old, new, rel_tol=0.0, abs_tol=tol) else [f"{path}: {old!r} -> {new!r}"]
+    if type(old) is not type(new):
+        return [f"{path}: {type(old).__name__} -> {type(new).__name__}"]
+    if isinstance(old, dict):
+        if list(old) != list(new):
+            return [f"{path}: keys {list(old)} -> {list(new)}"]
+        return [m for key in old for m in mismatches(old[key], new[key], f"{path}.{key}")]
+    if isinstance(old, list):
+        if len(old) != len(new):
+            return [f"{path}: length {len(old)} -> {len(new)}"]
+        return [m for i, (a, b) in enumerate(zip(old, new)) for m in mismatches(a, b, f"{path}[{i}]")]
+    return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
+
+
+def test_mismatches_applies_the_tolerance():
+    assert mismatches({"a": [1, 2.0, True]}, {"a": [1, 2.0 + 1e-12, True]}) == []
+    assert mismatches({"a": [1, 2.0]}, {"a": [1, 2.0 + 1e-11]})
+    assert mismatches({"a": 1}, {"a": 1.0})
+    assert mismatches({"a": True}, {"a": False})
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_output_matches_golden(capsys, name, argv):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert main(argv) == 0
+    assert mismatches(golden, json.loads(capsys.readouterr().out)) == []

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sphenergy.errors import CertificationError
 from sphenergy.levenshtein import (
     dgs_number,
     find_interval,
@@ -52,6 +53,14 @@ def test_find_interval_rejects_bad_separation():
         find_interval(4, 1.0)
     with pytest.raises(ValueError):
         find_interval(4, -1.5)
+
+
+def test_find_interval_beyond_the_last_interval():
+    # a valid separation that no supported interval holds is not an input error
+    hi = interval_for(5, 64).hi
+    with pytest.raises(CertificationError, match=r"beyond I_64 = \[.*\], the last supported"):
+        find_interval(5, 0.9895)
+    assert find_interval(5, hi).m == 64
 
 
 def test_lev_value_reference_points():
@@ -243,5 +252,5 @@ def test_solve_cardinality_inside_the_last_intervals():
 def test_solve_cardinality_beyond_the_last_interval():
     for n in (3, 8):
         M = dgs_number(n, 65) * 1.001
-        with pytest.raises(ValueError, match="needs intervals beyond index 64"):
+        with pytest.raises(CertificationError, match="needs intervals beyond index 64"):
             solve_cardinality(n, M)

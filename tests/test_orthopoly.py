@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sps
+from numpy.polynomial.chebyshev import poly2cheb
+from numpy.polynomial.polynomial import polyfromroots
 
+from sphenergy.bounds import _chebyshev_cosines
 from sphenergy.orthopoly import (
     GegenPoly,
     JacobiParams,
+    _monic_recurrence,
     eval_gegenbauer,
     eval_gegenbauer_deriv,
     eval_jacobi,
@@ -84,6 +88,53 @@ def test_gegenbauer_table_stacks_evaluations():
     for i in range(7):
         for j, x in enumerate(t):
             assert tab[i, j] == pytest.approx(eval_gegenbauer(5, i, x), abs=1e-13)
+
+
+def test_gegenbauer_table_rows_are_eval_gegenbauer_bitwise():
+    rng = np.random.RandomState(31)
+    for n in (2, 3, 5, 24):
+        t = rng.uniform(-1, 1, size=(3, 7))
+        tab = gegenbauer_table(n, 20, t)
+        for i in range(21):
+            assert np.array_equal(tab[i], eval_gegenbauer(n, i, t))
+            assert tab[i, 1, 2] == eval_gegenbauer(n, i, float(t[1, 2]))
+
+
+def test_recurrence_leaves_its_argument_unchanged():
+    t = np.linspace(-1, 1, 9)
+    before = t.copy()
+    t.flags.writeable = False  # any write into t would raise
+    gegenbauer_table(6, 12, t)
+    eval_gegenbauer(6, 12, t)
+    eval_gegenbauer_deriv(6, 12, t)
+    GegenPoly(6, np.arange(1.0, 8.0))(t)
+    assert np.array_equal(t, before)
+
+
+def test_cached_recurrence_and_cosine_arrays_are_read_only():
+    alpha, beta = _monic_recurrence(1.5, 0.5, 6)
+    assert alpha.shape == (6,) and beta.shape == (5,)
+    assert not alpha.flags.writeable and not beta.flags.writeable
+    assert not _chebyshev_cosines(64).flags.writeable
+
+
+def test_gegenbauer_derivative_by_dimension_shift_matches_jacobi_route():
+    # d/dt P_i^{(n)} = P_i^{(a,a)}'(t) / P_i^{(a,a)}(1), a = (n - 3) / 2
+    t = np.linspace(-1, 1, 41)
+    for n in (2, 3, 5, 8, 24):
+        p = JacobiParams((n - 3) / 2.0, (n - 3) / 2.0)
+        coeffs = np.zeros(65)
+        for i in (1, 2, 7, 30, 64):
+            ref = eval_jacobi_deriv(p, i, t) / eval_jacobi(p, i, 1.0)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(eval_gegenbauer_deriv(n, i, t) - ref)) <= 1e-13 * scale
+            coeffs[i] = 1.0 / i
+        ref = sum(c * eval_jacobi_deriv(p, i, t) / eval_jacobi(p, i, 1.0)
+                  for i, c in enumerate(coeffs) if c)
+        got = GegenPoly(n, coeffs).deriv(t)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert GegenPoly(4, [3.0]).deriv(0.2) == 0.0
+    assert eval_gegenbauer_deriv(4, 0, 0.2) == 0.0
 
 
 def test_gegenbauer_derivative_against_finite_differences():
@@ -201,6 +252,15 @@ def test_product_to_gegen_empty_is_one():
     poly = product_to_gegen(4, [])
     assert poly.degree == 0
     assert poly.coeffs[0] == 1.0
+
+
+def test_product_to_gegen_dimension_two_is_chebyshev():
+    # P_i^{(2)} = T_i, and 2i + n - 2 vanishes at i = 0 for n = 2
+    rng = np.random.RandomState(37)
+    for d in (1, 2, 5, 12, 20):
+        roots = rng.uniform(-1, 1, size=d)
+        ref = poly2cheb(polyfromroots(roots))
+        assert np.allclose(product_to_gegen(2, roots).coeffs, ref, rtol=0, atol=1e-13)
 
 
 def test_product_to_gegen_pointwise():
