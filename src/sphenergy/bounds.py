@@ -18,28 +18,34 @@ f_i <= 0 for i >= 1 (checked coefficientwise); then
 for every code C of M points with separation at most s.  The lower bound
 evaluates the quadrature at the separation r solving L(n, r) = M; when
 M = L_m(n, s) the two bounds collapse and the certificate is sharp.
+
+``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
+``recheck_certificate`` re-runs the gates of ``uub`` on the stored numbers.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .errors import CertificationError, InfeasibleClassError
 from .levenshtein import (
+    EXACTNESS_TOL,
     LevenshteinPoly,
     QuadratureRule,
+    exactness_residual,
     levenshtein_poly,
     quadrature,
     solve_cardinality,
 )
 from .orthopoly import GegenPoly, _mul_linear, gegenbauer_table
-from .potentials import Potential
+from .potentials import Potential, parse_potential
 
 __all__ = [
     "LambdaChoice",
@@ -55,12 +61,18 @@ __all__ = [
     "strip",
     "test_functions",
     "optimality_probe",
+    "certificate_to_dict",
+    "strip_to_dict",
+    "recheck_certificate",
 ]
 
 # Grid tolerance for f - h >= 0 and coefficient tolerance for f_i <= 0.
 GAP_TOL = 1e-9
 COEFF_TOL = 1e-12
 DEFAULT_GRID = 2048
+# Relative tolerances for f = h at the nodes and for the two bound forms.
+NODE_TOL = 1e-10
+FORMS_TOL = 1e-10
 # Relative slack between M and L_m(n, s) computed in floating point: within
 # it the class is sharp (M = L), beyond it on the high side infeasible.
 SHARP_TOL = 1e-9
@@ -172,23 +184,38 @@ def _chebyshev_cosines(size: int) -> np.ndarray:
     return cosines
 
 
-def _feasibility_grid(s: float, nodes: np.ndarray, size: int) -> np.ndarray:
+def _feasibility_grid(s: float, nodes: np.ndarray) -> np.ndarray:
     # Chebyshev-distributed points cluster near both ends of [-1, s], where
     # the gap f - h is smallest; the quadrature nodes (gap exactly zero)
     # are appended explicitly.
-    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _chebyshev_cosines(size)
+    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _chebyshev_cosines(DEFAULT_GRID)
     return np.unique(np.concatenate([grid, nodes]))
 
 
-def _check_feasibility(
-    f: GegenPoly, pot: Potential, s: float, m: int, nodes: np.ndarray, grid_size: int
-) -> FeasibilityReport:
+def _node_residual(f: GegenPoly, pot: Potential, nodes: np.ndarray) -> tuple[float, np.ndarray]:
+    h_vals = pot(nodes)
+    res = float(np.max(np.abs(f(nodes) - h_vals) / np.maximum(1.0, np.abs(h_vals))))
+    return res, h_vals
+
+
+def _check_feasibility(f: GegenPoly, pot: Potential, s: float, m: int, nodes: np.ndarray) -> FeasibilityReport:
     max_interior = float(np.max(f.coeffs[1 : m + 1]))
-    grid = _feasibility_grid(s, nodes, grid_size)
+    grid = _feasibility_grid(s, nodes)
     gap = f(grid) - pot(grid)
     min_gap = float(np.min(gap))
     passed = max_interior <= COEFF_TOL and min_gap >= -GAP_TOL
     return FeasibilityReport(max_interior, min_gap, grid.size, passed)
+
+
+def _bound_forms(f: GegenPoly, M: float, L: float, weights, h_vals) -> tuple[float, float]:
+    f_one = f.at_one()
+    value = M * (float(f.coeffs[0]) * M - f_one)
+    quad_form = M * (M / L - 1.0) * f_one + M * M * float(np.dot(weights, h_vals))
+    return value, quad_form
+
+
+def _agree(value: float, other: float) -> bool:
+    return abs(value - other) <= FORMS_TOL * max(1.0, abs(value))
 
 
 def uub(
@@ -198,7 +225,6 @@ def uub(
     pot: Potential,
     *,
     extra_node: bool = False,
-    grid_size: int = DEFAULT_GRID,
 ) -> BoundCertificate:
     """Universal upper bound on E_h for M points with separation at most s.
 
@@ -229,23 +255,19 @@ def uub(
     coeffs -= lam * lev.gegen.coeffs
     f = GegenPoly(n, coeffs)
 
-    node_vals = f(quad.nodes)
-    h_vals = pot(quad.nodes)
-    node_res = float(np.max(np.abs(node_vals - h_vals) / np.maximum(1.0, np.abs(h_vals))))
-    if node_res > 1e-10:
+    node_res, h_vals = _node_residual(f, pot, quad.nodes)
+    if node_res > NODE_TOL:
         raise CertificationError(f"interpolation residual {node_res:.3e} at the nodes")
 
-    feas = _check_feasibility(f, pot, quad.s, m, quad.nodes, grid_size)
+    feas = _check_feasibility(f, pot, quad.s, m, quad.nodes)
     if not feas.passed:
         raise CertificationError(
             f"feasibility failed: max interior coefficient {feas.max_interior_coeff:.3e}, "
             f"min gap {feas.min_gap:.3e} on {feas.grid_size} points"
         )
 
-    f_one = f.at_one()
-    value = M * (float(f.coeffs[0]) * M - f_one)
-    quad_form = M * (M / L - 1.0) * f_one + M * M * float(np.dot(quad.weights, h_vals))
-    if abs(value - quad_form) > 1e-10 * max(1.0, abs(value)):
+    value, quad_form = _bound_forms(f, M, L, quad.weights, h_vals)
+    if not _agree(value, quad_form):
         raise CertificationError(
             f"bound forms disagree: {value!r} vs {quad_form!r}"
         )
@@ -289,9 +311,9 @@ class EnergyStrip:
     uub_cert: BoundCertificate
 
 
-def strip(n: int, M: float, s: float, pot: Potential, *, grid_size: int = DEFAULT_GRID) -> EnergyStrip:
+def strip(n: int, M: float, s: float, pot: Potential) -> EnergyStrip:
     """Two-sided energy strip; ``sharp`` flags M = L_m(n, s) within ``SHARP_TOL``."""
-    cert = uub(n, M, s, pot, grid_size=grid_size)
+    cert = uub(n, M, s, pot)
     low, rule = ulb(n, M, pot)
     if low > cert.uub_value + 1e-9 * max(1.0, abs(cert.uub_value)):
         raise CertificationError(
@@ -299,6 +321,98 @@ def strip(n: int, M: float, s: float, pot: Potential, *, grid_size: int = DEFAUL
         )
     sharp = abs(cert.quad.N - float(M)) <= _sharp_slack(cert.quad.N)
     return EnergyStrip(low, cert.uub_value, sharp, rule, cert)
+
+
+DOC_META = {"tool": "sphenergy", "version": __version__, "schema": 1}
+
+
+def certificate_to_dict(cert: BoundCertificate) -> dict:
+    """Lossless JSON form of an upper-bound certificate."""
+    quad = cert.quad
+    return {
+        "meta": dict(DOC_META),
+        "inputs": {
+            "n": cert.dim,
+            "M": cert.M,
+            "s": cert.s,
+            "potential": cert.potential.label,
+        },
+        "quadrature": {
+            "m": quad.m,
+            "k": quad.interval.k,
+            "eps": quad.interval.eps,
+            "interval": [quad.interval.lo, quad.interval.hi],
+            "tie_with": quad.interval.tie_with,
+            "L": quad.N,
+            "nodes": quad.nodes.tolist(),
+            "weights": quad.weights.tolist(),
+            "residual": quad.residual,
+        },
+        "interpolant": {
+            "nodes": list(cert.lev.multiset),
+            "gegenbauer": cert.interpolant.coeffs.tolist(),
+        },
+        "lambda": {
+            "value": cert.lam,
+            "argmax": cert.lam_argmax,
+            "degenerate": cert.degenerate,
+        },
+        "coefficients": {
+            "f": cert.f.coeffs.tolist(),
+            "levenshtein": cert.lev.gegen.coeffs.tolist(),
+        },
+        "feasibility": asdict(cert.feasibility),
+        "bounds": {
+            "uub": cert.uub_value,
+            "uub_quadrature_form": cert.quadrature_form,
+        },
+    }
+
+
+def strip_to_dict(es: EnergyStrip) -> dict:
+    """``certificate_to_dict`` of the upper bound, plus the lower bound and its rule."""
+    doc = certificate_to_dict(es.uub_cert)
+    doc["bounds"]["ulb"] = es.ulb
+    doc["bounds"]["sharp"] = es.sharp
+    doc["ulb_quadrature"] = {
+        "m": es.ulb_rule.m,
+        "r": es.ulb_rule.s,
+        "L": es.ulb_rule.N,
+        "nodes": es.ulb_rule.nodes.tolist(),
+        "weights": es.ulb_rule.weights.tolist(),
+        "residual": es.ulb_rule.residual,
+    }
+    return doc
+
+
+def recheck_certificate(doc: dict) -> dict:
+    """Re-run the gates of ``uub`` and ``quadrature``, through the same code,
+    on the numbers a ``certificate_to_dict`` document stores; ``ok`` is the verdict."""
+    inputs, rule = doc["inputs"], doc["quadrature"]
+    n, M, s = int(inputs["n"]), float(inputs["M"]), float(inputs["s"])
+    m, L = int(rule["m"]), float(rule["L"])
+    nodes, weights = np.array(rule["nodes"], dtype=float), np.array(rule["weights"], dtype=float)
+    pot = parse_potential(inputs["potential"], n)
+    f = GegenPoly(n, doc["coefficients"]["f"])
+    node_res, h_vals = _node_residual(f, pot, nodes)
+    feas = _check_feasibility(f, pot, s, m, nodes)
+    value, quad_form = _bound_forms(f, M, L, weights, h_vals)
+    residual = exactness_residual(gegenbauer_table(n, m, nodes), weights, L)
+    stored = float(doc["bounds"]["uub"])
+    report = {
+        "node_residual": node_res,
+        "max_interior_coeff": feas.max_interior_coeff,
+        "min_gap": feas.min_gap,
+        "grid_size": feas.grid_size,
+        "bound_recomputed": value,
+        "bound_stored": stored,
+        "forms_agree": _agree(value, quad_form),
+        "matches_stored": _agree(value, stored),
+        "quadrature_residual": residual,
+    }
+    report["ok"] = bool(node_res <= NODE_TOL and feas.passed and residual <= EXACTNESS_TOL
+                        and report["forms_agree"] and report["matches_stored"])
+    return report
 
 
 @dataclass(frozen=True)
@@ -365,7 +479,7 @@ def optimality_probe(
         raise ValueError(f"trials must be positive, got {trials!r}")
     rng = np.random.default_rng(seed)
     m = cert.quad.m
-    grid = _feasibility_grid(cert.s, cert.quad.nodes, DEFAULT_GRID)
+    grid = _feasibility_grid(cert.s, cert.quad.nodes)
     table = gegenbauer_table(cert.dim, m, grid)
     f_vals = cert.f(grid)
     h_vals = cert.potential(grid)

@@ -7,7 +7,8 @@ byte-for-byte reproducible for identical flags (no timestamps).
 
 Exit codes: 0 success, 2 the class (n, M, s) is infeasible, 3 a
 certification check failed or the class lies beyond the last supported
-interval I_64, 4 bad input.
+interval I_64, 4 bad input (including a ``table`` range outside 2..10).
+The certificate's JSON form and ``recheck_certificate`` live in ``bounds``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,17 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
-from .bounds import BoundCertificate, EnergyStrip, strip, test_functions, ulb, uub
+from .bounds import (
+    DOC_META,
+    BoundCertificate,
+    certificate_to_dict,
+    recheck_certificate,
+    strip,
+    strip_to_dict,
+    test_functions,
+    uub,
+)
 from .codes import ez_separation, generate, load_code, verify_strip
 from .errors import (
     CertificationError,
@@ -27,7 +35,6 @@ from .errors import (
     InfiniteEnergyError,
     NumericsError,
 )
-from .orthopoly import GegenPoly
 from .potentials import parse_potential
 
 __all__ = [
@@ -42,7 +49,7 @@ __all__ = [
 ]
 
 # Known ranges for the kissing numbers (best lower and upper bounds for
-# 2 <= n <= 10); the endpoints feed the default rows of `table`.
+# 2 <= n <= 10); `table` covers exactly these n, one row per range.
 KISSING_RANGES = {
     2: (6, 6),
     3: (12, 12),
@@ -61,8 +68,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad flags; route that to exit code 4
-    # instead, which is reserved for input errors.
+    # -h selects the kernel, so help is --help only.  argparse exits with
+    # status 2 on bad flags; route that to exit code 4 instead, which is
+    # reserved for input errors.
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this help message and exit")
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -71,51 +83,44 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _add_common(sp, with_M: bool = True, with_s: bool = True):
-    sp.add_argument("--help", action="help", help="show this help message and exit")
-    sp.add_argument("-n", "--dim", type=int, required=True, help="dimension of the ambient space")
-    if with_M:
-        sp.add_argument("-M", "--points", type=int, required=True, help="number of points (integer >= 2)")
-    if with_s:
-        sp.add_argument("-s", "--separation", required=True,
-                        help="maximal inner product, or 'auto-ez' for the (2n+1)-point separation")
+def _add_shared(sp, run):
+    # The flags every subcommand takes, and the function that runs it.
     sp.add_argument("-h", "--potential", default="newton",
                     help="kernel: newton | riesz:a | gauss:a | log (default newton)")
     sp.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    sp.set_defaults(run=run)
+
+
+def _add_class(sp, run, with_M: bool = True):
+    sp.add_argument("-n", "--dim", type=int, required=True, help="dimension of the ambient space")
+    if with_M:
+        sp.add_argument("-M", "--points", type=int, required=True, help="number of points (integer >= 2)")
+    sp.add_argument("-s", "--separation", required=True,
+                    help="maximal inner product, or 'auto-ez' for the (2n+1)-point separation")
+    _add_shared(sp, run)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = _Parser(prog="sphenergy", add_help=False,
-                description="Universal energy bounds for spherical codes.")
-    p.add_argument("--help", action="help", help="show this help message and exit")
+    p = _Parser(prog="sphenergy", description="Universal energy bounds for spherical codes.")
     p.add_argument("--version", action="version", version=f"sphenergy {__version__}")
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    b = sub.add_parser("bound", add_help=False, help="upper bound for (n, M, s)")
-    _add_common(b)
+    _add_class(sub.add_parser("bound", help="upper bound for (n, M, s)"), cmd_bound)
+    _add_class(sub.add_parser("strip", help="energy strip [ulb, uub] for (n, M, s)"), cmd_strip)
 
-    st = sub.add_parser("strip", add_help=False, help="energy strip [ulb, uub] for (n, M, s)")
-    _add_common(st)
-
-    v = sub.add_parser("verify", add_help=False, help="check a concrete code against its strip")
-    v.add_argument("--help", action="help", help="show this help message and exit")
+    v = sub.add_parser("verify", help="check a concrete code against its strip")
     src = v.add_mutually_exclusive_group(required=True)
     src.add_argument("--code", help="path of a code file (one point per line)")
     src.add_argument("--generate", help="named code, e.g. simplex:4, icosahedron")
-    v.add_argument("-h", "--potential", default="newton",
-                   help="kernel: newton | riesz:a | gauss:a | log (default newton)")
-    v.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    _add_shared(v, cmd_verify)
 
-    t = sub.add_parser("table", add_help=False, help="kissing-range energy table at s = 1/2")
-    t.add_argument("--help", action="help", help="show this help message and exit")
+    t = sub.add_parser("table", help="kissing-range energy table at s = 1/2")
     t.add_argument("--nmin", type=int, default=2)
     t.add_argument("--nmax", type=int, default=10)
-    t.add_argument("-h", "--potential", default="newton",
-                   help="kernel: newton | riesz:a | gauss:a | log (default newton)")
-    t.add_argument("--format", choices=("text", "json"), default="text", help="output format")
+    _add_shared(t, cmd_table)
 
-    tf = sub.add_parser("testfn", add_help=False, help="test functions R_j at (n, s)")
-    _add_common(tf, with_M=False)
+    tf = sub.add_parser("testfn", help="test functions R_j at (n, s)")
+    _add_class(tf, cmd_testfn, with_M=False)
     tf.add_argument("--jmax", type=int, required=True, help="largest index j to report")
 
     return p
@@ -125,123 +130,9 @@ def _parse_separation(raw: str, n: int) -> float:
     if raw == "auto-ez":
         return ez_separation(n)
     try:
-        s = float(raw)
+        return float(raw)
     except ValueError:
         raise ValueError(f"bad separation {raw!r}") from None
-    return s
-
-
-def certificate_to_dict(cert: BoundCertificate) -> dict:
-    quad = cert.quad
-    return {
-        "meta": {"tool": "sphenergy", "version": __version__, "schema": 1},
-        "inputs": {
-            "n": cert.dim,
-            "M": cert.M,
-            "s": cert.s,
-            "potential": cert.potential.label,
-        },
-        "quadrature": {
-            "m": quad.m,
-            "k": quad.interval.k,
-            "eps": quad.interval.eps,
-            "interval": [quad.interval.lo, quad.interval.hi],
-            "tie_with": quad.interval.tie_with,
-            "L": quad.N,
-            "nodes": quad.nodes.tolist(),
-            "weights": quad.weights.tolist(),
-            "residual": quad.residual,
-        },
-        "interpolant": {
-            "nodes": list(cert.lev.multiset),
-            "gegenbauer": cert.interpolant.coeffs.tolist(),
-        },
-        "lambda": {
-            "value": cert.lam,
-            "argmax": cert.lam_argmax,
-            "degenerate": cert.degenerate,
-        },
-        "coefficients": {
-            "f": cert.f.coeffs.tolist(),
-            "levenshtein": cert.lev.gegen.coeffs.tolist(),
-        },
-        "feasibility": {
-            "max_interior_coeff": cert.feasibility.max_interior_coeff,
-            "min_gap": cert.feasibility.min_gap,
-            "grid_size": cert.feasibility.grid_size,
-            "passed": cert.feasibility.passed,
-        },
-        "bounds": {
-            "uub": cert.uub_value,
-            "uub_quadrature_form": cert.quadrature_form,
-        },
-    }
-
-
-def strip_to_dict(es: EnergyStrip) -> dict:
-    doc = certificate_to_dict(es.uub_cert)
-    doc["bounds"]["ulb"] = es.ulb
-    doc["bounds"]["sharp"] = es.sharp
-    doc["ulb_quadrature"] = {
-        "m": es.ulb_rule.m,
-        "r": es.ulb_rule.s,
-        "L": es.ulb_rule.N,
-        "nodes": es.ulb_rule.nodes.tolist(),
-        "weights": es.ulb_rule.weights.tolist(),
-        "residual": es.ulb_rule.residual,
-    }
-    return doc
-
-
-def recheck_certificate(doc: dict) -> dict:
-    """Re-verify a stored certificate from its own numbers.
-
-    Rebuilds the bound polynomial from the stored coefficients, re-runs the
-    coefficient and grid feasibility checks against a freshly parsed
-    kernel, recomputes both bound forms, and replays the quadrature
-    exactness test.  Returns a report with an overall ``ok`` flag; nothing
-    in the pipeline is trusted except the JSON itself.
-    """
-    from .bounds import COEFF_TOL, DEFAULT_GRID, GAP_TOL, _feasibility_grid
-    from .orthopoly import gegenbauer_table
-
-    n = int(doc["inputs"]["n"])
-    M = float(doc["inputs"]["M"])
-    pot = parse_potential(doc["inputs"]["potential"], n)
-    f = GegenPoly(n, np.array(doc["coefficients"]["f"]))
-    s = float(doc["inputs"]["s"])
-    nodes = np.array(doc["quadrature"]["nodes"])
-    weights = np.array(doc["quadrature"]["weights"])
-    L = float(doc["quadrature"]["L"])
-    m = int(doc["quadrature"]["m"])
-
-    max_interior = float(np.max(f.coeffs[1 : m + 1]))
-    grid = _feasibility_grid(s, nodes, DEFAULT_GRID)
-    min_gap = float(np.min(f(grid) - pot(grid)))
-    value = M * (float(f.coeffs[0]) * M - f.at_one())
-    quad_form = M * (M / L - 1.0) * f.at_one() + M * M * float(np.dot(weights, pot(nodes)))
-    table = gegenbauer_table(n, m, nodes)
-    target = np.full(m + 1, -1.0 / L)
-    target[0] += 1.0
-    residual = float(np.max(np.abs(table @ weights - target)))
-    stored = float(doc["bounds"]["uub"])
-    report = {
-        "max_interior_coeff": max_interior,
-        "min_gap": min_gap,
-        "bound_recomputed": value,
-        "bound_stored": stored,
-        "forms_agree": abs(value - quad_form) <= 1e-10 * max(1.0, abs(value)),
-        "matches_stored": abs(value - stored) <= 1e-10 * max(1.0, abs(stored)),
-        "quadrature_residual": residual,
-    }
-    report["ok"] = bool(
-        max_interior <= COEFF_TOL
-        and min_gap >= -GAP_TOL
-        and report["forms_agree"]
-        and report["matches_stored"]
-        and residual <= 1e-8
-    )
-    return report
 
 
 def _emit_json(doc: dict) -> None:
@@ -270,8 +161,6 @@ def cmd_bound(args) -> int:
     n = args.dim
     pot = parse_potential(args.potential, n)
     s = _parse_separation(args.separation, n)
-    if args.points < 2:
-        raise ValueError(f"M must be at least 2, got {args.points}")
     cert = uub(n, args.points, s, pot)
     if args.format == "json":
         _emit_json(certificate_to_dict(cert))
@@ -284,8 +173,6 @@ def cmd_strip(args) -> int:
     n = args.dim
     pot = parse_potential(args.potential, n)
     s = _parse_separation(args.separation, n)
-    if args.points < 2:
-        raise ValueError(f"M must be at least 2, got {args.points}")
     es = strip(n, args.points, s, pot)
     if args.format == "json":
         _emit_json(strip_to_dict(es))
@@ -346,39 +233,34 @@ def cmd_verify(args) -> int:
 
 def _table_row(n: int, potential_spec: str) -> dict:
     pot = parse_potential(potential_spec, n)
-    m_lo, m_hi = KISSING_RANGES.get(n, (n + 1, n + 1))
-    cert_lo = uub(n, m_lo, 0.5, pot)
-    ulb_lo = ulb(n, m_lo, pot)[0]
-    if m_hi == m_lo:
-        cert_hi, ulb_hi = cert_lo, ulb_lo
-    else:
-        cert_hi = uub(n, m_hi, 0.5, pot)
-        ulb_hi = ulb(n, m_hi, pot)[0]
+    m_lo, m_hi = KISSING_RANGES[n]
+    lo = strip(n, m_lo, 0.5, pot)
+    hi = lo if m_hi == m_lo else strip(n, m_hi, 0.5, pot)
     return {
         "n": n,
         "M_lo": m_lo,
         "M_hi": m_hi,
-        "m": cert_lo.quad.m,
-        "L": cert_lo.quad.N,
-        "ulb_lo": ulb_lo,
-        "ulb_hi": ulb_hi,
-        "uub_lo": cert_lo.uub_value,
-        "uub_hi": cert_hi.uub_value,
+        "m": lo.uub_cert.quad.m,
+        "L": lo.uub_cert.quad.N,
+        "ulb_lo": lo.ulb,
+        "ulb_hi": hi.ulb,
+        "uub_lo": lo.uub,
+        "uub_hi": hi.uub,
     }
 
 
 def table_rows(nmin: int = 2, nmax: int = 10, potential_spec: str = "newton") -> list[dict]:
     """Energy table across the kissing ranges at s = 1/2, one row per n."""
-    if nmin < 2 or nmax < nmin:
-        raise ValueError(f"bad dimension range {nmin}..{nmax}")
-    return [_table_row(n, potential_spec) for n in range(nmin, nmax + 1) if n in KISSING_RANGES]
+    lo, hi = min(KISSING_RANGES), max(KISSING_RANGES)
+    if not lo <= nmin <= nmax <= hi:
+        raise ValueError(f"bad dimension range {nmin}..{nmax}: the table covers n = {lo}..{hi}")
+    return [_table_row(n, potential_spec) for n in range(nmin, nmax + 1)]
 
 
 def cmd_table(args) -> int:
     rows = table_rows(args.nmin, args.nmax, args.potential)
     if args.format == "json":
-        _emit_json({"meta": {"tool": "sphenergy", "version": __version__, "schema": 1},
-                    "potential": args.potential, "rows": rows})
+        _emit_json({"meta": DOC_META, "potential": args.potential, "rows": rows})
         return 0
     def span(lo, hi):
         return _fmt(lo) if lo == hi else f"{_fmt(lo)}..{_fmt(hi)}"
@@ -392,13 +274,11 @@ def cmd_table(args) -> int:
 
 def cmd_testfn(args) -> int:
     n = args.dim
-    if args.jmax < 1:
-        raise ValueError(f"--jmax must be at least 1, got {args.jmax}")
     s = _parse_separation(args.separation, n)
     report = test_functions(n, s, args.jmax)
     if args.format == "json":
         _emit_json({
-            "meta": {"tool": "sphenergy", "version": __version__, "schema": 1},
+            "meta": DOC_META,
             "inputs": {"n": n, "s": report.s, "jmax": args.jmax},
             "m": report.m,
             "threshold": report.threshold,
@@ -417,15 +297,6 @@ def cmd_testfn(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "bound": cmd_bound,
-    "strip": cmd_strip,
-    "verify": cmd_verify,
-    "table": cmd_table,
-    "testfn": cmd_testfn,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -434,7 +305,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     try:
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except InfeasibleClassError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2

@@ -48,6 +48,7 @@ __all__ = [
     "lev_poly_roots",
     "levenshtein_poly",
     "quadrature",
+    "exactness_residual",
     "solve_cardinality",
     "illinois_root",
     "dgs_number",
@@ -65,6 +66,8 @@ TIE_TOL = 1e-12
 # and the smallest node moves with s at a rate of up to ~300 there: for
 # n <= 24, m <= 64 it lands within 6e-13 of -1.  1e-11 leaves a margin of 15.
 NODE_SNAP = 1e-11
+
+EXACTNESS_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -289,14 +292,19 @@ def quadrature(n: int, s: float) -> QuadratureRule:
         raise CertificationError(
             f"nonpositive quadrature weight for (n={n}, s={s}): {weights}"
         )
-    target = np.full(interval.m + 1, -1.0 / N)
-    target[0] += 1.0
-    residual = float(np.max(np.abs(table @ weights - target)))
-    if residual > 1e-8:
+    residual = exactness_residual(table, weights, N)
+    if residual > EXACTNESS_TOL:
         raise CertificationError(
-            f"quadrature exactness residual {residual:.3e} exceeds 1e-8 (n={n}, s={s})"
+            f"quadrature exactness residual {residual:.3e} exceeds {EXACTNESS_TOL:g} (n={n}, s={s})"
         )
     return QuadratureRule(n, interval, s, N, roots, weights, residual)
+
+
+def exactness_residual(table: np.ndarray, weights: np.ndarray, N: float) -> float:
+    """max_j |sum_i rho_i P_j(alpha_i) - (delta_j0 - 1/N)|, table[j] = P_j(nodes)."""
+    target = np.full(table.shape[0], -1.0 / N)
+    target[0] += 1.0
+    return float(np.max(np.abs(table @ weights - target)))
 
 
 def illinois_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:

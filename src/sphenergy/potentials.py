@@ -72,6 +72,17 @@ def _riesz_family(alpha: float):
     return ev, (lambda t: dp(t, 1)), dp
 
 
+def _gauss_family(a: float):
+    # h(t) = exp(-a (1 - t)); each derivative multiplies by a.
+    def ev(t):
+        return np.exp(-a * (1.0 - t))
+
+    def dp(t, p):
+        return a**p * np.exp(-a * (1.0 - t))
+
+    return ev, (lambda t: dp(t, 1)), dp
+
+
 def _log_family(scale: float):
     # h(t) = -scale * log(2 - 2t); derivatives are scale * (p-1)! / (1-t)^p.
     def ev(t):
@@ -109,23 +120,15 @@ def make_potential(
         else:
             ev, d1, dp = _riesz_family(float(n - 2))
         return Potential("newton", "newton", (float(n),), False, ev, d1, dp)
-    if kind == "riesz":
+    if kind in ("riesz", "gauss"):
         if alpha is None or not alpha > 0:
-            raise ValueError("riesz kernel needs alpha > 0")
-        ev, d1, dp = _riesz_family(float(alpha))
-        return Potential("riesz", f"riesz:{alpha:g}", (float(alpha),), False, ev, d1, dp)
-    if kind == "gauss":
-        if alpha is None or not alpha > 0:
-            raise ValueError("gauss kernel needs alpha > 0")
+            raise ValueError(f"{kind} kernel needs alpha > 0")
         a = float(alpha)
-
-        def ev(t):
-            return np.exp(-a * (1.0 - t))
-
-        def dp(t, p):
-            return a**p * np.exp(-a * (1.0 - t))
-
-        return Potential("gauss", f"gauss:{a:g}", (a,), True, ev, lambda t: dp(t, 1), dp)
+        # Six significant digits where they name a exactly, else repr: a
+        # stored certificate is rechecked by parsing its label back.
+        label = f"{kind}:{a:g}" if float(f"{a:g}") == a else f"{kind}:{a!r}"
+        ev, d1, dp = (_riesz_family if kind == "riesz" else _gauss_family)(a)
+        return Potential(kind, label, (a,), kind == "gauss", ev, d1, dp)
     if kind == "log":
         ev, d1, dp = _log_family(1.0)
         return Potential("log", "log", (), False, ev, d1, dp)

@@ -10,11 +10,15 @@ import math
 import numpy as np
 import pytest
 
+import sphenergy.cli
 from sphenergy.bounds import (
+    certificate_to_dict,
     hermite_interpolant,
     lambda_star,
     optimality_probe,
+    recheck_certificate,
     strip,
+    strip_to_dict,
     ulb,
     uub,
 )
@@ -22,7 +26,7 @@ from sphenergy.bounds import test_functions as lp_test_functions
 from sphenergy.errors import InfeasibleClassError
 from sphenergy.levenshtein import find_interval, lev_value, levenshtein_poly, quadrature
 from sphenergy.orthopoly import gegenbauer_table
-from sphenergy.potentials import make_potential
+from sphenergy.potentials import make_potential, parse_potential
 
 S_EZ = 0.13285354259858992
 
@@ -292,3 +296,24 @@ def test_moment_identity_on_quadrature():
     for j in range(1, 4):
         val = 1.0 / rule.N + float(np.dot(rule.weights, table[j]))
         assert abs(val) < 1e-10
+
+
+def test_recheck_reports_the_gate_values_uub_computed():
+    # recheck runs the gate code uub ran, so a certificate's own numbers come
+    # back bit for bit, at the default grid the certificate records
+    for n, M, s, kernel in [
+        (5, 11, S_EZ, "newton"),
+        (5, 11, 0.2, "riesz:1.2345678"),
+        (8, 240, 0.5, "gauss:2.718281828"),
+        (24, 196560, 0.5, "newton"),
+    ]:
+        cert = uub(n, M, s, parse_potential(kernel, n))
+        for doc in (certificate_to_dict(cert), strip_to_dict(strip(n, M, s, cert.potential))):
+            report = recheck_certificate(doc)
+            assert report["ok"] is True
+            assert report["max_interior_coeff"] == cert.feasibility.max_interior_coeff
+            assert report["min_gap"] == cert.feasibility.min_gap
+            assert report["grid_size"] == cert.feasibility.grid_size
+            assert report["bound_recomputed"] == cert.uub_value
+    for name in ("certificate_to_dict", "strip_to_dict", "recheck_certificate"):
+        assert getattr(sphenergy.cli, name) is globals()[name]

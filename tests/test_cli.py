@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import sphenergy
+from sphenergy.bounds import COEFF_TOL, GAP_TOL, NODE_TOL
 from sphenergy.cli import main, recheck_certificate
+from sphenergy.levenshtein import EXACTNESS_TOL
 
 SCHEMA_KEYS = {
     "meta",
@@ -92,6 +94,8 @@ def test_input_error_exit_codes(capsys):
         ("verify", "--code", "/no/such/file.txt"),
         ("testfn", "-n", "5", "-s", "0", "--jmax", "0"),
         ("table", "--nmin", "9", "--nmax", "3"),
+        ("table", "--nmin", "11", "--nmax", "12"),
+        ("table", "--nmax", "12"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -201,12 +205,25 @@ def test_testfn_text_and_json(capsys):
     assert doc["first_negative"] is None
 
 
-def test_recheck_round_trip(capsys):
+@pytest.mark.parametrize(
+    "command, n, M, s, kernel",
+    [
+        ("bound", "4", "24", "0.5", "newton"),
+        ("bound", "5", "11", "0.2", "riesz:1.2345678"),
+        ("bound", "5", "11", "0.2", "gauss:2.718281828"),
+        ("strip", "5", "11", "0.2", "gauss:0.1234567"),
+        ("strip", "3", "12", "0.5", "log"),
+        ("strip", "8", "240", "0.5", "riesz:3"),
+    ],
+)
+def test_recheck_round_trip(capsys, command, n, M, s, kernel):
     doc, _ = run_json(
-        capsys, "bound", "-n", "4", "-M", "24", "-s", "0.5", "--format", "json"
+        capsys, command, "-n", n, "-M", M, "-s", s, "-h", kernel, "--format", "json"
     )
+    assert doc["inputs"]["potential"] == kernel
     report = recheck_certificate(doc)
     assert report["ok"] is True
+    assert report["forms_agree"] is True
     assert report["matches_stored"] is True
     assert report["quadrature_residual"] < 1e-9
 
@@ -217,6 +234,43 @@ def test_recheck_round_trip(capsys):
     shaved = json.loads(json.dumps(doc))
     shaved["coefficients"]["f"][0] *= 0.999
     assert recheck_certificate(shaved)["ok"] is False
+
+
+def test_recheck_rejects_each_gate(capsys):
+    doc, _ = run_json(
+        capsys, "bound", "-n", "4", "-M", "24", "-s", "0.5", "--format", "json"
+    )
+
+    def recheck(edit):
+        tampered = json.loads(json.dumps(doc))
+        edit(tampered)
+        report = recheck_certificate(tampered)
+        assert report["ok"] is False
+        return report
+
+    def lift_f0(d):
+        d["coefficients"]["f"][0] += 1e-6
+
+    def raise_interior(d):
+        d["coefficients"]["f"][1] = 1e-6
+
+    def scale_weight(d):
+        d["quadrature"]["weights"][0] *= 1.001
+
+    def swap_kernel(d):
+        # riesz:1 lies above the newton kernel (riesz:2 in R^4) on [-1, 1/2)
+        d["inputs"]["potential"] = "riesz:1"
+
+    def inflate_uub(d):
+        d["bounds"]["uub"] *= 1.001
+
+    assert recheck(lift_f0)["node_residual"] > NODE_TOL
+    assert recheck(raise_interior)["max_interior_coeff"] > COEFF_TOL
+    assert recheck(scale_weight)["quadrature_residual"] > EXACTNESS_TOL
+    swapped = recheck(swap_kernel)
+    assert swapped["min_gap"] < -GAP_TOL
+    assert swapped["forms_agree"] is False
+    assert recheck(inflate_uub)["matches_stored"] is False
 
 
 def test_version_flag(capsys):

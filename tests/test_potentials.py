@@ -115,3 +115,20 @@ def test_make_potential_rejects_bad_arguments():
         make_potential("custom", eval_fn=lambda t: t)
     with pytest.raises(ValueError):
         make_potential("unknown")
+
+
+def test_kernel_labels_round_trip():
+    # A stored label is parsed back when a certificate is rechecked.
+    for kind in ("riesz", "gauss"):
+        for alpha in (1.2345678, 2.718281828, 0.1234567, 1 / 3, 1e-7, 123456789.0):
+            pot = make_potential(kind, alpha=alpha)
+            assert pot.label == f"{kind}:{alpha!r}"
+            assert parse_potential(pot.label, 5).params == (alpha,)
+        # six significant digits stay as they were wherever they are exact
+        for text in ("1", "2.5", "0.5", "3.9999", "1e-05"):
+            assert make_potential(kind, alpha=float(text)).label == f"{kind}:{text}"
+            assert parse_potential(f"{kind}:{text}", 5).label == f"{kind}:{text}"
+        rng = np.random.default_rng(0)
+        for alpha in rng.uniform(0.5, 4.0, 200):
+            text = f"{alpha:.4f}"
+            assert parse_potential(f"{kind}:{text}", 5).label == f"{kind}:{float(text):g}"
