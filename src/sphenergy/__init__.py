@@ -4,131 +4,23 @@ The package computes, for a dimension n, a cardinality M and a maximal
 inner product s, a linear-programming upper bound on the energy of every
 such code under an absolutely monotone kernel, together with the matching
 universal lower bound, and verifies concrete codes against the resulting
-energy strip.
+energy strip.  It exports every public name of its library modules; each
+module's ``__all__`` is the one list of them.
 """
 
+# Set before the imports: bounds reads it for the certificate's meta block.
 __version__ = "0.1.0"
 
-from .bounds import (
-    BoundCertificate,
-    EnergyStrip,
-    FeasibilityReport,
-    LambdaChoice,
-    ProbeReport,
-    TestFunctionReport,
-    hermite_interpolant,
-    lambda_star,
-    optimality_probe,
-    strip,
-    test_functions,
-    ulb,
-    uub,
-)
-from .codes import (
-    DDSolveReport,
-    DistanceDistribution,
-    SphericalCode,
-    StripVerdict,
-    dd_system_solve,
-    distance_distribution,
-    energy,
-    ez_energy_n5,
-    ez_separation,
-    generate,
-    load_code,
-    moments,
-    separation,
-    verify_strip,
-)
-from .errors import (
-    CertificationError,
-    InfeasibleClassError,
-    InfiniteEnergyError,
-    NumericsError,
-)
-from .levenshtein import (
-    IntervalIndex,
-    LevenshteinPoly,
-    QuadratureRule,
-    dgs_number,
-    find_interval,
-    interval_for,
-    lev_function,
-    lev_poly_roots,
-    lev_value,
-    levenshtein_poly,
-    quadrature,
-    solve_cardinality,
-)
-from .orthopoly import (
-    MAX_DEGREE,
-    GegenPoly,
-    JacobiParams,
-    eval_gegenbauer,
-    eval_jacobi,
-    gegen_coefficient_integral,
-    greatest_zero,
-    jacobi_zeros,
-    product_to_gegen,
-)
-from .potentials import Potential, derivative_check, make_potential, parse_potential
+from . import bounds, codes, errors, levenshtein, orthopoly, potentials
+from .bounds import *
+from .codes import *
+from .errors import *
+from .levenshtein import *
+from .orthopoly import *
+from .potentials import *
 
 __all__ = [
     "__version__",
-    "BoundCertificate",
-    "CertificationError",
-    "DDSolveReport",
-    "DistanceDistribution",
-    "EnergyStrip",
-    "FeasibilityReport",
-    "GegenPoly",
-    "InfeasibleClassError",
-    "InfiniteEnergyError",
-    "IntervalIndex",
-    "JacobiParams",
-    "LambdaChoice",
-    "LevenshteinPoly",
-    "MAX_DEGREE",
-    "NumericsError",
-    "Potential",
-    "ProbeReport",
-    "QuadratureRule",
-    "SphericalCode",
-    "StripVerdict",
-    "TestFunctionReport",
-    "dd_system_solve",
-    "derivative_check",
-    "dgs_number",
-    "distance_distribution",
-    "energy",
-    "eval_gegenbauer",
-    "eval_jacobi",
-    "ez_energy_n5",
-    "ez_separation",
-    "find_interval",
-    "gegen_coefficient_integral",
-    "generate",
-    "greatest_zero",
-    "hermite_interpolant",
-    "interval_for",
-    "jacobi_zeros",
-    "lambda_star",
-    "lev_function",
-    "lev_poly_roots",
-    "lev_value",
-    "levenshtein_poly",
-    "load_code",
-    "make_potential",
-    "moments",
-    "optimality_probe",
-    "parse_potential",
-    "product_to_gegen",
-    "quadrature",
-    "separation",
-    "solve_cardinality",
-    "strip",
-    "test_functions",
-    "ulb",
-    "uub",
-    "verify_strip",
+    *bounds.__all__, *codes.__all__, *errors.__all__,
+    *levenshtein.__all__, *orthopoly.__all__, *potentials.__all__,
 ]

@@ -198,8 +198,9 @@ def _node_residual(f: GegenPoly, pot: Potential, nodes: np.ndarray) -> tuple[flo
     return res, h_vals
 
 
-def _check_feasibility(f: GegenPoly, pot: Potential, s: float, m: int, nodes: np.ndarray) -> FeasibilityReport:
-    max_interior = float(np.max(f.coeffs[1 : m + 1]))
+def _check_feasibility(f: GegenPoly, pot: Potential, s: float, nodes: np.ndarray) -> FeasibilityReport:
+    # Every f_i with i >= 1; a constant f has none, and passes.
+    max_interior = float(np.max(f.coeffs[1:], initial=-math.inf))
     grid = _feasibility_grid(s, nodes)
     gap = f(grid) - pot(grid)
     min_gap = float(np.min(gap))
@@ -259,7 +260,7 @@ def uub(
     if node_res > NODE_TOL:
         raise CertificationError(f"interpolation residual {node_res:.3e} at the nodes")
 
-    feas = _check_feasibility(f, pot, quad.s, m, quad.nodes)
+    feas = _check_feasibility(f, pot, quad.s, quad.nodes)
     if not feas.passed:
         raise CertificationError(
             f"feasibility failed: max interior coefficient {feas.max_interior_coeff:.3e}, "
@@ -289,13 +290,13 @@ def uub(
     )
 
 
-def ulb(n: int, M: float, pot: Potential, tol: float = 1e-13) -> tuple[float, QuadratureRule]:
+def ulb(n: int, M: float, pot: Potential) -> tuple[float, QuadratureRule]:
     """Universal lower bound on E_h over all codes of M points in S^{n-1}.
 
     Solves L(n, r) = M and evaluates M^2 sum_i rho_i h(alpha_i) at the
     resulting quadrature.
     """
-    r, rule = solve_cardinality(n, M, tol)
+    r, rule = solve_cardinality(n, M)
     value = float(M) ** 2 * float(np.dot(rule.weights, pot(rule.nodes)))
     return value, rule
 
@@ -395,7 +396,7 @@ def recheck_certificate(doc: dict) -> dict:
     pot = parse_potential(inputs["potential"], n)
     f = GegenPoly(n, doc["coefficients"]["f"])
     node_res, h_vals = _node_residual(f, pot, nodes)
-    feas = _check_feasibility(f, pot, s, m, nodes)
+    feas = _check_feasibility(f, pot, s, nodes)
     value, quad_form = _bound_forms(f, M, L, weights, h_vals)
     residual = exactness_residual(gegenbauer_table(n, m, nodes), weights, L)
     stored = float(doc["bounds"]["uub"])
@@ -462,18 +463,14 @@ class ProbeReport:
     min_margin: float
 
 
-def optimality_probe(
-    cert: BoundCertificate,
-    trials: int = 100,
-    seed: int = 0,
-    scale: float | None = None,
-) -> ProbeReport:
+def optimality_probe(cert: BoundCertificate, trials: int = 100, seed: int = 0) -> ProbeReport:
     """Random sanity check that no feasible competitor beats the certificate.
 
-    Draws perturbations F = f - sum_i c_i P_i with c_i >= 0, keeps those
-    still above the potential on the feasibility grid (F(1) <= f(1) holds
-    automatically), and checks M (F_0 M - F(1)) >= uub - 1e-9 |uub| for
-    each survivor.  ``min_margin`` is the smallest observed slack.
+    Draws perturbations F = f - sum_i c_i P_i with c_i uniform in
+    [0, 1e-3 (1 + |lambda|)], keeps those still above the potential on the
+    feasibility grid (F(1) <= f(1) holds automatically), and checks
+    M (F_0 M - F(1)) >= uub - 1e-9 |uub| for each survivor.  ``min_margin``
+    is the smallest observed slack.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -483,8 +480,6 @@ def optimality_probe(
     table = gegenbauer_table(cert.dim, m, grid)
     f_vals = cert.f(grid)
     h_vals = cert.potential(grid)
-    if scale is None:
-        scale = 1e-3 * (1.0 + abs(cert.lam))
     M = cert.M
     f_one = cert.f.at_one()
     f0 = float(cert.f.coeffs[0])
@@ -492,7 +487,7 @@ def optimality_probe(
     min_margin = math.inf
     tol = 1e-9 * abs(cert.uub_value)
     for _ in range(trials):
-        c = rng.uniform(0.0, scale, m + 1)
+        c = rng.uniform(0.0, 1e-3 * (1.0 + abs(cert.lam)), m + 1)
         pert = c @ table
         if float(np.min(f_vals - pert - h_vals)) < -GAP_TOL:
             continue

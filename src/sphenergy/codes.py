@@ -58,16 +58,19 @@ _EZ_N5_MULTIPLICITIES = (70, 20, 10, 10)  # for (s, a, b, c)
 # together outgrow L2.
 _BLOCK_ELEMS = 2**16
 
+# Largest deviation of a row norm from 1 that a code accepts.
+NORM_TOL = 1e-9
+
 
 class SphericalCode:
     """M unit vectors on S^{n-1}, stored as an M x n array of rows.
 
-    Rows must have Euclidean norm within ``norm_tol`` of 1; use
+    Rows must have Euclidean norm within ``NORM_TOL`` of 1; use
     ``load_code`` to renormalize nearly-unit input.  Inner products are not
     stored: the module's reductions stream them in row blocks.
     """
 
-    def __init__(self, points, norm_tol: float = 1e-9):
+    def __init__(self, points):
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if pts.ndim != 2:
             raise ValueError("points must form a 2-D array")
@@ -79,17 +82,16 @@ class SphericalCode:
             raise ValueError("points must be finite")
         norms = np.linalg.norm(pts, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > norm_tol:
-            raise ValueError(f"row norm deviates from 1 by {worst:.3e} (tolerance {norm_tol:g})")
+        if worst > NORM_TOL:
+            raise ValueError(f"row norm deviates from 1 by {worst:.3e} (tolerance {NORM_TOL:g})")
         self.points = pts
         self.dim = int(pts.shape[1])
         self.size = int(pts.shape[0])
-        self.norm_tol = float(norm_tol)
 
 
-def load_code(path, dim_hint: int | None = None, norm_tol: float = 1e-9) -> SphericalCode:
+def load_code(path, dim_hint: int | None = None) -> SphericalCode:
     """Read a code from a text file: one point per line, comma or whitespace
-    separated coordinates, '#' starting a comment.  Rows within norm_tol of
+    separated coordinates, '#' starting a comment.  Rows within NORM_TOL of
     unit length are renormalized; anything farther off is rejected.
     """
     rows: list[list[float]] = []
@@ -113,9 +115,9 @@ def load_code(path, dim_hint: int | None = None, norm_tol: float = 1e-9) -> Sphe
     pts = np.asarray(rows, dtype=float)
     norms = np.linalg.norm(pts, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > norm_tol:
-        raise ValueError(f"{path}: row norm deviates from 1 by {worst:.3e} (tolerance {norm_tol:g})")
-    return SphericalCode(pts / norms[:, None], norm_tol)
+    if worst > NORM_TOL:
+        raise ValueError(f"{path}: row norm deviates from 1 by {worst:.3e} (tolerance {NORM_TOL:g})")
+    return SphericalCode(pts / norms[:, None])
 
 
 def _simplex(n: int) -> np.ndarray:
@@ -250,9 +252,9 @@ class DistanceDistribution:
     entries: tuple[tuple[float, int], ...]
 
 
-def distance_distribution(
-    code: SphericalCode, anchor: int = 0, cluster_tol: float = 1e-7
-) -> DistanceDistribution:
+def distance_distribution(code: SphericalCode, anchor: int = 0) -> DistanceDistribution:
+    """Inner products from ``anchor`` to the other points, sorted, with each run
+    of neighbours less than 1e-7 apart merged into one (mean, count) entry."""
     if not 0 <= anchor < code.size:
         raise ValueError(f"anchor {anchor} out of range for {code.size} points")
     row = np.delete(code.points @ code.points[anchor], anchor)
@@ -261,7 +263,7 @@ def distance_distribution(
     entries = []
     start = 0
     for i in range(1, row.size + 1):
-        if i == row.size or row[i] - row[i - 1] > cluster_tol:
+        if i == row.size or row[i] - row[i - 1] > 1e-7:
             block = row[start:i]
             entries.append((float(np.mean(block)), int(block.size)))
             start = i

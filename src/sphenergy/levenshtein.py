@@ -44,7 +44,6 @@ __all__ = [
     "find_interval",
     "interval_for",
     "lev_value",
-    "lev_function",
     "lev_poly_roots",
     "levenshtein_poly",
     "quadrature",
@@ -68,6 +67,9 @@ TIE_TOL = 1e-12
 NODE_SNAP = 1e-11
 
 EXACTNESS_TOL = 1e-8
+
+# Width of the final bracket around the root r of L(n, r) = M.
+CARDINALITY_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -144,11 +146,6 @@ def lev_value(n: int, interval: IntervalIndex, s: float) -> float:
         raise NumericsError(f"degenerate denominator in L_{interval.m}({n}, {s})")
     ratio = (1.0 + s) * (pk - pk_next) / denom
     return math.comb(k + n - 2, k) * ((2 * k + n - 1) / (n - 1) - ratio)
-
-
-def lev_function(n: int, s: float) -> float:
-    """L(n, s): the piecewise maximal cardinality at separation s."""
-    return lev_value(n, find_interval(n, s), s)
 
 
 def dgs_number(n: int, m: int) -> float:
@@ -347,12 +344,13 @@ def illinois_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -
     return 0.5 * (lo + hi)
 
 
-def solve_cardinality(n: int, M: float, tol: float = 1e-13) -> tuple[float, QuadratureRule]:
+def solve_cardinality(n: int, M: float) -> tuple[float, QuadratureRule]:
     """Invert L(n, .) at cardinality M and return the quadrature there.
 
     L_m(n, .) climbs from D(n, m) to D(n, m + 1) across I_m (``dgs_number``),
     so M picks the interval, those two values bracket L - M at its ends, and
-    ``illinois_root`` runs inside it until the bracket is narrower than ``tol``.
+    ``illinois_root`` runs inside it until the bracket is narrower than
+    ``CARDINALITY_TOL``.
     """
     n = _check_dim(n)
     M = float(M)
@@ -368,7 +366,7 @@ def solve_cardinality(n: int, M: float, tol: float = 1e-13) -> tuple[float, Quad
         )
     interval = interval_for(n, m)
     r = illinois_root(
-        lambda t: lev_value(n, interval, t) - M,
-        interval.lo, interval.hi, dgs_number(n, m) - M, dgs_number(n, m + 1) - M, tol,
+        lambda t: lev_value(n, interval, t) - M, interval.lo, interval.hi,
+        dgs_number(n, m) - M, dgs_number(n, m + 1) - M, CARDINALITY_TOL,
     )
     return r, quadrature(n, r)

@@ -42,7 +42,6 @@ __all__ = [
     "GegenPoly",
     "JacobiParams",
     "eval_gegenbauer",
-    "eval_gegenbauer_deriv",
     "gegenbauer_table",
     "gegenbauer_terms",
     "eval_jacobi",
@@ -134,13 +133,6 @@ def eval_gegenbauer(n: int, i: int, t):
     for cur in gegenbauer_terms(n, i, t):
         pass
     return cur
-
-
-def eval_gegenbauer_deriv(n: int, i: int, t):
-    """d/dt P_i^{(n)}(t) = i (i + n - 2) / (n - 1) * P_{i-1}^{(n+2)}(t)."""
-    n = _check_dim(n)
-    i = _check_degree(i)
-    return i * (i + n - 2) / (n - 1) * eval_gegenbauer(n + 2, max(i - 1, 0), t)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ __all__ = [
 class Potential:
     """A pair-energy kernel with first derivative and optional higher ones."""
 
-    kind: str
     label: str
     params: tuple[float, ...]
     finite_at_one: bool
@@ -119,7 +118,7 @@ def make_potential(
             ev, d1, dp = _log_family(0.5)
         else:
             ev, d1, dp = _riesz_family(float(n - 2))
-        return Potential("newton", "newton", (float(n),), False, ev, d1, dp)
+        return Potential("newton", (float(n),), False, ev, d1, dp)
     if kind in ("riesz", "gauss"):
         if alpha is None or not alpha > 0:
             raise ValueError(f"{kind} kernel needs alpha > 0")
@@ -128,16 +127,14 @@ def make_potential(
         # stored certificate is rechecked by parsing its label back.
         label = f"{kind}:{a:g}" if float(f"{a:g}") == a else f"{kind}:{a!r}"
         ev, d1, dp = (_riesz_family if kind == "riesz" else _gauss_family)(a)
-        return Potential(kind, label, (a,), kind == "gauss", ev, d1, dp)
+        return Potential(label, (a,), kind == "gauss", ev, d1, dp)
     if kind == "log":
         ev, d1, dp = _log_family(1.0)
-        return Potential("log", "log", (), False, ev, d1, dp)
+        return Potential("log", (), False, ev, d1, dp)
     if kind == "custom":
         if eval_fn is None or deriv_fn is None:
             raise ValueError("custom kernel needs eval_fn and deriv_fn")
-        return Potential(
-            "custom", label or "custom", (), False, eval_fn, deriv_fn, deriv_p_fn
-        )
+        return Potential(label or "custom", (), False, eval_fn, deriv_fn, deriv_p_fn)
     raise ValueError(f"unknown potential kind {kind!r}")
 
 

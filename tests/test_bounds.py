@@ -12,6 +12,8 @@ import pytest
 
 import sphenergy.cli
 from sphenergy.bounds import (
+    COEFF_TOL,
+    NODE_TOL,
     certificate_to_dict,
     hermite_interpolant,
     lambda_star,
@@ -317,3 +319,19 @@ def test_recheck_reports_the_gate_values_uub_computed():
             assert report["bound_recomputed"] == cert.uub_value
     for name in ("certificate_to_dict", "strip_to_dict", "recheck_certificate"):
         assert getattr(sphenergy.cli, name) is globals()[name]
+
+
+def test_recheck_refuses_a_positive_coefficient_above_degree_m():
+    # uub writes m + 1 coefficients, but every f_i with i >= 1 must be <= 0;
+    # 1e-11 moves f by too little for any other gate to notice
+    for n, M, s in [(5, 11, S_EZ), (8, 240, 0.5)]:
+        doc = certificate_to_dict(uub(n, M, s, make_potential("newton", n=n)))
+        doc["coefficients"]["f"].append(1e-11)
+        report = recheck_certificate(doc)
+        assert report["max_interior_coeff"] == 1e-11
+        assert report["node_residual"] <= NODE_TOL
+        assert report["forms_agree"] and report["matches_stored"]
+        assert report["ok"] is False
+    # a constant f has no interior coefficient, so it passes that gate
+    doc["coefficients"]["f"] = doc["coefficients"]["f"][:1]
+    assert recheck_certificate(doc)["max_interior_coeff"] <= COEFF_TOL

@@ -14,7 +14,6 @@ from sphenergy.orthopoly import (
     JacobiParams,
     _monic_recurrence,
     eval_gegenbauer,
-    eval_gegenbauer_deriv,
     eval_jacobi,
     eval_jacobi_deriv,
     gegen_coefficient_integral,
@@ -23,6 +22,13 @@ from sphenergy.orthopoly import (
     jacobi_zeros,
     product_to_gegen,
 )
+
+
+def basis_poly(n, i):
+    """P_i^{(n)} as a GegenPoly: the unit coefficient vector e_i."""
+    coeffs = np.zeros(i + 1)
+    coeffs[i] = 1.0
+    return GegenPoly(n, coeffs)
 
 
 def scipy_gegenbauer(n, i, t):
@@ -106,7 +112,7 @@ def test_recurrence_leaves_its_argument_unchanged():
     t.flags.writeable = False  # any write into t would raise
     gegenbauer_table(6, 12, t)
     eval_gegenbauer(6, 12, t)
-    eval_gegenbauer_deriv(6, 12, t)
+    basis_poly(6, 12).deriv(t)
     GegenPoly(6, np.arange(1.0, 8.0))(t)
     assert np.array_equal(t, before)
 
@@ -127,14 +133,14 @@ def test_gegenbauer_derivative_by_dimension_shift_matches_jacobi_route():
         for i in (1, 2, 7, 30, 64):
             ref = eval_jacobi_deriv(p, i, t) / eval_jacobi(p, i, 1.0)
             scale = np.max(np.abs(ref))
-            assert np.max(np.abs(eval_gegenbauer_deriv(n, i, t) - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(basis_poly(n, i).deriv(t) - ref)) <= 1e-13 * scale
             coeffs[i] = 1.0 / i
         ref = sum(c * eval_jacobi_deriv(p, i, t) / eval_jacobi(p, i, 1.0)
                   for i, c in enumerate(coeffs) if c)
         got = GegenPoly(n, coeffs).deriv(t)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert GegenPoly(4, [3.0]).deriv(0.2) == 0.0
-    assert eval_gegenbauer_deriv(4, 0, 0.2) == 0.0
+    assert basis_poly(4, 0).deriv(0.2) == 0.0
 
 
 def test_gegenbauer_derivative_against_finite_differences():
@@ -145,7 +151,7 @@ def test_gegenbauer_derivative_against_finite_differences():
         i = rng.randint(1, 15)
         t = rng.uniform(-0.95, 0.95)
         fd = (eval_gegenbauer(n, i, t + h) - eval_gegenbauer(n, i, t - h)) / (2 * h)
-        assert eval_gegenbauer_deriv(n, i, t) == pytest.approx(fd, rel=1e-5, abs=1e-6)
+        assert basis_poly(n, i).deriv(t) == pytest.approx(fd, rel=1e-5, abs=1e-6)
 
 
 def test_gegenbauer_bad_arguments():
