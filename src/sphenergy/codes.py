@@ -10,8 +10,11 @@ strict upper triangle of the Gram matrix, streamed in blocks of rows of
 about ``_BLOCK_ELEMS`` inner products each, so memory is O(M * B) rather
 than O(M^2): the separation is a maximum, the energy twice a sum of h, and
 the moments M + 2 sum P_i, with P_i from the three-term recurrence run on
-each block.  ``verify_strip`` makes two passes: one for the separation,
-which fixes the bound class, and one for energy, moments and node coverage.
+each block.  The separation, a maximum that a mirrored pair cannot change,
+reads each row block whole with its diagonal overwritten instead of
+masking it to the upper triangle.  ``verify_strip`` makes two passes: one
+for the separation, which fixes the bound class, and one for energy,
+moments and node coverage.
 """
 
 from __future__ import annotations
@@ -176,24 +179,30 @@ def generate(kind: str, n: int | None = None) -> SphericalCode:
     raise ValueError(f"unknown code kind {kind!r}")
 
 
-def _triu_blocks(points: np.ndarray):
-    """Yield the strict upper triangle of the Gram matrix, clipped to [-1, 1],
-    as flat arrays, one per block of consecutive rows.
-
-    Rows i..j-1 come from ``points[i:j] @ points[i:].T`` masked to the
-    columns past each row; j - i is sized so the block holds about
-    ``_BLOCK_ELEMS`` products (at least one row).
+def _row_blocks(size: int):
+    """Yield (i, j, width): rows i..j-1 of the Gram against its columns
+    i..size-1, width = size - i, with j - i sized so the block holds about
+    ``_BLOCK_ELEMS`` products (at least one row).  The blocks cover the
+    strict upper triangle once; row size - 1 has no column past it.
     """
-    size = points.shape[0]
     i = 0
     while i < size - 1:
         width = size - i
         j = min(size - 1, i + max(1, _BLOCK_ELEMS // width))
+        yield i, j, width
+        i = j
+
+
+def _triu_blocks(points: np.ndarray):
+    """Yield the strict upper triangle of the Gram matrix, clipped to [-1, 1],
+    as flat arrays, one per block of ``_row_blocks``: the block
+    ``points[i:j] @ points[i:].T`` masked to the columns past each row.
+    """
+    for i, j, width in _row_blocks(points.shape[0]):
         upper = np.arange(j - i)[:, None] < np.arange(width)
         vals = (points[i:j] @ points[i:].T)[upper]
         np.clip(vals, -1.0, 1.0, out=vals)
         yield vals
-        i = j
 
 
 def _refuse_coincident(s: float) -> None:
@@ -206,7 +215,7 @@ def _refuse_coincident(s: float) -> None:
 def _add_gegen_sums(n: int, vals: np.ndarray, sums: np.ndarray) -> None:
     # sums[i - 1] += sum of P_i(vals), i = 1..sums.size.
     for i, p in enumerate(gegenbauer_terms(n, sums.size, vals)):
-        sums[i] += float(np.sum(p))
+        sums[i] += float(p.sum())
 
 
 def _moments_from_sums(size: int, sums: np.ndarray) -> np.ndarray:
@@ -221,8 +230,19 @@ def _node_gap(vals: np.ndarray, nodes: np.ndarray) -> float:
 
 
 def separation(code: SphericalCode) -> float:
-    """Largest off-diagonal inner product."""
-    return max(float(np.max(vals)) for vals in _triu_blocks(code.points))
+    """Largest off-diagonal inner product, clipped to [-1, 1].
+
+    Each row block of the Gram is read whole, with no mask: its j - i
+    diagonal entries (flat stride width + 1) are set to -2, below any inner
+    product, and the entries left of the diagonal are genuine pairs, the
+    transposes of entries above it.
+    """
+    s = -1.0
+    for i, j, width in _row_blocks(code.size):
+        block = code.points[i:j] @ code.points[i:].T
+        block.ravel()[:: width + 1] = -2.0
+        s = max(s, float(block.max()))
+    return min(s, 1.0)
 
 
 def energy(code: SphericalCode, pot: Potential) -> float:
@@ -231,7 +251,7 @@ def energy(code: SphericalCode, pot: Potential) -> float:
     for vals in _triu_blocks(code.points):
         if not pot.finite_at_one:
             _refuse_coincident(float(np.max(vals)))
-        total += float(np.sum(pot(vals)))
+        total += float(pot(vals).sum())
     return 2.0 * total
 
 
@@ -337,16 +357,23 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     negative coefficients of f to vanish).
 
     The inner products are streamed twice: once for s(C), which fixes m and
-    the nodes, then once for the energy, the moments and node coverage.
+    the nodes and reads each row block whole, unmasked (see ``separation``),
+    then once over the masked upper triangle for the energy, the moments and
+    node coverage.  A code with a repeated point raises InfiniteEnergyError
+    for a kernel infinite at t = 1 and ValueError for any other kernel.
     """
     s = separation(code)
     if not pot.finite_at_one:
         _refuse_coincident(s)
+    if s >= 1.0:
+        raise ValueError(
+            "the code has coincident points (separation 1), so no energy strip applies"
+        )
     es = strip(code.dim, code.size, s, pot)
     quad = es.uub_cert.quad
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True
     for vals in _triu_blocks(code.points):
-        half_energy += float(np.sum(pot(vals)))
+        half_energy += float(pot(vals).sum())
         _add_gegen_sums(code.dim, vals, sums)
         covered = covered and _node_gap(vals, quad.nodes) <= 1e-7
     e = 2.0 * half_energy

@@ -17,9 +17,11 @@ Newton-to-Gegenbauer resynthesis) runs on Python lists of floats: at most
 65 coefficients, where a loop over numpy scalars costs more in dispatch
 than in arithmetic.  The coefficients become an ndarray once, when a
 ``GegenPoly`` is built.  Evaluation on grids and on blocks of inner
-products runs on ndarrays, through the one recurrence ``gegenbauer_terms``;
-for an ndarray argument it reuses three buffers, so a yielded array is
-overwritten two steps later and a caller that keeps terms must copy them.
+products runs on ndarrays, through the one recurrence ``gegenbauer_terms``,
+P_{i+1} = a_i (t P_i) - b_i P_{i-1} with the ratios a_i, b_i folded into
+two floats per step.  For an ndarray argument a step is four in-place
+passes over three reused buffers, so a yielded array is overwritten two
+steps later and a caller that keeps terms must copy them.
 
 Jacobi polynomials P_i^{(a,b)} (standard normalization, not rescaled at
 t = 1) supply the interval endpoints and quadrature node equations.
@@ -72,14 +74,19 @@ def _check_degree(i) -> int:
 
 
 def gegenbauer_terms(n: int, i_max: int, t):
-    """Yield P_1^{(n)}(t), ..., P_{i_max}^{(n)}(t) by the forward recurrence.
+    """Yield P_1^{(n)}(t), ..., P_{i_max}^{(n)}(t) by the forward recurrence
+
+        P_{i+1} = a_i * (t * P_i) - b_i * P_{i-1},
+        a_i = (2i + n - 2) / (i + n - 2),  b_i = i / (i + n - 2).
 
     P_0 = 1 is left to the caller.  t may be a float, which keeps the whole
-    recurrence in plain Python floats, or an ndarray.  P_1 is t itself.
-    For an ndarray the later terms live in three buffers of t's shape that
-    take turns, and each step applies the same ufuncs in place: the array
-    yielded as P_j is overwritten while P_{j+2} is computed, so a caller
-    that keeps a term past the next step must copy it.  t is never written.
+    recurrence in plain Python floats, or an ndarray; both paths round the
+    same operations in the same order, so they agree bitwise.  P_1 is t
+    itself.  For an ndarray the later terms live in three buffers of t's
+    shape that take turns, and each step makes four in-place passes: the
+    array yielded as P_j is overwritten while P_{j+2} is computed, so a
+    caller that keeps a term past the next step must copy it.  t is never
+    written.
     """
     if i_max < 1:
         return
@@ -87,19 +94,20 @@ def gegenbauer_terms(n: int, i_max: int, t):
     if not isinstance(t, np.ndarray):
         prev, cur = 1.0, t
         for i in range(1, i_max):
-            prev, cur = cur, ((2 * i + n - 2) * t * cur - i * prev) / (i + n - 2)
+            a, b = (2 * i + n - 2) / (i + n - 2), i / (i + n - 2)
+            prev, cur = cur, a * (t * cur) - b * prev
             yield cur
         return
-    # Step i writes P_{i+1} into bufs[i % 3] and i * P_{i-1} into
-    # bufs[(i + 1) % 3], which from i = 3 on is the buffer of P_{i-1} itself.
+    # Step i writes t * P_i, then P_{i+1}, into bufs[i % 3] and b_i * P_{i-1}
+    # into bufs[(i + 1) % 3], which from i = 3 on is the buffer of P_{i-1}.
     bufs = [np.empty_like(t, dtype=float) for _ in range(3)]
     prev, cur = 1.0, t
     for i in range(1, i_max):
+        a, b = (2 * i + n - 2) / (i + n - 2), i / (i + n - 2)
         new, scaled = bufs[i % 3], bufs[(i + 1) % 3]
-        np.multiply(2 * i + n - 2, t, out=new)
-        new *= cur
-        new -= np.multiply(i, prev, out=scaled)
-        new /= i + n - 2
+        np.multiply(t, cur, out=new)
+        new *= a
+        new -= np.multiply(b, prev, out=scaled)
         prev, cur = cur, new
         yield new
 
@@ -268,7 +276,7 @@ class GegenPoly:
 
     def __call__(self, t):
         table = gegenbauer_table(self.dim, self.coeffs.size - 1, t)
-        out = np.tensordot(self.coeffs, table, axes=(0, 0))
+        out = (self.coeffs @ table.reshape(self.coeffs.size, -1)).reshape(table.shape[1:])
         return out if np.ndim(out) else float(out)
 
     def deriv(self, t):

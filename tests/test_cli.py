@@ -159,6 +159,17 @@ def test_verify_code_file(capsys, tmp_path):
     assert "norm" in err
 
 
+def test_verify_code_with_a_repeated_point(capsys, tmp_path):
+    path = tmp_path / "dup.txt"
+    path.write_text("1 0 0\n0 1 0\n0 0 1\n1 0 0\n")
+    code, _, err = run(capsys, "verify", "--code", str(path), "-h", "gauss:1")
+    assert code == 4
+    assert err.startswith("input error: the code has coincident points")
+    code, _, err = run(capsys, "verify", "--code", str(path))
+    assert code == 4
+    assert "coincident points make the energy diverge" in err
+
+
 def test_verify_random_code_beyond_the_last_interval(capsys, tmp_path):
     # 200 random points in R^5 have s(C) ~ 0.9895, past I_64 = [.., 0.98893]
     rng = np.random.default_rng(0)

@@ -143,6 +143,7 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
     off = gram[np.triu_indices(code.size, k=1)]
     pot = make_potential("riesz", alpha=1.0)
+    assert separation(code) == max(float(np.max(v)) for v in codes_module._triu_blocks(code.points))
     assert separation(code) == pytest.approx(float(np.max(off)), abs=1e-15)
     assert energy(code, pot) == pytest.approx(2.0 * float(np.sum(pot(off))), rel=1e-13)
     dense = gegenbauer_table(code.dim, 7, gram).sum(axis=(1, 2))
@@ -161,6 +162,23 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 7)
     v = verify_strip(cross, pot)
     assert v.nodes_cover_products and v.attains_uub
+
+
+@pytest.mark.parametrize("block_elems", [7, 50, codes_module._BLOCK_ELEMS])
+def test_separation_is_the_maximum_of_the_masked_blocks(monkeypatch, block_elems):
+    # separation reads whole row blocks with the diagonal overwritten; it must
+    # give exactly the maximum over the masked upper triangle.
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+    rng = np.random.RandomState(79)
+    pair = random_code(rng, 2, 5)
+    antipodal = SphericalCode(np.array([[0.6, 0.8], [-0.6, -0.8]]))
+    repeated = random_code(rng, 30, 4)
+    repeated.points[17] = repeated.points[3]
+    for code in (pair, antipodal, repeated, random_code(rng, 37, 10), generate("cross_polytope", 6)):
+        masked = max(float(np.max(v)) for v in codes_module._triu_blocks(code.points))
+        assert separation(code) == masked
+    assert separation(antipodal) == -1.0
+    assert separation(repeated) == 1.0
 
 
 def test_verify_strip_memory_is_linear_in_the_size():

@@ -247,6 +247,24 @@ def test_gegen_poly_eval_and_degree():
     assert trimmed.degree == 1
 
 
+def test_gegen_poly_call_matches_tensordot_bitwise():
+    # __call__ contracts the coefficients with the table as one matrix
+    # product; it must round exactly as the tensordot over axis 0 did.
+    rng = np.random.RandomState(37)
+    shapes = [(), (1,), (6,), (257,), (2060,), (3, 4), (1, 1)]
+    for K in range(1, 66):
+        coeffs = rng.uniform(-1.0, 1.0, K)
+        poly = GegenPoly(7, coeffs)
+        for shape in shapes:
+            t = rng.uniform(-1.0, 1.0, shape)
+            want = np.tensordot(poly.coeffs, gegenbauer_table(7, K - 1, t), axes=(0, 0))
+            got = poly(t)
+            if shape == ():
+                assert isinstance(got, float) and got == float(want)
+            else:
+                assert got.shape == shape and np.array_equal(got, want)
+
+
 def test_product_to_gegen_known_expansion():
     # t(t+1) = (1/n) P_0 + P_1 + ((n-1)/n) P_2
     for n in (3, 4, 5, 6, 9):
