@@ -99,8 +99,7 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     if max(Counter(z).values()) > 2:
         raise ValueError("node multiplicity above 2 is not supported")
     d = len(z)
-    # A custom kernel may return a scalar for an array argument.
-    col = np.broadcast_to(np.asarray(pot(np.array(z)), dtype=float), (d,)).tolist()
+    col = pot(np.array(z)).tolist()
     newton = [col[0]]
     for j in range(1, d):
         for i in range(d - j):

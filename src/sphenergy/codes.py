@@ -14,7 +14,8 @@ each block.  The separation, a maximum that a mirrored pair cannot change,
 reads each row block whole with its diagonal overwritten instead of
 masking it to the upper triangle.  ``verify_strip`` makes two passes: one
 for the separation, which fixes the bound class, and one for energy,
-moments and node coverage.
+moments and node coverage, which sorts each block once its sums are taken
+and counts the products in a window of +-COVER_TOL about each node.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ _BLOCK_ELEMS = 2**16
 
 # Largest deviation of a row norm from 1 that a code accepts.
 NORM_TOL = 1e-9
+
+# Largest distance from an inner product to a node that counts as on it.
+COVER_TOL = 1e-7
 
 
 class SphericalCode:
@@ -223,10 +227,16 @@ def _moments_from_sums(size: int, sums: np.ndarray) -> np.ndarray:
     return np.concatenate(([float(size) * size], size + 2.0 * sums))
 
 
-def _node_gap(vals: np.ndarray, nodes: np.ndarray) -> float:
-    """Largest distance from a value to its nearest node (nodes ascending)."""
-    nearest = nodes[np.searchsorted(0.5 * (nodes[:-1] + nodes[1:]), vals)]
-    return float(np.max(np.abs(vals - nearest)))
+def _nodes_cover(vals: np.ndarray, nodes: np.ndarray) -> bool:
+    """Whether every value lies within COVER_TOL of a node (nodes ascending).
+
+    Sorts ``vals`` in place.  The window about nodes[k] holds the sorted
+    values lo[k]..hi[k] - 1; the windows, which may overlap, hold them all
+    iff no value lies before, between or after them."""
+    vals.sort()
+    lo = np.searchsorted(vals, nodes - COVER_TOL, "left")
+    hi = np.searchsorted(vals, nodes + COVER_TOL, "right")
+    return bool(lo[0] == 0 and hi[-1] == vals.size and np.all(lo[1:] <= hi[:-1]))
 
 
 def separation(code: SphericalCode) -> float:
@@ -334,7 +344,9 @@ def dd_system_solve(n: int, M: float, quad: QuadratureRule, vanishing) -> DDSolv
 
 @dataclass(frozen=True)
 class StripVerdict:
-    """A code checked against the energy strip of its own class."""
+    """A code checked against the energy strip of its own class.
+    ``nodes_cover_products``: every off-diagonal inner product lies within
+    ``COVER_TOL`` of a node of the class's 1/N quadrature."""
 
     dim: int
     size: int
@@ -358,9 +370,10 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
 
     The inner products are streamed twice: once for s(C), which fixes m and
     the nodes and reads each row block whole, unmasked (see ``separation``),
-    then once over the masked upper triangle for the energy, the moments and
-    node coverage.  A code with a repeated point raises InfiniteEnergyError
-    for a kernel infinite at t = 1 and ValueError for any other kernel.
+    then once over the masked upper triangle for the energy, the moments
+    and, by sorting each block, node coverage (see ``_nodes_cover``).  A code
+    with a repeated point raises InfiniteEnergyError for a kernel infinite
+    at t = 1 and ValueError for any other kernel.
     """
     s = separation(code)
     if not pot.finite_at_one:
@@ -375,7 +388,7 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     for vals in _triu_blocks(code.points):
         half_energy += float(pot(vals).sum())
         _add_gegen_sums(code.dim, vals, sums)
-        covered = covered and _node_gap(vals, quad.nodes) <= 1e-7
+        covered = covered and _nodes_cover(vals, quad.nodes)
     e = 2.0 * half_energy
     tol = 1e-9 * max(1.0, abs(es.uub), abs(es.ulb))
     inside = (es.ulb - tol <= e) and (e <= es.uub + tol)

@@ -25,6 +25,15 @@ __all__ = [
 ]
 
 
+def _shaped(fn: Callable, t) -> np.ndarray:
+    # A custom kernel may return a scalar for an array argument.
+    t = np.asarray(t, dtype=float)
+    out = fn(t)
+    if type(out) is np.ndarray and out.shape == t.shape:
+        return out
+    return np.broadcast_to(np.asarray(out, dtype=float), t.shape)
+
+
 @dataclass(frozen=True)
 class Potential:
     """A pair-energy kernel with first derivative and optional higher ones."""
@@ -37,10 +46,10 @@ class Potential:
     deriv_p_fn: Callable | None = field(repr=False, default=None)
 
     def __call__(self, t):
-        return self.eval_fn(np.asarray(t, dtype=float)) if np.ndim(t) else float(self.eval_fn(float(t)))
+        return _shaped(self.eval_fn, t) if np.ndim(t) else float(self.eval_fn(float(t)))
 
     def deriv(self, t):
-        return self.deriv_fn(np.asarray(t, dtype=float)) if np.ndim(t) else float(self.deriv_fn(float(t)))
+        return _shaped(self.deriv_fn, t) if np.ndim(t) else float(self.deriv_fn(float(t)))
 
     def deriv_p(self, t, p: int):
         """p-th derivative; p = 0 is the kernel itself."""

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tracemalloc
 
 import sphenergy.codes as codes_module
+from sphenergy.bounds import uub
 from sphenergy.codes import (
+    COVER_TOL,
     EZ_N5_COSINES,
     SphericalCode,
     dd_system_solve,
@@ -153,15 +157,80 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     assert v.separation == separation(code)
     assert v.energy == pytest.approx(energy(code, pot), rel=1e-13)
     assert v.moments == pytest.approx(moments(code, v.strip.uub_cert.quad.m), abs=1e-12 * code.size**2)
-    nodes = v.strip.uub_cert.quad.nodes
-    gap = float(np.max(np.min(np.abs(off[:, None] - nodes[None, :]), axis=1)))
-    assert v.nodes_cover_products == (gap <= 1e-7)
 
-    # A code whose products all sit on the nodes covers them block by block.
-    cross = generate("cross_polytope", 6)
-    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 7)
-    v = verify_strip(cross, pot)
-    assert v.nodes_cover_products and v.attains_uub
+
+@st.composite
+def windows_and_values(draw):
+    # Ascending nodes from -1 or above, some less than 2 COVER_TOL apart so
+    # that their windows overlap; values on and around them, at -1 and at
+    # the last node s, and anywhere in [-1, 1].
+    start = draw(st.one_of(st.just(-1.0), st.floats(-1.0, -0.5)))
+    gaps = draw(st.lists(st.one_of(st.floats(0.05, 1.95), st.floats(2.05, 2e6)), max_size=7))
+    nodes = start + COVER_TOL * np.cumsum([0.0, *gaps])
+    offsets = st.one_of(
+        st.sampled_from([0.0, 0.5, -0.5, 0.99, -0.99, 1.01, -1.01, 3.0, -3.0]), st.floats(-4.0, 4.0)
+    )
+    near = st.tuples(st.integers(0, nodes.size - 1), offsets).map(
+        lambda ko: nodes[ko[0]] + ko[1] * COVER_TOL
+    )
+    anywhere = st.one_of(st.just(-1.0), st.just(float(nodes[-1])), st.floats(-1.0, 1.0))
+    vals = draw(st.lists(st.one_of(near, near, anywhere), min_size=1, max_size=40))
+    return nodes, np.array(vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows_and_values())
+def test_nodes_cover_matches_the_nearest_node_distance(case):
+    nodes, vals = case
+    dist = np.min(np.abs(vals[:, None] - nodes[None, :]), axis=1)
+    # Exactly on a window end, the rounded ends nodes -+ COVER_TOL may
+    # differ from |v - alpha| <= COVER_TOL by an ulp.
+    assume(np.all(np.abs(dist - COVER_TOL) > 1e-12))
+    expected = bool(np.all(dist <= COVER_TOL))
+    work = vals.copy()
+    assert codes_module._nodes_cover(work, nodes) == expected
+    assert np.array_equal(work, np.sort(vals))
+
+
+def _late_off_node_code():
+    # +-e1, +-e2 and two unit vectors of the (e3, e4) plane at angle 2: the
+    # only product off the nodes of (4, 6, 0) is cos 2, in the last row.
+    late = [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, math.cos(2.0), math.sin(2.0)]]
+    return SphericalCode(np.vstack([np.eye(4)[:2], -np.eye(4)[:2], late]))
+
+
+@pytest.mark.parametrize("block_elems", [7, 50])
+def test_node_coverage_over_blocks_matches_the_dense_check(monkeypatch, block_elems):
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+    pot = make_potential("riesz", alpha=1.0)
+    cases = (
+        (generate("cross_polytope", 6), True),
+        (_late_off_node_code(), False),
+        (random_code(np.random.RandomState(73), 37, 10), False),
+    )
+    for code, covered in cases:
+        v = verify_strip(code, pot)
+        gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
+        off = gram[np.triu_indices(code.size, k=1)]
+        nodes = v.strip.uub_cert.quad.nodes
+        gap = float(np.max(np.min(np.abs(off[:, None] - nodes[None, :]), axis=1)))
+        assert (gap <= COVER_TOL) == covered
+        assert v.nodes_cover_products == covered
+
+
+def test_constant_kernel_returning_a_scalar():
+    # eval_fn returns one float for a whole array; the cross polytope's 30
+    # ordered pairs then carry energy 30, the sharp value of (3, 6, 0).
+    one = make_potential("custom", eval_fn=lambda t: 1.0, deriv_fn=lambda t: 0.0)
+    assert one(np.zeros((2, 3))).shape == (2, 3)
+    assert one.deriv(np.zeros(4)).shape == (4,)
+    code = generate("cross_polytope", 3)
+    assert energy(code, one) == 30.0
+    assert uub(3, 6, 0.0, one).uub_value == pytest.approx(30.0, rel=1e-12)
+    v = verify_strip(code, one)
+    assert (v.strip.ulb, v.strip.uub) == pytest.approx((30.0, 30.0), rel=1e-12)
+    assert v.strip.sharp and v.attains_uub and v.attains_ulb and v.nodes_cover_products
+    assert v.energy == 30.0
 
 
 @pytest.mark.parametrize("block_elems", [7, 50, codes_module._BLOCK_ELEMS])
