@@ -25,15 +25,6 @@ __all__ = [
 ]
 
 
-def _shaped(fn: Callable, t) -> np.ndarray:
-    # A custom kernel may return a scalar for an array argument.
-    t = np.asarray(t, dtype=float)
-    out = fn(t)
-    if type(out) is np.ndarray and out.shape == t.shape:
-        return out
-    return np.broadcast_to(np.asarray(out, dtype=float), t.shape)
-
-
 @dataclass(frozen=True)
 class Potential:
     """A pair-energy kernel with first derivative and optional higher ones."""
@@ -46,10 +37,10 @@ class Potential:
     deriv_p_fn: Callable | None = field(repr=False, default=None)
 
     def __call__(self, t):
-        return _shaped(self.eval_fn, t) if np.ndim(t) else float(self.eval_fn(float(t)))
+        return self.eval_fn(np.asarray(t, dtype=float)) if np.ndim(t) else float(self.eval_fn(float(t)))
 
     def deriv(self, t):
-        return _shaped(self.deriv_fn, t) if np.ndim(t) else float(self.deriv_fn(float(t)))
+        return self.deriv_fn(np.asarray(t, dtype=float)) if np.ndim(t) else float(self.deriv_fn(float(t)))
 
     def deriv_p(self, t, p: int):
         """p-th derivative; p = 0 is the kernel itself."""
@@ -118,7 +109,7 @@ def make_potential(
     planar convention -log(2 - 2t) / 2 is used).  kind = "riesz" and
     "gauss" need alpha > 0.  kind = "log" has no parameter.  kind =
     "custom" takes eval_fn and deriv_fn (deriv_p_fn optional), which must
-    accept ndarray arguments.
+    accept ndarray arguments; a result is broadcast to the argument's shape.
     """
     if kind == "newton":
         if n is None or not isinstance(n, (int, np.integer)) or n < 2:
@@ -143,7 +134,12 @@ def make_potential(
     if kind == "custom":
         if eval_fn is None or deriv_fn is None:
             raise ValueError("custom kernel needs eval_fn and deriv_fn")
-        return Potential(label or "custom", (), False, eval_fn, deriv_fn, deriv_p_fn)
+        # An outside callable may return a scalar for an array argument.
+        def shaped(fn):
+            return lambda t, *p: np.broadcast_to(np.asarray(fn(t, *p), dtype=float), np.shape(t))
+
+        dp = None if deriv_p_fn is None else shaped(deriv_p_fn)
+        return Potential(label or "custom", (), False, shaped(eval_fn), shaped(deriv_fn), dp)
     raise ValueError(f"unknown potential kind {kind!r}")
 
 

@@ -216,14 +216,21 @@ def test_node_coverage_over_blocks_matches_the_dense_check(monkeypatch, block_el
         gap = float(np.max(np.min(np.abs(off[:, None] - nodes[None, :]), axis=1)))
         assert (gap <= COVER_TOL) == covered
         assert v.nodes_cover_products == covered
+        if covered:
+            # A code whose products all sit on the nodes attains uub.
+            assert v.attains_uub
 
 
 def test_constant_kernel_returning_a_scalar():
     # eval_fn returns one float for a whole array; the cross polytope's 30
     # ordered pairs then carry energy 30, the sharp value of (3, 6, 0).
-    one = make_potential("custom", eval_fn=lambda t: 1.0, deriv_fn=lambda t: 0.0)
+    one = make_potential(
+        "custom", eval_fn=lambda t: 1.0, deriv_fn=lambda t: 0.0, deriv_p_fn=lambda t, p: 0.0
+    )
     assert one(np.zeros((2, 3))).shape == (2, 3)
     assert one.deriv(np.zeros(4)).shape == (4,)
+    assert one.deriv_p(np.zeros(5), 3).shape == (5,)
+    assert one(0.5) == 1.0 and one.deriv_p(0.5, 2) == 0.0
     code = generate("cross_polytope", 3)
     assert energy(code, one) == 30.0
     assert uub(3, 6, 0.0, one).uub_value == pytest.approx(30.0, rel=1e-12)
