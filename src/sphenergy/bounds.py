@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +69,10 @@ __all__ = [
 GAP_TOL = 1e-9
 COEFF_TOL = 1e-12
 DEFAULT_GRID = 2048
+# Chebyshev points on [-1, 1], read-only: every feasibility grid is this
+# one array mapped onto [-1, s].
+_GRID_COSINES = np.cos(np.linspace(0.0, math.pi, DEFAULT_GRID))
+_GRID_COSINES.setflags(write=False)
 # Relative tolerances for f = h at the nodes and for the two bound forms.
 NODE_TOL = 1e-10
 FORMS_TOL = 1e-10
@@ -176,18 +179,11 @@ class BoundCertificate:
     feasibility: FeasibilityReport
 
 
-@lru_cache(maxsize=8)
-def _chebyshev_cosines(size: int) -> np.ndarray:
-    cosines = np.cos(np.linspace(0.0, math.pi, size))
-    cosines.setflags(write=False)
-    return cosines
-
-
 def _feasibility_grid(s: float, nodes: np.ndarray) -> np.ndarray:
     # Chebyshev-distributed points cluster near both ends of [-1, s], where
     # the gap f - h is smallest; the quadrature nodes (gap exactly zero)
     # are appended explicitly.
-    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _chebyshev_cosines(DEFAULT_GRID)
+    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _GRID_COSINES
     return np.unique(np.concatenate([grid, nodes]))
 
 

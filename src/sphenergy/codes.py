@@ -68,6 +68,16 @@ NORM_TOL = 1e-9
 # Largest distance from an inner product to a node that counts as on it.
 COVER_TOL = 1e-7
 
+# Slack of an energy inside or on the strip, times max(1, |uub|, |ulb|); widest
+# gap inside one distance-distribution entry; dd_system_solve's slacks for its
+# residual, times max(1, M), and its counts, times max(1, N); and the distance
+# below 1 at which a separation means coincident points.
+STRIP_TOL = 1e-9
+MERGE_TOL = 1e-7
+DD_RESIDUAL_TOL = 1e-8
+DD_MATCH_TOL = 1e-6
+COINCIDENT_TOL = 1e-12
+
 
 class SphericalCode:
     """M unit vectors on S^{n-1}, stored as an M x n array of rows.
@@ -210,7 +220,8 @@ def _triu_blocks(points: np.ndarray):
 
 
 def _refuse_coincident(s: float) -> None:
-    if s >= 1.0 - 1e-12:
+    """Raise for a separation within ``COINCIDENT_TOL`` of 1."""
+    if s >= 1.0 - COINCIDENT_TOL:
         raise InfiniteEnergyError(
             "coincident points make the energy diverge for this kernel"
         )
@@ -284,7 +295,7 @@ class DistanceDistribution:
 
 def distance_distribution(code: SphericalCode, anchor: int = 0) -> DistanceDistribution:
     """Inner products from ``anchor`` to the other points, sorted, with each run
-    of neighbours less than 1e-7 apart merged into one (mean, count) entry."""
+    of neighbours at most ``MERGE_TOL`` apart merged into one (mean, count) entry."""
     if not 0 <= anchor < code.size:
         raise ValueError(f"anchor {anchor} out of range for {code.size} points")
     row = np.delete(code.points @ code.points[anchor], anchor)
@@ -293,7 +304,7 @@ def distance_distribution(code: SphericalCode, anchor: int = 0) -> DistanceDistr
     entries = []
     start = 0
     for i in range(1, row.size + 1):
-        if i == row.size or row[i] - row[i - 1] > 1e-7:
+        if i == row.size or row[i] - row[i - 1] > MERGE_TOL:
             block = row[start:i]
             entries.append((float(np.mean(block)), int(block.size)))
             start = i
@@ -318,7 +329,8 @@ def dd_system_solve(n: int, M: float, quad: QuadratureRule, vanishing) -> DDSolv
     Uses one equation 1 + sum_j A_j P_i(alpha_j) = 0 for each index i in
     ``vanishing`` plus the count identity 1 + sum_j A_j = M.  When the
     system determines the A_j uniquely they must equal rho_j L_m(n, s),
-    which is reported as a cross-check.
+    which is reported as a cross-check (slacks ``DD_RESIDUAL_TOL`` and
+    ``DD_MATCH_TOL``).
     """
     vanishing = sorted(set(int(i) for i in vanishing))
     if not vanishing:
@@ -336,8 +348,8 @@ def dd_system_solve(n: int, M: float, quad: QuadratureRule, vanishing) -> DDSolv
     unique = rank == quad.nodes.size
     matches = bool(
         unique
-        and residual <= 1e-8 * max(1.0, float(M))
-        and float(np.max(np.abs(sol - predicted))) <= 1e-6 * max(1.0, quad.N)
+        and residual <= DD_RESIDUAL_TOL * max(1.0, float(M))
+        and float(np.max(np.abs(sol - predicted))) <= DD_MATCH_TOL * max(1.0, quad.N)
     )
     return DDSolveReport(sol, predicted, int(rank), unique, residual, matches)
 
@@ -361,7 +373,8 @@ class StripVerdict:
 
 
 def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
-    """Compute E_h(C) and place it inside [ulb, uub] for (n, M, s(C)).
+    """Compute E_h(C) and place it inside [ulb, uub] for (n, M, s(C)), with a
+    slack of ``STRIP_TOL`` * max(1, |uub|, |ulb|) for ``inside`` and ``attains_*``.
 
     The attainment diagnostics report whether every off-diagonal inner
     product sits on a quadrature node and include the moments up to m
@@ -390,7 +403,7 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
         _add_gegen_sums(code.dim, vals, sums)
         covered = covered and _nodes_cover(vals, quad.nodes)
     e = 2.0 * half_energy
-    tol = 1e-9 * max(1.0, abs(es.uub), abs(es.ulb))
+    tol = STRIP_TOL * max(1.0, abs(es.uub), abs(es.ulb))
     inside = (es.ulb - tol <= e) and (e <= es.uub + tol)
     return StripVerdict(
         dim=code.dim,

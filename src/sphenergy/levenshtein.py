@@ -356,8 +356,6 @@ def solve_cardinality(n: int, M: float) -> tuple[float, QuadratureRule]:
     M = float(M)
     if not M >= 2.0:
         raise ValueError(f"cardinality must be at least 2, got {M!r}")
-    if M == 2.0:
-        return -1.0, quadrature(n, -1.0)
     m = next((m for m in range(1, MAX_INTERVAL + 1) if M <= dgs_number(n, m + 1)), None)
     if m is None:
         raise CertificationError(

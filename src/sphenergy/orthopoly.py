@@ -23,11 +23,11 @@ two floats per step.  For an ndarray argument a step is four in-place
 passes over three reused buffers, so a yielded array is overwritten two
 steps later and a caller that keeps terms must copy them.
 
-Jacobi polynomials P_i^{(a,b)} (standard normalization, not rescaled at
-t = 1) supply the interval endpoints and quadrature node equations.
-Their zeros are the eigenvalues of the symmetric tridiagonal Jacobi
-matrix built from the monic three-term recurrence (Golub and Welsch,
-Math. Comp. 23, 1969), computed by one dense symmetric eigensolve.
+Zeros of Jacobi polynomials P_i^{(a,b)} supply the interval endpoints
+and quadrature nodes.  They are the eigenvalues of the symmetric
+tridiagonal Jacobi matrix built from the monic three-term recurrence
+(Golub and Welsch, Math. Comp. 23, 1969), computed by one dense
+symmetric eigensolve.
 """
 
 from __future__ import annotations
@@ -46,8 +46,6 @@ __all__ = [
     "eval_gegenbauer",
     "gegenbauer_table",
     "gegenbauer_terms",
-    "eval_jacobi",
-    "eval_jacobi_deriv",
     "jacobi_zeros",
     "greatest_zero",
     "product_to_gegen",
@@ -153,37 +151,6 @@ class JacobiParams:
     def __post_init__(self):
         if not (self.a > -1.0 and self.b > -1.0):
             raise ValueError(f"Jacobi exponents must exceed -1, got {(self.a, self.b)}")
-
-
-def eval_jacobi(p: JacobiParams, i: int, t):
-    """P_i^{(a,b)}(t) in the standard normalization (not rescaled at t = 1)."""
-    i = _check_degree(i)
-    a, b = p.a, p.b
-    t = np.asarray(t, dtype=float)
-    prev = np.ones_like(t)
-    if i == 0:
-        return prev if prev.ndim else 1.0
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2) * t
-    for j in range(2, i + 1):
-        s = 2 * j + a + b
-        c0 = 2 * j * (j + a + b) * (s - 2)
-        c1 = (s - 1) * (a * a - b * b)
-        c2 = (s - 1) * s * (s - 2)
-        c3 = 2 * (j + a - 1) * (j + b - 1) * s
-        prev, cur = cur, ((c1 + c2 * t) * cur - c3 * prev) / c0
-    return cur if cur.ndim else float(cur)
-
-
-def eval_jacobi_deriv(p: JacobiParams, i: int, t):
-    """d/dt P_i^{(a,b)}(t) = (i + a + b + 1)/2 * P_{i-1}^{(a+1,b+1)}(t)."""
-    i = _check_degree(i)
-    t = np.asarray(t, dtype=float)
-    if i == 0:
-        out = np.zeros_like(t)
-        return out if out.ndim else 0.0
-    inner = eval_jacobi(JacobiParams(p.a + 1.0, p.b + 1.0), i - 1, t)
-    out = 0.5 * (i + p.a + p.b + 1) * np.asarray(inner, dtype=float)
-    return out if out.ndim else float(out)
 
 
 @lru_cache(maxsize=1024)

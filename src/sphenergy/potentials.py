@@ -107,7 +107,7 @@ def make_potential(
 
     kind = "newton" needs the dimension n (exponent n - 2; for n = 2 the
     planar convention -log(2 - 2t) / 2 is used).  kind = "riesz" and
-    "gauss" need alpha > 0.  kind = "log" has no parameter.  kind =
+    "gauss" need a finite alpha > 0.  kind = "log" has no parameter.  kind =
     "custom" takes eval_fn and deriv_fn (deriv_p_fn optional), which must
     accept ndarray arguments; a result is broadcast to the argument's shape.
     """
@@ -120,8 +120,8 @@ def make_potential(
             ev, d1, dp = _riesz_family(float(n - 2))
         return Potential("newton", (float(n),), False, ev, d1, dp)
     if kind in ("riesz", "gauss"):
-        if alpha is None or not alpha > 0:
-            raise ValueError(f"{kind} kernel needs alpha > 0")
+        if alpha is None or not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"{kind} kernel needs a finite alpha > 0, got {alpha!r}")
         a = float(alpha)
         # Six significant digits where they name a exactly, else repr: a
         # stored certificate is rechecked by parsing its label back.

@@ -18,6 +18,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
+from scipy.special import eval_jacobi
 
 from sphenergy.bounds import (
     hermite_interpolant,
@@ -47,7 +48,6 @@ from sphenergy.levenshtein import (
 from sphenergy.orthopoly import (
     JacobiParams,
     eval_gegenbauer,
-    eval_jacobi,
     gegen_coefficient_integral,
     gegenbauer_table,
     jacobi_zeros,
@@ -129,14 +129,14 @@ def forced_composed_upper(n: int, M: int, m: int, pot) -> float:
     iv = interval_for(n, m)
     r = brentq(lambda t: lev_value(n, iv, t) - M, iv.lo - 0.2, iv.lo)
     k, eps = iv.k, iv.eps
-    p = JacobiParams((n - 1) / 2.0, eps + (n - 3) / 2.0)
+    a, b = (n - 1) / 2.0, eps + (n - 3) / 2.0
 
     def node_eq(t):
-        return eval_jacobi(p, k, t) * eval_jacobi(p, k - 1, r) - eval_jacobi(
-            p, k, r
-        ) * eval_jacobi(p, k - 1, t)
+        return eval_jacobi(k, a, b, t) * eval_jacobi(k - 1, a, b, r) - eval_jacobi(
+            k, a, b, r
+        ) * eval_jacobi(k - 1, a, b, t)
 
-    zeros_k = jacobi_zeros(p, k)
+    zeros_k = jacobi_zeros(JacobiParams(a, b), k)
     brackets = [(-1.0, zeros_k[0])] + list(zip(zeros_k, zeros_k[1:]))
     roots = [
         brentq(node_eq, lo, hi) for lo, hi in brackets if node_eq(lo) * node_eq(hi) <= 0

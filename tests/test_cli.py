@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ def test_input_error_exit_codes(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 4, argv
         assert err
+    # A non-finite kernel parameter is refused by name, before any kernel
+    # is evaluated.
+    for kernel in ("riesz:inf", "gauss:inf"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "bound", "-n", "5", "-M", "11", "-s", "0.2", "-h", kernel)
+        assert code == 4, kernel
+        assert f"{kernel.partition(':')[0]} kernel needs a finite alpha > 0, got inf" in err
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_strip_text_sharp_simplex(capsys):

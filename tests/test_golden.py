@@ -2,8 +2,9 @@
 
 ``tests/data`` holds the JSON that ``bound``, ``strip`` and ``table`` printed
 for the four anchor classes before the coefficient kernels moved to plain
-floats.  Ints, strings, bools and nulls must match exactly; floats within
-1e-12 * max(1, |old|, |new|).
+floats, and that ``verify`` on the icosahedron and ``testfn`` at (5, s_ez)
+printed before the unused Jacobi evaluator was removed.  Ints, strings,
+bools and nulls must match exactly; floats within 1e-12 * max(1, |old|, |new|).
 """
 
 import json
@@ -26,7 +27,12 @@ CASES = [
     (f"{cmd}_n{n}_M{M}.json", [cmd, "-n", n, "-M", M, "-s", s, "--format", "json"])
     for cmd in ("bound", "strip")
     for n, M, s in ANCHORS
-] + [("table.json", ["table", "--format", "json"])]
+] + [
+    ("table.json", ["table", "--format", "json"]),
+    ("verify_icosahedron.json", ["verify", "--generate", "icosahedron", "--format", "json"]),
+    ("testfn_n5_auto-ez_j8.json",
+     ["testfn", "-n", "5", "-s", "auto-ez", "--jmax", "8", "--format", "json"]),
+]
 
 
 def mismatches(old, new, path="$"):

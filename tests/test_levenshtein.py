@@ -195,9 +195,16 @@ def test_solve_cardinality_reference_points():
 
 
 def test_solve_cardinality_two_points():
-    r, rule = solve_cardinality(6, 2)
-    assert r == -1.0
-    assert rule.N == pytest.approx(2.0, abs=1e-12)
+    # M = 2 = D(n, 1) is the left end of I_1, where the root search stops at
+    # once: the rule is bitwise the quadrature at s = -1.
+    for n in range(2, 25):
+        r, rule = solve_cardinality(n, 2)
+        ref = quadrature(n, -1.0)
+        assert r == -1.0
+        assert rule.N == ref.N
+        assert np.array_equal(rule.nodes, ref.nodes)
+        assert np.array_equal(rule.weights, ref.weights)
+        assert rule.N == pytest.approx(2.0, abs=1e-12)
 
 
 def test_solve_cardinality_round_trip():

@@ -1,4 +1,4 @@
-"""Oracle tests for Gegenbauer/Jacobi evaluation, zeros, and basis arithmetic."""
+"""Oracle tests for Gegenbauer evaluation, Jacobi zeros, and basis arithmetic."""
 
 import math
 
@@ -8,14 +8,12 @@ import scipy.special as sps
 from numpy.polynomial.chebyshev import poly2cheb
 from numpy.polynomial.polynomial import polyfromroots
 
-from sphenergy.bounds import _chebyshev_cosines
+from sphenergy.bounds import _GRID_COSINES
 from sphenergy.orthopoly import (
     GegenPoly,
     JacobiParams,
     _monic_recurrence,
     eval_gegenbauer,
-    eval_jacobi,
-    eval_jacobi_deriv,
     gegen_coefficient_integral,
     gegenbauer_table,
     greatest_zero,
@@ -121,22 +119,27 @@ def test_cached_recurrence_and_cosine_arrays_are_read_only():
     alpha, beta = _monic_recurrence(1.5, 0.5, 6)
     assert alpha.shape == (6,) and beta.shape == (5,)
     assert not alpha.flags.writeable and not beta.flags.writeable
-    assert not _chebyshev_cosines(64).flags.writeable
+    assert not _GRID_COSINES.flags.writeable
 
 
 def test_gegenbauer_derivative_by_dimension_shift_matches_jacobi_route():
-    # d/dt P_i^{(n)} = P_i^{(a,a)}'(t) / P_i^{(a,a)}(1), a = (n - 3) / 2
+    # d/dt P_i^{(n)} = P_i^{(a,a)}'(t) / P_i^{(a,a)}(1), a = (n - 3) / 2, and
+    # d/dt P_i^{(a,a)} = (i + 2a + 1) / 2 * P_{i-1}^{(a+1,a+1)}
     t = np.linspace(-1, 1, 41)
+
+    def jacobi_route(a, i):
+        deriv = 0.5 * (i + 2 * a + 1) * sps.eval_jacobi(i - 1, a + 1, a + 1, t)
+        return deriv / sps.eval_jacobi(i, a, a, 1.0)
+
     for n in (2, 3, 5, 8, 24):
-        p = JacobiParams((n - 3) / 2.0, (n - 3) / 2.0)
+        a = (n - 3) / 2.0
         coeffs = np.zeros(65)
         for i in (1, 2, 7, 30, 64):
-            ref = eval_jacobi_deriv(p, i, t) / eval_jacobi(p, i, 1.0)
+            ref = jacobi_route(a, i)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(basis_poly(n, i).deriv(t) - ref)) <= 1e-13 * scale
             coeffs[i] = 1.0 / i
-        ref = sum(c * eval_jacobi_deriv(p, i, t) / eval_jacobi(p, i, 1.0)
-                  for i, c in enumerate(coeffs) if c)
+        ref = sum(c * jacobi_route(a, i) for i, c in enumerate(coeffs) if c)
         got = GegenPoly(n, coeffs).deriv(t)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert GegenPoly(4, [3.0]).deriv(0.2) == 0.0
@@ -161,55 +164,9 @@ def test_gegenbauer_bad_arguments():
         eval_gegenbauer(4, -1, 0.0)
 
 
-def test_jacobi_degree_zero_and_one():
-    p = JacobiParams(1.5, 0.5)
-    assert eval_jacobi(p, 0, 0.37) == 1.0
-    for t in (-0.5, 0.0, 0.8):
-        assert eval_jacobi(p, 1, t) == pytest.approx(2 * t + 0.5, abs=1e-14)
-
-
-def test_jacobi_matches_scipy():
-    rng = np.random.RandomState(13)
-    for _ in range(80):
-        a = rng.uniform(-0.9, 4.0)
-        b = rng.uniform(-0.9, 4.0)
-        i = rng.randint(0, 20)
-        t = rng.uniform(-1, 1)
-        assert eval_jacobi(JacobiParams(a, b), i, t) == pytest.approx(
-            sps.eval_jacobi(i, a, b, t), rel=1e-11, abs=1e-12
-        )
-
-
-def test_jacobi_gegenbauer_normalization_identity():
-    # Gegenbauer = Jacobi (a, a) with a = (n-3)/2, divided by its value at 1
-    rng = np.random.RandomState(17)
-    for _ in range(30):
-        n = rng.randint(2, 12)
-        i = rng.randint(0, 15)
-        t = rng.uniform(-1, 1)
-        p = JacobiParams((n - 3) / 2.0, (n - 3) / 2.0)
-        ratio = eval_jacobi(p, i, t) / eval_jacobi(p, i, 1.0)
-        assert eval_gegenbauer(n, i, t) == pytest.approx(ratio, rel=1e-11, abs=1e-12)
-
-
-def test_jacobi_derivative_identity():
-    rng = np.random.RandomState(19)
-    h = 1e-6
-    for _ in range(40):
-        a = rng.uniform(-0.5, 3.5)
-        b = rng.uniform(-0.5, 3.5)
-        i = rng.randint(1, 12)
-        t = rng.uniform(-0.95, 0.95)
-        p = JacobiParams(a, b)
-        fd = (eval_jacobi(p, i, t + h) - eval_jacobi(p, i, t - h)) / (2 * h)
-        assert eval_jacobi_deriv(p, i, t) == pytest.approx(fd, rel=1e-5, abs=1e-6)
-
-
 def test_jacobi_invalid_params():
     with pytest.raises(ValueError):
         JacobiParams(-1.0, 0.5)
-    with pytest.raises(ValueError):
-        eval_jacobi(JacobiParams(0.5, 0.5), -2, 0.0)
 
 
 def test_jacobi_zeros_match_scipy():

@@ -111,6 +111,11 @@ def test_make_potential_rejects_bad_arguments():
         make_potential("riesz", alpha=0.0)
     with pytest.raises(ValueError):
         make_potential("gauss", alpha=-1.0)
+    for kind in ("riesz", "gauss"):
+        with pytest.raises(ValueError, match=f"{kind} kernel needs a finite alpha > 0, got inf"):
+            make_potential(kind, alpha=math.inf)
+        with pytest.raises(ValueError):
+            make_potential(kind, alpha=math.nan)
     with pytest.raises(ValueError):
         make_potential("custom", eval_fn=lambda t: t)
     with pytest.raises(ValueError):
