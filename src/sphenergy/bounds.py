@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -79,6 +78,12 @@ FORMS_TOL = 1e-10
 # Relative slack between M and L_m(n, s) computed in floating point: within
 # it the class is sharp (M = L), beyond it on the high side infeasible.
 SHARP_TOL = 1e-9
+# ``strip``'s slack for ulb above uub, relative to max(1, |uub|); the absolute
+# slack below 0 of a negative R_j in ``test_functions``; and the slack below
+# uub, relative to |uub|, of a violation in ``optimality_probe``.
+INVERSION_TOL = 1e-9
+SIGN_TOL = 1e-9
+PROBE_TOL = 1e-9
 
 
 def _sharp_slack(L: float) -> float:
@@ -149,8 +154,7 @@ def lambda_star(g: GegenPoly, lev: LevenshteinPoly) -> LambdaChoice:
     return LambdaChoice(lam, arg, False)
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(NamedTuple):
     """Outcome of the two feasibility checks on the bound polynomial."""
 
     max_interior_coeff: float
@@ -159,8 +163,7 @@ class FeasibilityReport:
     passed: bool
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """Everything needed to restate and recheck an upper-bound computation."""
 
     dim: int
@@ -182,9 +185,11 @@ class BoundCertificate:
 def _feasibility_grid(s: float, nodes: np.ndarray) -> np.ndarray:
     # Chebyshev-distributed points cluster near both ends of [-1, s], where
     # the gap f - h is smallest; the quadrature nodes (gap exactly zero)
-    # are appended explicitly.
-    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _GRID_COSINES
-    return np.unique(np.concatenate([grid, nodes]))
+    # are appended explicitly.  Sorting and dropping exact repeats gives what
+    # np.unique gives, without the numpy.ma import that np.unique makes.
+    pts = np.concatenate([0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _GRID_COSINES, nodes])
+    pts.sort()
+    return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
 def _node_residual(f: GegenPoly, pot: Potential, nodes: np.ndarray) -> tuple[float, np.ndarray]:
@@ -296,8 +301,7 @@ def ulb(n: int, M: float, pot: Potential) -> tuple[float, QuadratureRule]:
     return value, rule
 
 
-@dataclass(frozen=True)
-class EnergyStrip:
+class EnergyStrip(NamedTuple):
     """The interval [ulb, uub] of possible energies for the class (n, M, s)."""
 
     ulb: float
@@ -308,10 +312,11 @@ class EnergyStrip:
 
 
 def strip(n: int, M: float, s: float, pot: Potential) -> EnergyStrip:
-    """Two-sided energy strip; ``sharp`` flags M = L_m(n, s) within ``SHARP_TOL``."""
+    """Two-sided energy strip; ``sharp`` flags M = L_m(n, s) within ``SHARP_TOL``, and
+    ulb above uub by more than ``INVERSION_TOL`` * max(1, |uub|) raises CertificationError."""
     cert = uub(n, M, s, pot)
     low, rule = ulb(n, M, pot)
-    if low > cert.uub_value + 1e-9 * max(1.0, abs(cert.uub_value)):
+    if low > cert.uub_value + INVERSION_TOL * max(1.0, abs(cert.uub_value)):
         raise CertificationError(
             f"strip is inverted: ulb {low!r} exceeds uub {cert.uub_value!r}"
         )
@@ -357,7 +362,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
             "f": cert.f.coeffs.tolist(),
             "levenshtein": cert.lev.gegen.coeffs.tolist(),
         },
-        "feasibility": asdict(cert.feasibility),
+        "feasibility": cert.feasibility._asdict(),
         "bounds": {
             "uub": cert.uub_value,
             "uub_quadrature_form": cert.quadrature_form,
@@ -411,8 +416,7 @@ def recheck_certificate(doc: dict) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class TestFunctionReport:
+class TestFunctionReport(NamedTuple):
     """Values R_j = 1/N + sum_i rho_i P_j(alpha_i) and the sign verdict.
 
     R_j vanishes for 1 <= j <= m by exactness.  Nonnegativity of every
@@ -431,6 +435,7 @@ class TestFunctionReport:
 
 
 def test_functions(n: int, s: float, j_max: int) -> TestFunctionReport:
+    """R_1, ..., R_{j_max} at (n, s); an R_j below -``SIGN_TOL`` counts as negative."""
     if not isinstance(j_max, (int, np.integer)) or j_max < 1:
         raise ValueError(f"j_max must be a positive integer, got {j_max!r}")
     rule = quadrature(n, s)
@@ -438,7 +443,7 @@ def test_functions(n: int, s: float, j_max: int) -> TestFunctionReport:
     sums = table @ rule.weights + 1.0 / rule.N
     threshold = 2 * rule.interval.k + rule.interval.eps
     values = tuple((j, float(sums[j])) for j in range(1, int(j_max) + 1))
-    bad = [j for j, v in values if j >= threshold and v < -1e-9]
+    bad = [j for j, v in values if j >= threshold and v < -SIGN_TOL]
     return TestFunctionReport(
         dim=int(n),
         s=float(rule.s),
@@ -450,8 +455,7 @@ def test_functions(n: int, s: float, j_max: int) -> TestFunctionReport:
     )
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     trials: int
     accepted: int
     violations: int
@@ -464,7 +468,7 @@ def optimality_probe(cert: BoundCertificate, trials: int = 100, seed: int = 0) -
     Draws perturbations F = f - sum_i c_i P_i with c_i uniform in
     [0, 1e-3 (1 + |lambda|)], keeps those still above the potential on the
     feasibility grid (F(1) <= f(1) holds automatically), and checks
-    M (F_0 M - F(1)) >= uub - 1e-9 |uub| for each survivor.  ``min_margin``
+    M (F_0 M - F(1)) >= uub - ``PROBE_TOL`` |uub| for each survivor.  ``min_margin``
     is the smallest observed slack.
     """
     if trials < 1:
@@ -480,7 +484,7 @@ def optimality_probe(cert: BoundCertificate, trials: int = 100, seed: int = 0) -
     f0 = float(cert.f.coeffs[0])
     accepted = violations = 0
     min_margin = math.inf
-    tol = 1e-9 * abs(cert.uub_value)
+    tol = PROBE_TOL * abs(cert.uub_value)
     for _ in range(trials):
         c = rng.uniform(0.0, 1e-3 * (1.0 + abs(cert.lam)), m + 1)
         pert = c @ table

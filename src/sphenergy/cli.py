@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 the class (n, M, s) is infeasible, 3 a
 certification check failed or the class lies beyond the last supported
 interval I_64, 4 bad input (including a ``table`` range outside 2..10).
 The certificate's JSON form and ``recheck_certificate`` live in ``bounds``.
+``codes`` is imported only by the calls that need it: verify and -s auto-ez.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .bounds import (
     test_functions,
     uub,
 )
-from .codes import ez_separation, generate, load_code, verify_strip
 from .errors import (
     CertificationError,
     InfeasibleClassError,
@@ -128,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_separation(raw: str, n: int) -> float:
     if raw == "auto-ez":
+        from .codes import ez_separation
         return ez_separation(n)
     try:
         return float(raw)
@@ -184,6 +185,7 @@ def cmd_strip(args) -> int:
 
 
 def _parse_generate(spec: str):
+    from .codes import generate
     name, sep, arg = spec.partition(":")
     if not sep:
         return generate(name)
@@ -195,6 +197,7 @@ def _parse_generate(spec: str):
 
 
 def cmd_verify(args) -> int:
+    from .codes import load_code, verify_strip
     code = load_code(args.code) if args.code else _parse_generate(args.generate)
     pot = parse_potential(args.potential, code.dim)
     verdict = verify_strip(code, pot)

@@ -21,7 +21,7 @@ and counts the products in a window of +-COVER_TOL about each node.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,8 +285,7 @@ def moments(code: SphericalCode, i_max: int) -> np.ndarray:
     return _moments_from_sums(code.size, sums)
 
 
-@dataclass(frozen=True)
-class DistanceDistribution:
+class DistanceDistribution(NamedTuple):
     """Clustered inner products seen from one point, with counts."""
 
     anchor: int
@@ -311,8 +310,7 @@ def distance_distribution(code: SphericalCode, anchor: int = 0) -> DistanceDistr
     return DistanceDistribution(anchor, tuple(entries))
 
 
-@dataclass(frozen=True)
-class DDSolveReport:
+class DDSolveReport(NamedTuple):
     """Distance distribution forced by vanishing moments at the quadrature nodes."""
 
     values: np.ndarray
@@ -354,8 +352,7 @@ def dd_system_solve(n: int, M: float, quad: QuadratureRule, vanishing) -> DDSolv
     return DDSolveReport(sol, predicted, int(rank), unique, residual, matches)
 
 
-@dataclass(frozen=True)
-class StripVerdict:
+class StripVerdict(NamedTuple):
     """A code checked against the energy strip of its own class.
     ``nodes_cover_products``: every off-diagonal inner product lies within
     ``COVER_TOL`` of a node of the class's 1/N quadrature."""

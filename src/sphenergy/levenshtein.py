@@ -20,8 +20,8 @@ Q_i = P_i^{((n-1)/2, eps + (n-3)/2)}; the largest node is s itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,9 +71,13 @@ EXACTNESS_TOL = 1e-8
 # Width of the final bracket around the root r of L(n, r) = M.
 CARDINALITY_TOL = 1e-13
 
+# Largest accepted distance from the largest eigenvalue node to s, and largest
+# value of the node polynomial on [-1, s], over its scale, that counts as <= 0.
+LARGEST_NODE_TOL = 1e-8
+POSITIVITY_TOL = 1e-10
 
-@dataclass(frozen=True)
-class IntervalIndex:
+
+class IntervalIndex(NamedTuple):
     """Interval I_m containing a separation, with m = 2k - 1 + eps."""
 
     m: int
@@ -175,7 +179,8 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
     Q_k(s) Q_{k-1}(t) are the zeros of pi_k - c pi_{k-1} with
     c = pi_k(s) / pi_{k-1}(s): the eigenvalues of the Jacobi matrix of Q_k
     modified to have s as an eigenvalue.  On I_m, s lies above every zero of
-    Q_{k-1}, as that shift requires.  For eps = 1 the node -1 is prepended.
+    Q_{k-1}, as that shift requires.  The largest eigenvalue must lie within
+    ``LARGEST_NODE_TOL`` of s and becomes s; for eps = 1, -1 is prepended.
     """
     n = _check_dim(n)
     s = float(s)
@@ -183,7 +188,7 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
     roots = jacobi_zeros(_node_params(n, eps), k, fixed=s)
     if abs(roots[0] + 1.0) <= NODE_SNAP:
         roots[0] = -1.0
-    if abs(roots[-1] - s) > 1e-8:
+    if abs(roots[-1] - s) > LARGEST_NODE_TOL:
         raise NumericsError(
             f"largest node {roots[-1]} does not match separation {s} (n={n}, m={interval.m})"
         )
@@ -198,8 +203,7 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LevenshteinPoly:
+class LevenshteinPoly(NamedTuple):
     """The monic node polynomial with its interpolation multiset.
 
     ``multiset`` lists the Hermite nodes with repetition: every interior
@@ -227,7 +231,9 @@ def _node_multiset(interval: IntervalIndex, roots: np.ndarray) -> tuple[float, .
 def levenshtein_poly(
     n: int, interval: IntervalIndex, s: float, roots: np.ndarray | None = None
 ) -> LevenshteinPoly:
-    """Build and certify the node polynomial for (n, m, s)."""
+    """Build and certify the node polynomial for (n, m, s): every Gegenbauer
+    coefficient positive, and no value on a 257-point grid of [-1, s] above
+    ``POSITIVITY_TOL`` * max(1, max |f_m|)."""
     if roots is None:
         roots = lev_poly_roots(n, interval, s)
     multiset = _node_multiset(interval, roots)
@@ -243,7 +249,7 @@ def levenshtein_poly(
         )
     grid = np.linspace(-1.0, s, 257)
     vals = poly(grid)
-    bound = 1e-10 * max(1.0, float(np.max(np.abs(vals))))
+    bound = POSITIVITY_TOL * max(1.0, float(np.max(np.abs(vals))))
     if float(np.max(vals)) > bound:
         raise CertificationError(
             f"node polynomial is positive on [-1, s]: max {float(np.max(vals)):.3e}"
@@ -251,8 +257,7 @@ def levenshtein_poly(
     return LevenshteinPoly(n, float(s), interval, multiset, poly)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """1/N quadrature: f_0 = f(1)/N + sum rho_i f(alpha_i), exact to degree m."""
 
     dim: int

@@ -32,8 +32,8 @@ symmetric eigensolve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,16 +141,15 @@ def eval_gegenbauer(n: int, i: int, t):
     return cur
 
 
-@dataclass(frozen=True)
-class JacobiParams:
+class JacobiParams(NamedTuple("JacobiParams", [("a", float), ("b", float)])):
     """Exponent pair (a, b) of a Jacobi weight (1-t)^a (1+t)^b."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > -1.0 and self.b > -1.0):
-            raise ValueError(f"Jacobi exponents must exceed -1, got {(self.a, self.b)}")
+    def __new__(cls, a: float, b: float):
+        if not (a > -1.0 and b > -1.0):
+            raise ValueError(f"Jacobi exponents must exceed -1, got {(a, b)}")
+        return super().__new__(cls, a, b)
 
 
 @lru_cache(maxsize=1024)
@@ -212,20 +211,19 @@ def greatest_zero(p: JacobiParams, i: int) -> float:
     return float(jacobi_zeros(p, i)[-1])
 
 
-@dataclass(frozen=True)
-class GegenPoly:
+class GegenPoly(NamedTuple("GegenPoly", [("dim", int), ("coeffs", np.ndarray)])):
     """A polynomial held as coefficients over {P_i^{(n)}}, index = degree.
 
-    Trailing zero coefficients are allowed; ``degree`` reports the last
-    index that is nonzero relative to the coefficient scale.
+    ``coeffs`` is a read-only copy of the coefficients given.  Trailing zero
+    coefficients are allowed; ``degree`` reports the last index that is
+    nonzero relative to the coefficient scale.
     """
 
-    dim: int
-    coeffs: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_dim(self.dim)
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float)).copy()
+    def __new__(cls, dim: int, coeffs):
+        _check_dim(dim)
+        c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-D sequence")
         if c.size - 1 > MAX_DEGREE:
@@ -233,7 +231,7 @@ class GegenPoly:
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
+        return super().__new__(cls, dim, c)
 
     @property
     def degree(self) -> int:

@@ -11,8 +11,7 @@ evaluated: kernels that blow up at coincident points are marked
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -25,16 +24,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(NamedTuple):
     """A pair-energy kernel with first derivative and optional higher ones."""
 
     label: str
     params: tuple[float, ...]
     finite_at_one: bool
-    eval_fn: Callable = field(repr=False)
-    deriv_fn: Callable = field(repr=False)
-    deriv_p_fn: Callable | None = field(repr=False, default=None)
+    eval_fn: Callable
+    deriv_fn: Callable
+    deriv_p_fn: Callable | None = None
+
+    def __repr__(self):
+        return f"Potential(label={self.label!r}, params={self.params!r}, finite_at_one={self.finite_at_one!r})"
 
     def __call__(self, t):
         return self.eval_fn(np.asarray(t, dtype=float)) if np.ndim(t) else float(self.eval_fn(float(t)))
@@ -161,8 +162,7 @@ def parse_potential(text: str, n: int) -> Potential:
     raise ValueError(f"unknown potential {text!r}")
 
 
-@dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(NamedTuple):
     order: int
     grid_size: int
     max_rel_dev: float

@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sphenergy.cli
 from sphenergy.bounds import (
+    _GRID_COSINES,
     COEFF_TOL,
     NODE_TOL,
+    _feasibility_grid,
     certificate_to_dict,
     hermite_interpolant,
     lambda_star,
@@ -26,7 +30,14 @@ from sphenergy.bounds import (
 )
 from sphenergy.bounds import test_functions as lp_test_functions
 from sphenergy.errors import InfeasibleClassError
-from sphenergy.levenshtein import find_interval, lev_value, levenshtein_poly, quadrature
+from sphenergy.levenshtein import (
+    find_interval,
+    interval_for,
+    lev_poly_roots,
+    lev_value,
+    levenshtein_poly,
+    quadrature,
+)
 from sphenergy.orthopoly import gegenbauer_table
 from sphenergy.potentials import make_potential, parse_potential
 
@@ -335,3 +346,23 @@ def test_recheck_refuses_a_positive_coefficient_above_degree_m():
     # a constant f has no interior coefficient, so it passes that gate
     doc["coefficients"]["f"] = doc["coefficients"]["f"][:1]
     assert recheck_certificate(doc)["max_interior_coeff"] <= COEFF_TOL
+
+
+@st.composite
+def grid_classes(draw):
+    n = draw(st.integers(2, 24))
+    iv = interval_for(n, draw(st.integers(1, 20)))
+    s = draw(st.one_of(st.just(iv.lo), st.just(iv.hi), st.floats(iv.lo, iv.hi)))
+    return n, iv, s
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_classes())
+def test_feasibility_grid_is_np_unique_bitwise(case):
+    # At the ends of I_m, -1 and s are nodes and can coincide with the grid's
+    # own ends; np.unique imports numpy.ma, which the grid must not.
+    n, iv, s = case
+    nodes = lev_poly_roots(n, iv, s)
+    grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _GRID_COSINES
+    ours, ref = _feasibility_grid(s, nodes), np.unique(np.concatenate([grid, nodes]))
+    assert ours.dtype == ref.dtype and ours.view(np.int64).tolist() == ref.view(np.int64).tolist()

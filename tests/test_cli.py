@@ -314,11 +314,42 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_cli_bound_strip_table_never_import_scipy():
-    # importing scipy costs about as much as the rest of a CLI call
+def run_probe(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports this sphenergy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def test_cli_bound_strip_table_never_import_scipy():
+    # importing scipy costs about as much as the rest of a CLI call
+    assert run_probe(IMPORT_PROBE).strip() == "[]"
+
+
+FIXED_COST_PROBE = """
+import contextlib, io, json, sys
+from sphenergy.cli import main
+WATCHED = ("numpy.ma", "sphenergy.codes", "dataclasses")
+seen = [[m for m in WATCHED if m in sys.modules]]
+for argv in (["bound", "-n", "8", "-M", "240", "-s", "0.5"],
+             ["bound", "-n", "5", "-M", "11", "-s", "0.1328", "--format", "json"],
+             ["strip", "-n", "10", "-M", "554", "-s", "0.5"],
+             ["table"],
+             ["testfn", "-n", "5", "-s", "0.1328", "--jmax", "8"],
+             ["verify", "--generate", "simplex:4"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    seen.append([m for m in WATCHED if m in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_cli_calls_never_import_numpy_ma_and_only_verify_loads_codes():
+    # numpy.ma (which np.unique imports), codes and dataclasses are imports
+    # these commands do not need; together they cost a call 10-40 ms.
+    seen = json.loads(run_probe(FIXED_COST_PROBE))
+    assert seen[:-1] == [[]] * 6
+    assert "numpy.ma" not in seen[-1] and "sphenergy.codes" in seen[-1]

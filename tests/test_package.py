@@ -1,5 +1,9 @@
 """The package's public surface: each module's ``__all__`` is the one list."""
 
+import os
+import subprocess
+import sys
+
 import sphenergy
 import sphenergy.cli
 from sphenergy import bounds, codes, errors, levenshtein, orthopoly, potentials
@@ -20,3 +24,23 @@ def test_cli_exports_the_certificate_functions_of_bounds():
     for name in ("certificate_to_dict", "strip_to_dict", "recheck_certificate"):
         assert name in sphenergy.cli.__all__
         assert getattr(sphenergy.cli, name) is getattr(bounds, name)
+
+
+def test_codes_loads_on_first_use_only():
+    # dir() lists codes' names without importing it; the first name used does.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, sphenergy; dir(sphenergy); print('sphenergy.codes' in sys.modules, "
+             "sphenergy.verify_strip is sys.modules['sphenergy.codes'].verify_strip)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "True"]
+
+
+def test_star_import_and_dir_list_every_codes_name():
+    star = {}
+    exec("from sphenergy import *", star)
+    listed = dir(sphenergy)
+    for name in codes.__all__:
+        assert star[name] is vars(codes)[name], name
+        assert name in listed, name
+    assert "codes" in listed
