@@ -24,9 +24,8 @@ from .potentials import *
 
 # codes.__all__, in its order; the package test checks that they agree.
 _CODES_ALL = [
-    "SphericalCode", "DistanceDistribution", "DDSolveReport", "StripVerdict", "load_code",
-    "generate", "energy", "separation", "moments", "distance_distribution", "dd_system_solve",
-    "verify_strip", "ez_separation", "ez_energy_n5", "EZ_N5_COSINES",
+    "SphericalCode", "StripVerdict", "load_code", "generate", "energy", "separation",
+    "moments", "verify_strip", "ez_separation", "ez_energy_n5", "EZ_N5_COSINES",
 ]
 
 __all__ = [

@@ -219,21 +219,11 @@ def _agree(value: float, other: float) -> bool:
     return abs(value - other) <= FORMS_TOL * max(1.0, abs(value))
 
 
-def uub(
-    n: int,
-    M: float,
-    s: float,
-    pot: Potential,
-    *,
-    extra_node: bool = False,
-) -> BoundCertificate:
+def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
     """Universal upper bound on E_h for M points with separation at most s.
 
     Requires M <= L_m(n, s), up to the relative slack ``SHARP_TOL`` that
-    also decides sharpness in ``strip``.  ``extra_node`` augments the
-    interpolation multiset with the spare simple node (-1 for odd m, a
-    doubling of s for even m); by construction this cannot change the
-    bound, which the invariant tests exercise.
+    also decides sharpness in ``strip``.
     """
     M = float(M)
     if not M >= 2.0:
@@ -245,13 +235,9 @@ def uub(
             f"no code class: M = {M!r} exceeds L_{quad.m}({n}, {s:g}) = {L!r}"
         )
     lev = levenshtein_poly(n, quad.interval, quad.s, quad.nodes)
-    m = quad.m
-    multiset = list(lev.multiset)
-    if extra_node:
-        multiset.append(-1.0 if quad.interval.eps == 0 else float(quad.s))
-    g = hermite_interpolant(n, pot, multiset)
+    g = hermite_interpolant(n, pot, lev.multiset)
     lam, arg, degenerate = lambda_star(g, lev)
-    coeffs = np.zeros(m + 1)
+    coeffs = np.zeros(quad.m + 1)
     coeffs[: g.coeffs.size] = g.coeffs
     coeffs -= lam * lev.gegen.coeffs
     f = GegenPoly(n, coeffs)

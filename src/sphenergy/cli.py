@@ -23,7 +23,7 @@ from .bounds import (
     DOC_META,
     BoundCertificate,
     certificate_to_dict,
-    recheck_certificate,
+    recheck_certificate,  # noqa: F401 - bench/workloads.py reads cli.recheck_certificate
     strip,
     strip_to_dict,
     test_functions,
@@ -42,9 +42,6 @@ __all__ = [
     "main",
     "console_main",
     "table_rows",
-    "certificate_to_dict",
-    "strip_to_dict",
-    "recheck_certificate",
     "KISSING_RANGES",
 ]
 
@@ -322,3 +319,7 @@ def main(argv=None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

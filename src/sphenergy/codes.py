@@ -27,22 +27,18 @@ import numpy as np
 
 from .bounds import EnergyStrip, strip
 from .errors import InfiniteEnergyError
-from .levenshtein import QuadratureRule, illinois_root
-from .orthopoly import _check_degree, gegenbauer_table, gegenbauer_terms
+from .levenshtein import illinois_root
+from .orthopoly import _check_degree, gegenbauer_terms
 from .potentials import Potential
 
 __all__ = [
     "SphericalCode",
-    "DistanceDistribution",
-    "DDSolveReport",
     "StripVerdict",
     "load_code",
     "generate",
     "energy",
     "separation",
     "moments",
-    "distance_distribution",
-    "dd_system_solve",
     "verify_strip",
     "ez_separation",
     "ez_energy_n5",
@@ -68,14 +64,9 @@ NORM_TOL = 1e-9
 # Largest distance from an inner product to a node that counts as on it.
 COVER_TOL = 1e-7
 
-# Slack of an energy inside or on the strip, times max(1, |uub|, |ulb|); widest
-# gap inside one distance-distribution entry; dd_system_solve's slacks for its
-# residual, times max(1, M), and its counts, times max(1, N); and the distance
-# below 1 at which a separation means coincident points.
+# Slack of an energy inside or on the strip, times max(1, |uub|, |ulb|), and
+# the distance below 1 at which a separation means coincident points.
 STRIP_TOL = 1e-9
-MERGE_TOL = 1e-7
-DD_RESIDUAL_TOL = 1e-8
-DD_MATCH_TOL = 1e-6
 COINCIDENT_TOL = 1e-12
 
 
@@ -106,7 +97,7 @@ class SphericalCode:
         self.size = int(pts.shape[0])
 
 
-def load_code(path, dim_hint: int | None = None) -> SphericalCode:
+def load_code(path) -> SphericalCode:
     """Read a code from a text file: one point per line, comma or whitespace
     separated coordinates, '#' starting a comment.  Rows within NORM_TOL of
     unit length are renormalized; anything farther off is rejected.
@@ -127,8 +118,6 @@ def load_code(path, dim_hint: int | None = None) -> SphericalCode:
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise ValueError(f"{path}: rows have inconsistent lengths")
-    if dim_hint is not None and width != dim_hint:
-        raise ValueError(f"{path}: expected dimension {dim_hint}, found {width}")
     pts = np.asarray(rows, dtype=float)
     norms = np.linalg.norm(pts, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
@@ -283,73 +272,6 @@ def moments(code: SphericalCode, i_max: int) -> np.ndarray:
     for vals in _triu_blocks(code.points):
         _add_gegen_sums(code.dim, vals, sums)
     return _moments_from_sums(code.size, sums)
-
-
-class DistanceDistribution(NamedTuple):
-    """Clustered inner products seen from one point, with counts."""
-
-    anchor: int
-    entries: tuple[tuple[float, int], ...]
-
-
-def distance_distribution(code: SphericalCode, anchor: int = 0) -> DistanceDistribution:
-    """Inner products from ``anchor`` to the other points, sorted, with each run
-    of neighbours at most ``MERGE_TOL`` apart merged into one (mean, count) entry."""
-    if not 0 <= anchor < code.size:
-        raise ValueError(f"anchor {anchor} out of range for {code.size} points")
-    row = np.delete(code.points @ code.points[anchor], anchor)
-    np.clip(row, -1.0, 1.0, out=row)
-    row.sort()
-    entries = []
-    start = 0
-    for i in range(1, row.size + 1):
-        if i == row.size or row[i] - row[i - 1] > MERGE_TOL:
-            block = row[start:i]
-            entries.append((float(np.mean(block)), int(block.size)))
-            start = i
-    return DistanceDistribution(anchor, tuple(entries))
-
-
-class DDSolveReport(NamedTuple):
-    """Distance distribution forced by vanishing moments at the quadrature nodes."""
-
-    values: np.ndarray
-    predicted: np.ndarray
-    rank: int
-    unique: bool
-    residual: float
-    matches_quadrature: bool
-
-
-def dd_system_solve(n: int, M: float, quad: QuadratureRule, vanishing) -> DDSolveReport:
-    """Solve for per-point pair counts A_j at the quadrature nodes.
-
-    Uses one equation 1 + sum_j A_j P_i(alpha_j) = 0 for each index i in
-    ``vanishing`` plus the count identity 1 + sum_j A_j = M.  When the
-    system determines the A_j uniquely they must equal rho_j L_m(n, s),
-    which is reported as a cross-check (slacks ``DD_RESIDUAL_TOL`` and
-    ``DD_MATCH_TOL``).
-    """
-    vanishing = sorted(set(int(i) for i in vanishing))
-    if not vanishing:
-        raise ValueError("need at least one vanishing moment index")
-    if vanishing[0] < 1 or vanishing[-1] > quad.m:
-        raise ValueError(f"vanishing indices must lie in 1..{quad.m}, got {vanishing}")
-    table = gegenbauer_table(n, vanishing[-1], quad.nodes)
-    rows = [table[i] for i in vanishing]
-    rows.append(np.ones(quad.nodes.size))
-    A = np.vstack(rows)
-    b = np.concatenate([-np.ones(len(vanishing)), [float(M) - 1.0]])
-    sol, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    residual = float(np.linalg.norm(A @ sol - b))
-    predicted = quad.weights * quad.N
-    unique = rank == quad.nodes.size
-    matches = bool(
-        unique
-        and residual <= DD_RESIDUAL_TOL * max(1.0, float(M))
-        and float(np.max(np.abs(sol - predicted))) <= DD_MATCH_TOL * max(1.0, quad.N)
-    )
-    return DDSolveReport(sol, predicted, int(rank), unique, residual, matches)
 
 
 class StripVerdict(NamedTuple):

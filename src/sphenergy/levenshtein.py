@@ -220,8 +220,7 @@ class LevenshteinPoly(NamedTuple):
 
 
 def _node_multiset(interval: IntervalIndex, roots: np.ndarray) -> tuple[float, ...]:
-    k, eps = interval.k, interval.eps
-    if eps == 0:
+    if interval.eps == 0:
         doubled = [r for r in roots[:-1] for _ in range(2)]
     else:
         doubled = [roots[0]] + [r for r in roots[1:-1] for _ in range(2)]

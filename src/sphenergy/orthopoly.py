@@ -37,8 +37,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericsError
-
 __all__ = [
     "MAX_DEGREE",
     "GegenPoly",
@@ -49,7 +47,6 @@ __all__ = [
     "jacobi_zeros",
     "greatest_zero",
     "product_to_gegen",
-    "gegen_coefficient_integral",
 ]
 
 # Double precision keeps the recurrences accurate in this range and the
@@ -288,33 +285,3 @@ def product_to_gegen(n: int, roots) -> GegenPoly:
     for r in roots:
         coeffs = _mul_linear(n, coeffs, r)
     return GegenPoly(n, coeffs)
-
-
-def _gauss_jacobi_estimate(n: int, f, i: int, order: int) -> float:
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(order, (n - 3) / 2.0, (n - 3) / 2.0)
-    pvals = eval_gegenbauer(n, i, x)
-    num = float(np.sum(w * np.asarray(f(x), dtype=float) * pvals))
-    den = float(np.sum(w * pvals * pvals))
-    return num / den
-
-
-def gegen_coefficient_integral(n: int, f, i: int) -> float:
-    """Coefficient of P_i^{(n)} in the expansion of f, by weighted quadrature.
-
-    Integrates f * P_i^{(n)} against (1 - t^2)^{(n-3)/2} on [-1, 1] and divides
-    by the same integral of [P_i^{(n)}]^2, using Gauss-Jacobi rules at two
-    orders as a convergence check.  f must accept ndarray arguments.  This is
-    the slow reference route; the bound pipeline itself never calls it.
-    """
-    n = _check_dim(n)
-    i = _check_degree(i)
-    coarse = _gauss_jacobi_estimate(n, f, i, 128)
-    fine = _gauss_jacobi_estimate(n, f, i, 192)
-    if abs(fine - coarse) > 1e-10 * max(1.0, abs(fine)):
-        raise NumericsError(
-            f"coefficient integral did not converge: {coarse!r} vs {fine!r} "
-            f"(residual {abs(fine - coarse):.3e})"
-        )
-    return fine

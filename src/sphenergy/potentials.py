@@ -17,10 +17,8 @@ import numpy as np
 
 __all__ = [
     "Potential",
-    "DerivativeReport",
     "make_potential",
     "parse_potential",
-    "derivative_check",
 ]
 
 
@@ -160,31 +158,3 @@ def parse_potential(text: str, n: int) -> Potential:
             raise ValueError(f"bad {name} parameter {arg!r}") from None
         return make_potential(name, alpha=alpha)
     raise ValueError(f"unknown potential {text!r}")
-
-
-class DerivativeReport(NamedTuple):
-    order: int
-    grid_size: int
-    max_rel_dev: float
-
-
-def derivative_check(pot: Potential, order: int, grid) -> DerivativeReport:
-    """Compare analytic derivatives with central finite differences on a grid."""
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order!r}")
-    t = np.asarray(grid, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("grid must be a nonempty 1-D sequence")
-    if np.max(t) >= 1.0 or np.min(t) < -1.0:
-        raise ValueError("grid points must lie in [-1, 1)")
-    step = 1e-5 * np.maximum(1.0, np.abs(t))
-    step = np.minimum(step, 0.25 * (1.0 - t))
-    up, dn = pot(t + step), pot(t - step)
-    if order == 1:
-        approx = (up - dn) / (2.0 * step)
-        exact = np.asarray(pot.deriv(t), dtype=float)
-    else:
-        approx = (up - 2.0 * pot(t) + dn) / step**2
-        exact = np.asarray(pot.deriv_p(t, 2), dtype=float)
-    dev = np.abs(approx - exact) / np.maximum(1.0, np.abs(exact))
-    return DerivativeReport(order, t.size, float(np.max(dev)))

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import sphenergy
-from sphenergy.bounds import COEFF_TOL, GAP_TOL, NODE_TOL
-from sphenergy.cli import main, recheck_certificate
+from sphenergy.bounds import COEFF_TOL, GAP_TOL, NODE_TOL, recheck_certificate
+from sphenergy.cli import main
 from sphenergy.levenshtein import EXACTNESS_TOL
 
 SCHEMA_KEYS = {
@@ -307,26 +307,40 @@ import contextlib, io, sys
 from sphenergy.cli import main
 for argv in (["bound", "-n", "5", "-M", "11", "-s", "auto-ez"],
              ["strip", "-n", "8", "-M", "240", "-s", "0.5", "--format", "json"],
-             ["table", "--nmin", "2", "--nmax", "4"]):
+             ["table", "--nmin", "2", "--nmax", "4"],
+             ["verify", "--generate", "simplex:4"],
+             ["testfn", "-n", "5", "-s", "0.5", "--jmax", "8"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def run_probe(code: str) -> str:
-    """Stdout of ``code`` run by a fresh interpreter that imports this sphenergy."""
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this sphenergy, run with ``args``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def run_probe(code: str) -> str:
+    """Stdout of ``code`` run by a fresh interpreter that imports this sphenergy."""
+    out = run_python("-c", code)
+    out.check_returncode()
     return out.stdout
 
 
 def test_cli_bound_strip_table_never_import_scipy():
     # importing scipy costs about as much as the rest of a CLI call
     assert run_probe(IMPORT_PROBE).strip() == "[]"
+
+
+def test_python_dash_m_runs_the_cli():
+    version = run_python("-m", "sphenergy.cli", "--version")
+    assert (version.returncode, version.stdout) == (0, f"sphenergy {sphenergy.__version__}\n")
+    infeasible = run_python("-m", "sphenergy.cli", "bound", "-n", "4", "-M", "27", "-s", "0.5")
+    assert infeasible.returncode == 2
+    assert infeasible.stderr.startswith("infeasible:")
 
 
 FIXED_COST_PROBE = """

@@ -15,8 +15,6 @@ from sphenergy.codes import (
     COVER_TOL,
     EZ_N5_COSINES,
     SphericalCode,
-    dd_system_solve,
-    distance_distribution,
     energy,
     ez_energy_n5,
     ez_separation,
@@ -278,65 +276,6 @@ def test_verify_strip_memory_is_linear_in_the_size():
     assert peak < 8 * code.size**2 / 4
 
 
-def test_distance_distribution_named_codes():
-    n = 5
-    dd = distance_distribution(generate("cross_polytope", n))
-    assert dd.entries == ((-1.0, 1), (0.0, 2 * n - 2))
-    dd = distance_distribution(generate("orthonormal", n))
-    assert dd.entries == ((0.0, n - 1),)
-    dd = distance_distribution(generate("simplex", n))
-    assert len(dd.entries) == 1
-    t, count = dd.entries[0]
-    assert t == pytest.approx(-1.0 / n, abs=1e-12)
-    assert count == n
-
-    ico = distance_distribution(generate("icosahedron"), anchor=3)
-    assert ico.anchor == 3
-    assert [c for _, c in ico.entries] == [1, 5, 5]
-    inv = 1.0 / math.sqrt(5.0)
-    assert [t for t, _ in ico.entries] == pytest.approx([-1.0, -inv, inv], abs=1e-12)
-
-
-def test_distance_distribution_counts_sum():
-    rng = np.random.RandomState(73)
-    code = random_code(rng, 14, 4)
-    for anchor in (0, 7, 13):
-        dd = distance_distribution(code, anchor=anchor)
-        assert sum(c for _, c in dd.entries) == code.size - 1
-    with pytest.raises(ValueError):
-        distance_distribution(code, anchor=14)
-
-
-def test_dd_system_solve_cross_polytope():
-    n = 4
-    quad = quadrature(n, 0.0)
-    rep = dd_system_solve(n, 2 * n, quad, [1, 2])
-    assert rep.unique
-    assert rep.residual < 1e-10
-    assert rep.values == pytest.approx([1.0, 2 * n - 2], abs=1e-9)
-    assert rep.predicted == pytest.approx(rep.values, abs=1e-8)
-    assert rep.matches_quadrature
-
-
-def test_dd_system_solve_underdetermined():
-    quad = quadrature(4, 0.5)
-    assert quad.nodes.size == 3
-    rep = dd_system_solve(4, 24, quad, [1])
-    assert not rep.unique
-    assert rep.rank == 2
-    assert not rep.matches_quadrature
-
-
-def test_dd_system_solve_rejects_bad_indices():
-    quad = quadrature(4, 0.0)
-    with pytest.raises(ValueError):
-        dd_system_solve(4, 8, quad, [])
-    with pytest.raises(ValueError):
-        dd_system_solve(4, 8, quad, [0, 1])
-    with pytest.raises(ValueError):
-        dd_system_solve(4, 8, quad, [1, quad.m + 1])
-
-
 def test_load_code_good_file(tmp_path):
     path = tmp_path / "square.txt"
     path.write_text(
@@ -347,7 +286,7 @@ def test_load_code_good_file(tmp_path):
         "-1, 0  # opposite corner\n"
         "0,-1\n"
     )
-    code = load_code(path, dim_hint=2)
+    code = load_code(path)
     assert code.size == 4
     assert code.dim == 2
     assert separation(code) == pytest.approx(0.0, abs=1e-12)
@@ -376,11 +315,6 @@ def test_load_code_rejects_bad_files(tmp_path):
     garbled.write_text("1 0\nzero one\n")
     with pytest.raises(ValueError, match="line 2"):
         load_code(garbled)
-
-    square = tmp_path / "square.txt"
-    square.write_text("1 0\n0 1\n")
-    with pytest.raises(ValueError, match="dimension"):
-        load_code(square, dim_hint=3)
 
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")

@@ -161,6 +161,9 @@ def test_quadrature_orthonormal_case_is_exact():
         assert np.allclose(rule.nodes, [-1.0, 0.0], atol=1e-12)
         assert np.allclose(rule.weights, [1 / (2 * n), (n - 1) / n], atol=1e-12)
         assert rule.N == pytest.approx(2 * n, abs=1e-10)
+    # N rho_i is the cross polytope's distance distribution: 1 antipode, 6 orthogonal
+    rule = quadrature(4, 0.0)
+    assert rule.weights * rule.N == pytest.approx([1.0, 6.0], abs=1e-9)
 
 
 def test_quadrature_partition_of_unity_and_exactness():

@@ -8,13 +8,13 @@ import scipy.special as sps
 from numpy.polynomial.chebyshev import poly2cheb
 from numpy.polynomial.polynomial import polyfromroots
 
+from oracles import gegen_coefficient_integral
 from sphenergy.bounds import _GRID_COSINES
 from sphenergy.orthopoly import (
     GegenPoly,
     JacobiParams,
     _monic_recurrence,
     eval_gegenbauer,
-    gegen_coefficient_integral,
     gegenbauer_table,
     greatest_zero,
     jacobi_zeros,

@@ -1,5 +1,6 @@
 """The package's public surface: each module's ``__all__`` is the one list."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -20,10 +21,23 @@ def test_package_exports_each_module_list_once():
             assert getattr(sphenergy, name) is vars(mod)[name], name
 
 
-def test_cli_exports_the_certificate_functions_of_bounds():
+def test_test_only_names_and_keywords_are_not_public():
+    # none of these is part of the bound pipeline; the reference oracles
+    # among them are in tests/oracles.py
+    removed = {
+        codes: ("distance_distribution", "DistanceDistribution", "dd_system_solve", "DDSolveReport"),
+        potentials: ("derivative_check", "DerivativeReport"),
+        orthopoly: ("gegen_coefficient_integral",),
+    }
+    listed = dir(sphenergy)
+    for mod, names in removed.items():
+        for name in names:
+            assert name not in sphenergy.__all__ and name not in listed, name
+            assert name not in mod.__all__ and not hasattr(mod, name), name
     for name in ("certificate_to_dict", "strip_to_dict", "recheck_certificate"):
-        assert name in sphenergy.cli.__all__
-        assert getattr(sphenergy.cli, name) is getattr(bounds, name)
+        assert name not in sphenergy.cli.__all__
+    assert "extra_node" not in inspect.signature(bounds.uub).parameters
+    assert "dim_hint" not in inspect.signature(codes.load_code).parameters
 
 
 def test_codes_loads_on_first_use_only():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sphenergy.potentials import derivative_check, make_potential, parse_potential
+from oracles import derivative_check
+from sphenergy.potentials import make_potential, parse_potential
 
 
 def test_newton_closed_form():
