@@ -30,7 +30,6 @@ from .orthopoly import (
     GegenPoly,
     JacobiParams,
     _check_dim,
-    gegenbauer_table,
     gegenbauer_terms,
     greatest_zero,
     jacobi_zeros,
@@ -257,7 +256,13 @@ def levenshtein_poly(
 
 
 class QuadratureRule(NamedTuple):
-    """1/N quadrature: f_0 = f(1)/N + sum rho_i f(alpha_i), exact to degree m."""
+    """1/N quadrature: f_0 = f(1)/N + sum rho_i f(alpha_i), exact to degree m.
+
+    ``table`` is the read-only, C-contiguous (m + 1) x q array with
+    table[j, i] = P_j^{(n)}(alpha_i), the one the weights were solved and
+    checked with; a polynomial f of degree m takes the values
+    ``f.coeffs @ table`` at the nodes.
+    """
 
     dim: int
     interval: IntervalIndex
@@ -265,6 +270,7 @@ class QuadratureRule(NamedTuple):
     N: float
     nodes: np.ndarray
     weights: np.ndarray
+    table: np.ndarray
     residual: float
 
     @property
@@ -285,7 +291,12 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     roots = lev_poly_roots(n, interval, s)
     N = lev_value(n, interval, s)
     q = roots.size  # = k + eps
-    table = gegenbauer_table(n, interval.m, roots)
+    # P_j(alpha_i) on plain floats, one node at a time, which rounds like
+    # gegenbauer_table.  The table is stored in C order as gegenbauer_table
+    # returns it: on the transposed view, ``table @ weights`` takes another
+    # BLAS path and rounds differently.
+    table = np.array([[1.0, *gegenbauer_terms(n, interval.m, a)] for a in roots.tolist()]).T.copy()
+    table.setflags(write=False)
     rhs = np.full(q, -1.0 / N)
     rhs[0] += 1.0
     weights = np.linalg.solve(table[:q], rhs)
@@ -298,7 +309,7 @@ def quadrature(n: int, s: float) -> QuadratureRule:
         raise CertificationError(
             f"quadrature exactness residual {residual:.3e} exceeds {EXACTNESS_TOL:g} (n={n}, s={s})"
         )
-    return QuadratureRule(n, interval, s, N, roots, weights, residual)
+    return QuadratureRule(n, interval, s, N, roots, weights, table, residual)
 
 
 def exactness_residual(table: np.ndarray, weights: np.ndarray, N: float) -> float:

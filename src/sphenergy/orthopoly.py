@@ -20,8 +20,12 @@ than in arithmetic.  The coefficients become an ndarray once, when a
 products runs on ndarrays, through the one recurrence ``gegenbauer_terms``,
 P_{i+1} = a_i (t P_i) - b_i P_{i-1} with the ratios a_i, b_i folded into
 two floats per step.  For an ndarray argument a step is four in-place
-passes over three reused buffers, so a yielded array is overwritten two
-steps later and a caller that keeps terms must copy them.
+passes.  ``gegenbauer_table`` has the recurrence write each term into its
+own row of the table, which the caller keeps; streamed alone, the terms
+take turns in three reused buffers, so a yielded array is overwritten two
+steps later and a caller that keeps terms must copy them.  A table at a
+handful of points (the quadrature nodes) is cheaper on plain floats, one
+point at a time, which rounds exactly like the ndarray path.
 
 Zeros of Jacobi polynomials P_i^{(a,b)} supply the interval endpoints
 and quadrature nodes.  They are the eigenvalues of the symmetric
@@ -68,7 +72,7 @@ def _check_degree(i) -> int:
     return int(i)
 
 
-def gegenbauer_terms(n: int, i_max: int, t):
+def gegenbauer_terms(n: int, i_max: int, t, rows=None):
     """Yield P_1^{(n)}(t), ..., P_{i_max}^{(n)}(t) by the forward recurrence
 
         P_{i+1} = a_i * (t * P_i) - b_i * P_{i-1},
@@ -77,11 +81,13 @@ def gegenbauer_terms(n: int, i_max: int, t):
     P_0 = 1 is left to the caller.  t may be a float, which keeps the whole
     recurrence in plain Python floats, or an ndarray; both paths round the
     same operations in the same order, so they agree bitwise.  P_1 is t
-    itself.  For an ndarray the later terms live in three buffers of t's
-    shape that take turns, and each step makes four in-place passes: the
-    array yielded as P_j is overwritten while P_{j+2} is computed, so a
-    caller that keeps a term past the next step must copy it.  t is never
-    written.
+    itself.  For an ndarray each later step makes four in-place passes, and
+    where P_j is written depends on ``rows``: given an array of shape
+    (i_max + 1, *t.shape), P_j goes into rows[j] for j >= 2 and stays there
+    for the caller to keep; without it, the terms live in three buffers of
+    t's shape that take turns, so the array yielded as P_j is overwritten
+    while P_{j+2} is computed and a caller that keeps a term past the next
+    step must copy it.  t is never written.
     """
     if i_max < 1:
         return
@@ -93,13 +99,19 @@ def gegenbauer_terms(n: int, i_max: int, t):
             prev, cur = cur, a * (t * cur) - b * prev
             yield cur
         return
-    # Step i writes t * P_i, then P_{i+1}, into bufs[i % 3] and b_i * P_{i-1}
-    # into bufs[(i + 1) % 3], which from i = 3 on is the buffer of P_{i-1}.
-    bufs = [np.empty_like(t, dtype=float) for _ in range(3)]
+    # Step i writes t * P_i, then P_{i+1}, into the first array of its pair
+    # and b_i * P_{i-1} into the second: rows[i + 1] and one spare buffer, or,
+    # streamed, bufs[i % 3] and bufs[(i + 1) % 3], which from i = 3 on is the
+    # buffer of P_{i-1}.
+    if rows is None:
+        bufs = [np.empty_like(t, dtype=float) for _ in range(3)]
+        pairs = [(bufs[i % 3], bufs[(i + 1) % 3]) for i in range(1, i_max)]
+    else:
+        spare = np.empty_like(t, dtype=float)
+        pairs = [(rows[i + 1, ...], spare) for i in range(1, i_max)]  # views, also for 0-d t
     prev, cur = 1.0, t
-    for i in range(1, i_max):
+    for i, (new, scaled) in enumerate(pairs, start=1):
         a, b = (2 * i + n - 2) / (i + n - 2), i / (i + n - 2)
-        new, scaled = bufs[i % 3], bufs[(i + 1) % 3]
         np.multiply(t, cur, out=new)
         new *= a
         new -= np.multiply(b, prev, out=scaled)
@@ -110,15 +122,18 @@ def gegenbauer_terms(n: int, i_max: int, t):
 def gegenbauer_table(n: int, i_max: int, t) -> np.ndarray:
     """Stack P_0^{(n)}(t), ..., P_{i_max}^{(n)}(t) along a new leading axis.
 
-    t may be a scalar or any ndarray; the result has shape (i_max + 1, *t.shape).
+    t may be a scalar or any ndarray; the result has shape (i_max + 1, *t.shape)
+    and is C-contiguous.  The recurrence writes each term straight into its row.
     """
     n = _check_dim(n)
     i_max = _check_degree(i_max)
     t = np.asarray(t, dtype=float)
     out = np.empty((i_max + 1,) + t.shape, dtype=float)
     out[0] = 1.0
-    for i, p in enumerate(gegenbauer_terms(n, i_max, t), start=1):
-        out[i] = p
+    if i_max:
+        out[1] = t
+    for _ in gegenbauer_terms(n, i_max, t, out):
+        pass
     return out
 
 

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sphenergy.cli
@@ -30,7 +30,7 @@ from sphenergy.bounds import (
     uub,
 )
 from sphenergy.bounds import test_functions as lp_test_functions
-from sphenergy.errors import InfeasibleClassError
+from sphenergy.errors import CertificationError, InfeasibleClassError, NumericsError
 from sphenergy.levenshtein import (
     find_interval,
     interval_for,
@@ -366,3 +366,34 @@ def test_feasibility_grid_is_np_unique_bitwise(case):
     grid = 0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _GRID_COSINES
     ours, ref = _feasibility_grid(s, nodes), np.unique(np.concatenate([grid, nodes]))
     assert ours.dtype == ref.dtype and ours.view(np.int64).tolist() == ref.view(np.int64).tolist()
+
+
+@st.composite
+def node_table_classes(draw):
+    n = draw(st.integers(2, 24))
+    iv = interval_for(n, draw(st.one_of(st.integers(1, 20), st.sampled_from([32, 48, 64]))))
+    s = draw(st.one_of(st.just(iv.lo), st.just(iv.hi), st.floats(iv.lo, iv.hi)))
+    return n, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(node_table_classes())
+def test_quadrature_table_serves_every_evaluation_at_the_nodes_bitwise(case):
+    # uub's node gate reads f(nodes) as f.coeffs @ quad.table.
+    n, s = case
+    try:
+        quad = quadrature(n, s)
+    except (CertificationError, NumericsError):
+        assume(False)
+    table = quad.table
+    assert table.flags.c_contiguous and not table.flags.writeable
+    assert table.view(np.int64).tolist() == gegenbauer_table(n, quad.m, quad.nodes).view(np.int64).tolist()
+    polys = []
+    try:  # either may refuse the class
+        polys.append(levenshtein_poly(n, quad.interval, quad.s, quad.nodes).gegen)
+        polys.append(uub(n, quad.N, quad.s, make_potential("newton", n=n)).f)
+    except (CertificationError, NumericsError):
+        pass
+    for f in polys:
+        assert f.coeffs.size == quad.m + 1
+        assert (f.coeffs @ table).view(np.int64).tolist() == f(quad.nodes).view(np.int64).tolist()

@@ -5,15 +5,26 @@ for the four anchor classes before the coefficient kernels moved to plain
 floats, and that ``verify`` on the icosahedron and ``testfn`` at (5, s_ez)
 printed before the unused Jacobi evaluator was removed.  Ints, strings,
 bools and nulls must match exactly; floats within 1e-12 * max(1, |old|, |new|).
+
+``refusals.json`` pins which classes ``strip`` certifies and which it
+refuses: ``uub``'s node-residual gate decides borderline classes by
+roundoff, so a change of arithmetic shows there first.  It holds what
+``refusal_entry`` returned for every class of ``REFUSAL_CLASSES`` before the
+quadrature kept its node table.
 """
 
 import json
 import math
 import os
+import re
 
 import pytest
 
+from sphenergy.bounds import strip
 from sphenergy.cli import main
+from sphenergy.errors import CertificationError, NumericsError
+from sphenergy.levenshtein import dgs_number, interval_for
+from sphenergy.potentials import parse_potential
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -66,3 +77,28 @@ def test_output_matches_golden(capsys, name, argv):
         golden = json.load(fh)
     assert main(argv) == 0
     assert mismatches(golden, json.loads(capsys.readouterr().out)) == []
+
+
+# Each class sits at the midpoint of I_m with M = D(n, m); m = 1..20 reaches
+# the band m = 14..19 where uub refuses.
+REFUSAL_CLASSES = [
+    (n, m, kernel) for n in (3, 5, 8, 24) for m in range(1, 21) for kernel in ("newton", "gauss:2")
+]
+
+
+def refusal_entry(n, m, kernel):
+    """The strip's two ends, or the refusing gate's message up to its first number."""
+    iv = interval_for(n, m)
+    try:
+        es = strip(n, dgs_number(n, m), 0.5 * (iv.lo + iv.hi), parse_potential(kernel, n))
+    except (CertificationError, NumericsError) as exc:
+        return {"refused": f"{type(exc).__name__}: {re.split(r'[-+]?[.]?[0-9]', str(exc))[0].rstrip()}"}
+    return {"uub": es.uub, "ulb": es.ulb}
+
+
+def test_certified_and_refused_classes_match_golden():
+    with open(os.path.join(DATA, "refusals.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    got = {f"{n} {m} {kernel}": refusal_entry(n, m, kernel) for n, m, kernel in REFUSAL_CLASSES}
+    assert list(got) == list(golden)
+    assert mismatches(golden, got) == []

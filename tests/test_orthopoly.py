@@ -16,6 +16,7 @@ from sphenergy.orthopoly import (
     _monic_recurrence,
     eval_gegenbauer,
     gegenbauer_table,
+    gegenbauer_terms,
     greatest_zero,
     jacobi_zeros,
     product_to_gegen,
@@ -94,25 +95,38 @@ def test_gegenbauer_table_stacks_evaluations():
             assert tab[i, j] == pytest.approx(eval_gegenbauer(5, i, x), abs=1e-13)
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64).tolist()
+
+
 def test_gegenbauer_table_rows_are_eval_gegenbauer_bitwise():
+    # The rows, filled in place for 0-d, 1-d and 2-d t, equal eval_gegenbauer
+    # on the array and, point by point, its plain-float path.
     rng = np.random.RandomState(31)
     for n in (2, 3, 5, 24):
-        t = rng.uniform(-1, 1, size=(3, 7))
-        tab = gegenbauer_table(n, 20, t)
-        for i in range(21):
-            assert np.array_equal(tab[i], eval_gegenbauer(n, i, t))
-            assert tab[i, 1, 2] == eval_gegenbauer(n, i, float(t[1, 2]))
+        for shape in ((), (7,), (3, 7)):
+            t = rng.uniform(-1, 1, size=shape)
+            for i_max in (0, 1, 2, 20):
+                tab = gegenbauer_table(n, i_max, t)
+                assert tab.shape == (i_max + 1, *shape) and tab.flags.c_contiguous
+                for i in range(i_max + 1):
+                    assert bits(tab[i]) == bits(eval_gegenbauer(n, i, t))
+                    points = zip(np.ravel(t).tolist(), np.ravel(tab[i]))
+                    assert all(bits(p) == bits(eval_gegenbauer(n, i, x)) for x, p in points)
 
 
 def test_recurrence_leaves_its_argument_unchanged():
-    t = np.linspace(-1, 1, 9)
-    before = t.copy()
-    t.flags.writeable = False  # any write into t would raise
-    gegenbauer_table(6, 12, t)
-    eval_gegenbauer(6, 12, t)
-    basis_poly(6, 12).deriv(t)
-    GegenPoly(6, np.arange(1.0, 8.0))(t)
-    assert np.array_equal(t, before)
+    for t in (np.array(0.3), np.linspace(-1, 1, 9), np.linspace(-1, 1, 12).reshape(3, 4)):
+        before = t.copy()
+        t.flags.writeable = False  # any write into t would raise
+        for i_max in (0, 1, 2, 12, 20):
+            gegenbauer_table(6, i_max, t)
+            eval_gegenbauer(6, i_max, t)
+            basis_poly(6, i_max).deriv(t)
+            GegenPoly(6, np.arange(1.0, i_max + 2.0))(t)
+            for _ in gegenbauer_terms(6, i_max, t):
+                pass
+        assert np.array_equal(t, before)
 
 
 def test_cached_recurrence_and_cosine_arrays_are_read_only():

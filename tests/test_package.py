@@ -12,6 +12,13 @@ from sphenergy import bounds, codes, errors, levenshtein, orthopoly, potentials
 MODULES = (bounds, codes, errors, levenshtein, orthopoly, potentials)
 
 
+def run_python(*args):
+    """A fresh interpreter that imports this checkout's sphenergy."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
 def test_package_exports_each_module_list_once():
     expected = ["__version__"] + [name for mod in MODULES for name in mod.__all__]
     assert sphenergy.__all__ == expected
@@ -42,12 +49,9 @@ def test_test_only_names_and_keywords_are_not_public():
 
 def test_codes_loads_on_first_use_only():
     # dir() lists codes' names without importing it; the first name used does.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys, sphenergy; dir(sphenergy); print('sphenergy.codes' in sys.modules, "
              "sphenergy.verify_strip is sys.modules['sphenergy.codes'].verify_strip)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "True"]
+    assert run_python("-c", probe).stdout.split() == ["False", "True"]
 
 
 def test_star_import_and_dir_list_every_codes_name():
@@ -58,3 +62,9 @@ def test_star_import_and_dir_list_every_codes_name():
         assert star[name] is vars(codes)[name], name
         assert name in listed, name
     assert "codes" in listed
+
+
+def test_imports_raise_no_warning():
+    # -W error turns any warning raised while importing into a failure.
+    out = run_python("-W", "error", "-c", "import sphenergy, sphenergy.codes, sphenergy.cli")
+    assert (out.returncode, out.stderr) == (0, "")
