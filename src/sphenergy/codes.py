@@ -14,8 +14,11 @@ each block.  The separation, a maximum that a mirrored pair cannot change,
 reads each row block whole with its diagonal overwritten instead of
 masking it to the upper triangle.  ``verify_strip`` makes two passes: one
 for the separation, which fixes the bound class, and one for energy,
-moments and node coverage, which sorts each block once its sums are taken
-and counts the products in a window of +-COVER_TOL about each node.
+moments and node coverage, which sorts each block first.  When the sorted
+block's distinct values are at most half of it, as on designs and sharp
+codes, h and every P_i are evaluated once per distinct value and weighted
+by its count; node coverage counts the sorted products in a window of
++-COVER_TOL about each node.
 """
 
 from __future__ import annotations
@@ -222,18 +225,47 @@ def _add_gegen_sums(n: int, vals: np.ndarray, sums: np.ndarray) -> None:
         sums[i] += float(p.sum())
 
 
+def _run_starts(vals: np.ndarray) -> np.ndarray:
+    # For ascending vals: True where a run of equal values begins.
+    starts = np.empty(vals.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=starts[1:])
+    return starts
+
+
+def _runs(vals: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ascending ``vals`` and their counts (as floats),
+    from the run starts that ``_run_starts`` marks."""
+    first = np.flatnonzero(starts)
+    return vals[first], np.diff(first, append=vals.size).astype(float)
+
+
+def _reduce_sorted(n: int, pot: Potential, vals: np.ndarray, sums: np.ndarray) -> float:
+    """Add sum P_i(vals) to sums[i - 1] and return sum h(vals), for ascending
+    ``vals``.  When at most half the values are distinct, both sums run over
+    the distinct values, each weighted by its count; otherwise over vals."""
+    starts = _run_starts(vals)
+    if 2 * np.count_nonzero(starts) > vals.size:
+        _add_gegen_sums(n, vals, sums)
+        return float(pot(vals).sum())
+    values, counts = _runs(vals, starts)
+    for i, p in enumerate(gegenbauer_terms(n, sums.size, values)):
+        sums[i] += float(counts @ p)
+    return float(counts @ pot(values))
+
+
 def _moments_from_sums(size: int, sums: np.ndarray) -> np.ndarray:
     # The diagonal adds P_i(1) = 1 per point, the lower triangle mirrors the upper.
     return np.concatenate(([float(size) * size], size + 2.0 * sums))
 
 
 def _nodes_cover(vals: np.ndarray, nodes: np.ndarray) -> bool:
-    """Whether every value lies within COVER_TOL of a node (nodes ascending).
+    """Whether every value lies within COVER_TOL of a node (vals and nodes
+    ascending).
 
-    Sorts ``vals`` in place.  The window about nodes[k] holds the sorted
-    values lo[k]..hi[k] - 1; the windows, which may overlap, hold them all
-    iff no value lies before, between or after them."""
-    vals.sort()
+    The window about nodes[k] holds the values lo[k]..hi[k] - 1; the
+    windows, which may overlap, hold them all iff no value lies before,
+    between or after them."""
     lo = np.searchsorted(vals, nodes - COVER_TOL, "left")
     hi = np.searchsorted(vals, nodes + COVER_TOL, "right")
     return bool(lo[0] == 0 and hi[-1] == vals.size and np.all(lo[1:] <= hi[:-1]))
@@ -302,8 +334,10 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
 
     The inner products are streamed twice: once for s(C), which fixes m and
     the nodes and reads each row block whole, unmasked (see ``separation``),
-    then once over the masked upper triangle for the energy, the moments
-    and, by sorting each block, node coverage (see ``_nodes_cover``).  A code
+    then once over the masked upper triangle, which sorts each block and
+    takes from it the energy, the moments (over the distinct values with
+    their counts when those at least halve the block, see ``_reduce_sorted``)
+    and node coverage (see ``_nodes_cover``).  A code
     with a repeated point raises InfiniteEnergyError for a kernel infinite
     at t = 1 and ValueError for any other kernel.
     """
@@ -318,8 +352,8 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     quad = es.uub_cert.quad
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True
     for vals in _triu_blocks(code.points):
-        half_energy += float(pot(vals).sum())
-        _add_gegen_sums(code.dim, vals, sums)
+        vals.sort()
+        half_energy += _reduce_sorted(code.dim, pot, vals, sums)
         covered = covered and _nodes_cover(vals, quad.nodes)
     e = 2.0 * half_energy
     tol = STRIP_TOL * max(1.0, abs(es.uub), abs(es.ulb))

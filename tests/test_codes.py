@@ -185,9 +185,71 @@ def test_nodes_cover_matches_the_nearest_node_distance(case):
     # differ from |v - alpha| <= COVER_TOL by an ulp.
     assume(np.all(np.abs(dist - COVER_TOL) > 1e-12))
     expected = bool(np.all(dist <= COVER_TOL))
-    work = vals.copy()
-    assert codes_module._nodes_cover(work, nodes) == expected
-    assert np.array_equal(work, np.sort(vals))
+    assert codes_module._nodes_cover(np.sort(vals), nodes) == expected
+
+
+@st.composite
+def gram_blocks(draw):
+    # A flat block of products in [-1, 1], drawn either from a pool of at
+    # most 6 values (forced repeats) or freely.
+    pool = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        pool = st.sampled_from(draw(st.lists(pool, min_size=1, max_size=6)))
+    # -0.0 and 0.0 compare equal and so share a run; adding 0.0 makes every
+    # zero +0.0, so that the bitwise comparison below is meaningful.
+    return np.array(draw(st.lists(pool, min_size=1, max_size=60))) + 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram_blocks())
+def test_runs_rebuild_the_sorted_block(block):
+    vals = np.sort(block)
+    values, counts = codes_module._runs(vals, codes_module._run_starts(vals))
+    assert np.all(values[1:] > values[:-1])
+    assert np.all(counts > 0) and counts.sum() == block.size
+    rebuilt = np.repeat(values, counts.astype(int))
+    assert np.array_equal(rebuilt.view(np.int64), vals.view(np.int64))
+
+
+def _e8_roots():
+    # The 240 roots of E8 scaled to the sphere: the 112 (+-1, +-1, 0^6)
+    # permutations and the 128 (+-1/2)^8 with an even number of minus signs.
+    pairs = [
+        np.eye(8)[i] * a + np.eye(8)[j] * b
+        for i in range(8)
+        for j in range(i + 1, 8)
+        for a in (1.0, -1.0)
+        for b in (1.0, -1.0)
+    ]
+    signs = np.array(np.meshgrid(*[[0.5, -0.5]] * 8, indexing="ij")).reshape(8, -1).T
+    halves = signs[np.sum(signs < 0, axis=1) % 2 == 0]
+    return np.vstack([pairs, halves]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("block_elems", [7, 50])
+def test_verify_strip_over_distinct_products_matches_the_dense_gram(monkeypatch, block_elems):
+    # E8 has 4 distinct products between distinct points.  Rotated, each
+    # spreads over a few neighbouring floats: about 70% of the blocks (one
+    # row each, bar the last few) then hold at most half as many distinct
+    # values as products and take the sums over distinct values with their
+    # counts, the rest the plain sums.
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+    rotation = np.linalg.qr(np.random.RandomState(89).randn(8, 8))[0]
+    code = SphericalCode(_e8_roots() @ rotation)
+    blocks = [np.sort(v) for v in codes_module._triu_blocks(code.points)]
+    compressed = [2 * np.count_nonzero(codes_module._run_starts(v)) <= v.size for v in blocks]
+    assert any(compressed) and not all(compressed)
+
+    pot = make_potential("riesz", alpha=1.0)
+    v = verify_strip(code, pot)
+    gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
+    off = gram[np.triu_indices(code.size, k=1)]
+    assert v.energy == pytest.approx(2.0 * float(np.sum(pot(off))), rel=1e-13)
+    dense = gegenbauer_table(code.dim, v.strip.uub_cert.quad.m, gram).sum(axis=(1, 2))
+    assert v.moments == pytest.approx(dense, abs=1e-12 * code.size**2)
+    assert v.separation == pytest.approx(0.5, abs=1e-12)
+    assert v.strip.sharp and v.inside and v.attains_uub and v.attains_ulb
+    assert v.nodes_cover_products
 
 
 def _late_off_node_code():
