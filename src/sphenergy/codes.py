@@ -14,11 +14,10 @@ each block.  The separation, a maximum that a mirrored pair cannot change,
 reads each row block whole with its diagonal overwritten instead of
 masking it to the upper triangle.  ``verify_strip`` makes two passes: one
 for the separation, which fixes the bound class, and one for energy,
-moments and node coverage, which sorts each block first.  When the sorted
-block's distinct values are at most half of it, as on designs and sharp
-codes, h and every P_i are evaluated once per distinct value and weighted
-by its count; node coverage counts the sorted products in a window of
-+-COVER_TOL about each node.
+moments and node coverage, which sorts each block first and evaluates h
+and every P_i once per distinct value, weighted by its count: designs and
+sharp codes have few distinct products.  Node coverage counts the distinct
+products in a window of +-COVER_TOL about each node.
 """
 
 from __future__ import annotations
@@ -225,33 +224,15 @@ def _add_gegen_sums(n: int, vals: np.ndarray, sums: np.ndarray) -> None:
         sums[i] += float(p.sum())
 
 
-def _run_starts(vals: np.ndarray) -> np.ndarray:
-    # For ascending vals: True where a run of equal values begins.
-    starts = np.empty(vals.size, dtype=bool)
-    starts[:1] = True
-    np.not_equal(vals[1:], vals[:-1], out=starts[1:])
-    return starts
-
-
-def _runs(vals: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ascending ``vals`` and their counts (as floats),
-    from the run starts that ``_run_starts`` marks."""
-    first = np.flatnonzero(starts)
-    return vals[first], np.diff(first, append=vals.size).astype(float)
-
-
-def _reduce_sorted(n: int, pot: Potential, vals: np.ndarray, sums: np.ndarray) -> float:
-    """Add sum P_i(vals) to sums[i - 1] and return sum h(vals), for ascending
-    ``vals``.  When at most half the values are distinct, both sums run over
-    the distinct values, each weighted by its count; otherwise over vals."""
-    starts = _run_starts(vals)
-    if 2 * np.count_nonzero(starts) > vals.size:
-        _add_gegen_sums(n, vals, sums)
-        return float(pot(vals).sum())
-    values, counts = _runs(vals, starts)
-    for i, p in enumerate(gegenbauer_terms(n, sums.size, values)):
-        sums[i] += float(counts @ p)
-    return float(counts @ pot(values))
+def _runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ascending ``vals`` and their counts (as floats).
+    A run of equal values starts at 0 and wherever vals[k] != vals[k - 1];
+    the edges mark those starts and the end of the last run."""
+    edges = np.empty(vals.size + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(vals[1:], vals[:-1], out=edges[1:-1])
+    at = np.flatnonzero(edges)
+    return vals[at[:-1]], np.diff(at).astype(float)
 
 
 def _moments_from_sums(size: int, sums: np.ndarray) -> np.ndarray:
@@ -334,12 +315,12 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
 
     The inner products are streamed twice: once for s(C), which fixes m and
     the nodes and reads each row block whole, unmasked (see ``separation``),
-    then once over the masked upper triangle, which sorts each block and
-    takes from it the energy, the moments (over the distinct values with
-    their counts when those at least halve the block, see ``_reduce_sorted``)
-    and node coverage (see ``_nodes_cover``).  A code
-    with a repeated point raises InfiniteEnergyError for a kernel infinite
-    at t = 1 and ValueError for any other kernel.
+    then once over the masked upper triangle, which sorts each block, takes
+    the energy and the moments over its distinct values, weighted by their
+    counts (see ``_runs``), and node coverage from the same values (see
+    ``_nodes_cover``).  A code with a repeated point raises
+    InfiniteEnergyError for a kernel infinite at t = 1 and ValueError for
+    any other kernel.
     """
     s = separation(code)
     if not pot.finite_at_one:
@@ -353,8 +334,11 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True
     for vals in _triu_blocks(code.points):
         vals.sort()
-        half_energy += _reduce_sorted(code.dim, pot, vals, sums)
-        covered = covered and _nodes_cover(vals, quad.nodes)
+        values, counts = _runs(vals)
+        half_energy += float(counts @ pot(values))
+        for i, p in enumerate(gegenbauer_terms(code.dim, quad.m, values)):
+            sums[i] += float(counts @ p)
+        covered = covered and _nodes_cover(values, quad.nodes)
     e = 2.0 * half_energy
     tol = STRIP_TOL * max(1.0, abs(es.uub), abs(es.ulb))
     inside = (es.ulb - tol <= e) and (e <= es.uub + tol)
