@@ -19,6 +19,20 @@ for every code C of M points with separation at most s.  The lower bound
 evaluates the quadrature at the separation r solving L(n, r) = M; when
 M = L_m(n, s) the two bounds collapse and the certificate is sharp.
 
+``uub`` runs its gates from the cheapest up, so a refused class stops
+before the costlier work:
+
+1. the quadrature's weights and exactness, and the node polynomial's
+   Gegenbauer coefficients (all positive);
+2. the node residual, f = h at the nodes, read from the quadrature's own
+   node table;
+3. the two grid gates, on one feasibility grid and one table of P_j
+   there: the node polynomial <= 0 on [-1, s] (up to ``POSITIVITY_TOL``
+   of its scale), then f_i <= 0 for i >= 1 and f >= h;
+4. agreement of the two bound forms.
+
+A class refused before the grid gates never builds the grid table.
+
 ``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
 ``recheck_certificate`` re-runs the gates of ``uub`` on the stored numbers.
 """
@@ -41,7 +55,7 @@ from .levenshtein import (
     quadrature,
     solve_cardinality,
 )
-from .orthopoly import GegenPoly, _mul_linear, gegenbauer_table
+from .orthopoly import MAX_DEGREE, GegenPoly, _mul_linear, gegenbauer_table
 from .potentials import Potential, parse_potential
 
 __all__ = [
@@ -63,9 +77,12 @@ __all__ = [
     "recheck_certificate",
 ]
 
-# Grid tolerance for f - h >= 0 and coefficient tolerance for f_i <= 0.
+# Grid tolerance for f - h >= 0 and coefficient tolerance for f_i <= 0; the
+# largest value of the node polynomial on the grid, over its scale
+# max(1, max |f_m|), that counts as <= 0.
 GAP_TOL = 1e-9
 COEFF_TOL = 1e-12
+POSITIVITY_TOL = 1e-10
 DEFAULT_GRID = 2048
 # Chebyshev points on [-1, 1], read-only: every feasibility grid is this
 # one array mapped onto [-1, s].
@@ -106,6 +123,8 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     if any(z[i] == z[i + 2] for i in range(len(z) - 2)):  # z is sorted
         raise ValueError("node multiplicity above 2 is not supported")
     d = len(z)
+    if d - 1 > MAX_DEGREE:
+        raise ValueError(f"degree {d - 1} exceeds the supported maximum {MAX_DEGREE}")
     col = pot(np.array(z)).tolist()
     newton = [col[0]]
     for j in range(1, d):
@@ -202,11 +221,17 @@ def _node_residual(
     return res, h_vals
 
 
-def _check_feasibility(f: GegenPoly, pot: Potential, s: float, nodes: np.ndarray) -> FeasibilityReport:
+def _grid_table(n: int, s: float, nodes: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
+    # The feasibility grid and P_0..P_degree on it, C-contiguous, so
+    # p.coeffs @ table is p(grid) as GegenPoly.__call__ computes it.
+    grid = _feasibility_grid(s, nodes)
+    return grid, gegenbauer_table(n, degree, grid)
+
+
+def _check_feasibility(f: GegenPoly, pot: Potential, grid: np.ndarray, table: np.ndarray) -> FeasibilityReport:
     # Every f_i with i >= 1; a constant f has none, and passes.
     max_interior = float(np.max(f.coeffs[1:], initial=-math.inf))
-    grid = _feasibility_grid(s, nodes)
-    gap = f(grid) - pot(grid)
+    gap = f.coeffs @ table - pot(grid)
     min_gap = float(np.min(gap))
     passed = max_interior <= COEFF_TOL and min_gap >= -GAP_TOL
     return FeasibilityReport(max_interior, min_gap, grid.size, passed)
@@ -250,7 +275,12 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
     if node_res > NODE_TOL:
         raise CertificationError(f"interpolation residual {node_res:.3e} at the nodes")
 
-    feas = _check_feasibility(f, pot, quad.s, quad.nodes)
+    grid, table = _grid_table(n, quad.s, quad.nodes, quad.m)
+    lev_vals = lev.gegen.coeffs @ table
+    lev_max = float(np.max(lev_vals))
+    if lev_max > POSITIVITY_TOL * max(1.0, float(np.max(np.abs(lev_vals)))):
+        raise CertificationError(f"node polynomial is positive on [-1, s]: max {lev_max:.3e}")
+    feas = _check_feasibility(f, pot, grid, table)
     if not feas.passed:
         raise CertificationError(
             f"feasibility failed: max interior coefficient {feas.max_interior_coeff:.3e}, "
@@ -387,7 +417,7 @@ def recheck_certificate(doc: dict) -> dict:
     f = GegenPoly(n, doc["coefficients"]["f"])
     table = gegenbauer_table(n, max(m, f.coeffs.size - 1), nodes)
     node_res, h_vals = _node_residual(f, table, pot, nodes)
-    feas = _check_feasibility(f, pot, s, nodes)
+    feas = _check_feasibility(f, pot, *_grid_table(n, s, nodes, f.coeffs.size - 1))
     value, quad_form = _bound_forms(f, M, L, weights, h_vals)
     residual = exactness_residual(table[: m + 1], weights, L)
     stored = float(doc["bounds"]["uub"])
@@ -466,9 +496,8 @@ def optimality_probe(cert: BoundCertificate, trials: int = 100, seed: int = 0) -
         raise ValueError(f"trials must be positive, got {trials!r}")
     rng = np.random.default_rng(seed)
     m = cert.quad.m
-    grid = _feasibility_grid(cert.s, cert.quad.nodes)
-    table = gegenbauer_table(cert.dim, m, grid)
-    f_vals = cert.f(grid)
+    grid, table = _grid_table(cert.dim, cert.s, cert.quad.nodes, m)
+    f_vals = cert.f.coeffs @ table
     h_vals = cert.potential(grid)
     M = cert.M
     f_one = cert.f.at_one()

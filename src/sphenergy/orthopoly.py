@@ -18,14 +18,19 @@ Newton-to-Gegenbauer resynthesis) runs on Python lists of floats: at most
 than in arithmetic.  The coefficients become an ndarray once, when a
 ``GegenPoly`` is built.  Evaluation on grids and on blocks of inner
 products runs on ndarrays, through the one recurrence ``gegenbauer_terms``,
-P_{i+1} = a_i (t P_i) - b_i P_{i-1} with the ratios a_i, b_i folded into
-two floats per step.  For an ndarray argument a step is four in-place
-passes.  ``gegenbauer_table`` has the recurrence write each term into its
-own row of the table, which the caller keeps; streamed alone, the terms
-take turns in three reused buffers, so a yielded array is overwritten two
-steps later and a caller that keeps terms must copy them.  A table at a
+P_{i+1} = a_i (t P_i) - b_i P_{i-1}.  For an ndarray argument a step is
+four in-place passes.  ``gegenbauer_table`` has the recurrence write each
+term into its own row of the table, which the caller keeps; streamed
+alone, the terms take turns in three reused buffers, so a yielded array
+is overwritten two steps later and a caller that keeps terms must copy
+them.  A table at a
 handful of points (the quadrature nodes) is cheaper on plain floats, one
 point at a time, which rounds exactly like the ndarray path.
+
+What depends on the dimension alone is built once per dimension and
+cached: the recurrence ratios a_i, b_i, and the integer factors of the
+linearization as floats.  The cached values are the same expressions, so
+every result is bitwise what inline arithmetic gives.
 
 Zeros of Jacobi polynomials P_i^{(a,b)} supply the interval endpoints
 and quadrature nodes.  They are the eigenvalues of the symmetric
@@ -72,6 +77,12 @@ def _check_degree(i) -> int:
     return int(i)
 
 
+@lru_cache(maxsize=None)
+def _recurrence_ratios(n: int) -> tuple[tuple[float, float], ...]:
+    """(a_i, b_i) of ``gegenbauer_terms`` for i = 1 .. MAX_DEGREE - 1."""
+    return tuple(((2 * i + n - 2) / (i + n - 2), i / (i + n - 2)) for i in range(1, MAX_DEGREE))
+
+
 def gegenbauer_terms(n: int, i_max: int, t, rows=None):
     """Yield P_1^{(n)}(t), ..., P_{i_max}^{(n)}(t) by the forward recurrence
 
@@ -87,15 +98,17 @@ def gegenbauer_terms(n: int, i_max: int, t, rows=None):
     for the caller to keep; without it, the terms live in three buffers of
     t's shape that take turns, so the array yielded as P_j is overwritten
     while P_{j+2} is computed and a caller that keeps a term past the next
-    step must copy it.  t is never written.
+    step must copy it.  t is never written.  i_max is at most ``MAX_DEGREE``.
     """
     if i_max < 1:
         return
+    if i_max > MAX_DEGREE:
+        raise ValueError(f"degree {i_max} exceeds the supported maximum {MAX_DEGREE}")
+    ratios = _recurrence_ratios(n)[: i_max - 1]
     yield t
     if not isinstance(t, np.ndarray):
         prev, cur = 1.0, t
-        for i in range(1, i_max):
-            a, b = (2 * i + n - 2) / (i + n - 2), i / (i + n - 2)
+        for a, b in ratios:
             prev, cur = cur, a * (t * cur) - b * prev
             yield cur
         return
@@ -110,8 +123,7 @@ def gegenbauer_terms(n: int, i_max: int, t, rows=None):
         spare = np.empty_like(t, dtype=float)
         pairs = [(rows[i + 1, ...], spare) for i in range(1, i_max)]  # views, also for 0-d t
     prev, cur = 1.0, t
-    for i, (new, scaled) in enumerate(pairs, start=1):
-        a, b = (2 * i + n - 2) / (i + n - 2), i / (i + n - 2)
+    for (new, scaled), (a, b) in zip(pairs, ratios):
         np.multiply(t, cur, out=new)
         new *= a
         new -= np.multiply(b, prev, out=scaled)
@@ -165,13 +177,15 @@ class JacobiParams(NamedTuple("JacobiParams", [("a", float), ("b", float)])):
 
 
 @lru_cache(maxsize=1024)
-def _monic_recurrence(a: float, b: float, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """alpha_0..alpha_{i-1} and beta_1..beta_{i-1} of the monic Jacobi recurrence, i >= 1.
+def _monic_recurrence(a: float, b: float, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha_0..alpha_{i-1}, beta_1..beta_{i-1} and sqrt(beta) of the monic
+    Jacobi recurrence, i >= 1.
 
     pi_{j+1}(t) = (t - alpha_j) pi_j(t) - beta_j pi_{j-1}(t), where pi_j is
-    P_j^{(a,b)} divided by its (positive) leading coefficient.  The arrays
-    are cached, hence read-only; 1024 entries of at most 2 x 64 doubles
-    cover eight dimensions at every degree up to MAX_DEGREE.
+    P_j^{(a,b)} divided by its (positive) leading coefficient; sqrt(beta) is
+    the off-diagonal of the Jacobi matrix.  The arrays are cached, hence
+    read-only; 1024 entries of at most 3 x 64 doubles cover eight
+    dimensions at every degree up to MAX_DEGREE.
     """
     j = np.arange(i, dtype=float)
     s = 2 * j + a + b
@@ -183,9 +197,10 @@ def _monic_recurrence(a: float, b: float, i: int) -> tuple[np.ndarray, np.ndarra
         # j = 1 written with (1 + a + b) cancelled, which vanishes for a + b = -1.
         beta[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
     beta = beta[1:].copy()
-    alpha.setflags(write=False)
-    beta.setflags(write=False)
-    return alpha, beta
+    root = np.sqrt(beta)
+    for arr in (alpha, beta, root):
+        arr.setflags(write=False)
+    return alpha, beta, root
 
 
 def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndarray:
@@ -201,17 +216,21 @@ def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndar
     i = _check_degree(i)
     if i == 0:
         return np.empty(0)
-    alpha, beta = _monic_recurrence(p.a, p.b, i)
+    alpha, beta, root = _monic_recurrence(p.a, p.b, i)
     c = 0.0
     if fixed is not None:
         al, be = alpha.tolist(), beta.tolist()
         c = fixed - al[0]
         for j in range(1, i):
             c = fixed - al[j] - be[j - 1] / c
-    T = np.diag(alpha)
+    # In the flat view of the i x i matrix the diagonal has stride i + 1 from
+    # 0, and the two off-diagonals the same stride from 1 and from i.
+    T = np.zeros((i, i))
+    flat = T.ravel()
+    flat[:: i + 1] = alpha
+    flat[1 :: i + 1] = root
+    flat[i :: i + 1] = root
     T[-1, -1] += c
-    j = np.arange(i - 1)
-    T[j, j + 1] = T[j + 1, j] = np.sqrt(beta)
     return np.linalg.eigvalsh(T)
 
 
@@ -268,24 +287,33 @@ class GegenPoly(NamedTuple("GegenPoly", [("dim", int), ("coeffs", np.ndarray)]))
         return float(self.coeffs.sum())
 
 
+@lru_cache(maxsize=None)
+def _linear_factors(n: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
+    """i + n - 2, i and 2i + n - 2 as floats, each indexed by i = 0 .. MAX_DEGREE.
+    Small integers convert exactly, so ``ci * up / d`` rounds as with the ints."""
+    i = range(MAX_DEGREE + 1)
+    return tuple(float(j + n - 2) for j in i), tuple(float(j) for j in i), tuple(float(2 * j + n - 2) for j in i)
+
+
 def _mul_linear(n: int, coeffs: list[float], root: float) -> list[float]:
     """Coefficients of (t - root) * f, staying in the Gegenbauer basis.
 
-    Plain floats in and out.  Each output collects, in this order, the up
-    term of i - 1, -root * c_i and the down term of i + 1; i = 0 has no
-    down term and an up factor of exactly 1, which n = 2 (2i + n - 2 = 0)
-    needs spelled out.
+    Plain floats in and out; at most MAX_DEGREE + 1 coefficients in.  Each
+    output collects, in this order, the up term of i - 1, -root * c_i and
+    the down term of i + 1; i = 0 has no down term and an up factor of
+    exactly 1, which n = 2 (2i + n - 2 = 0) needs spelled out.
     """
     out = [0.0] * (len(coeffs) + 1)
+    ups, downs, ds = _linear_factors(n)
     for i, ci in enumerate(coeffs):
         if ci == 0.0:
             continue
         if i == 0:
             out[1] += ci
         else:
-            d = 2 * i + n - 2
-            out[i + 1] += ci * (i + n - 2) / d
-            out[i - 1] += ci * i / d
+            d = ds[i]
+            out[i + 1] += ci * ups[i] / d
+            out[i - 1] += ci * downs[i] / d
         out[i] -= ci * root
     return out
 

@@ -9,8 +9,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import roots_jacobi
 
-from sphenergy.bounds import hermite_interpolant, lambda_star
-from sphenergy.orthopoly import GegenPoly, eval_gegenbauer
+from sphenergy.bounds import POSITIVITY_TOL, hermite_interpolant, lambda_star
+from sphenergy.orthopoly import GegenPoly, _monic_recurrence, eval_gegenbauer
 
 
 def _gauss_jacobi_estimate(n, f, i, order):
@@ -69,3 +69,57 @@ def spare_node_bound(cert):
     lam = lambda_star(g, cert.lev).value
     f = GegenPoly(cert.dim, g.coeffs - lam * cert.lev.gegen.coeffs)
     return g, cert.M * (float(f.coeffs[0]) * cert.M - f.at_one())
+
+
+def node_sign_on_linspace(lev):
+    """Whether the node polynomial stays <= 0 on 257 equispaced points of
+    [-1, s], up to ``POSITIVITY_TOL`` * max(1, max |value|): the same bound
+    that ``uub`` applies on its Chebyshev feasibility grid."""
+    vals = lev.gegen(np.linspace(-1.0, lev.s, 257))
+    return float(np.max(vals)) <= POSITIVITY_TOL * max(1.0, float(np.max(np.abs(vals))))
+
+
+def gegenbauer_terms_inline(n, i_max, t):
+    """P_1 .. P_{i_max} at t by the three-term recurrence, with the ratios
+    a_i and b_i computed in each step and no buffer reuse."""
+    terms, prev, cur = [t], 1.0, t
+    for i in range(1, i_max):
+        a, b = (2 * i + n - 2) / (i + n - 2), i / (i + n - 2)
+        prev, cur = cur, a * (t * cur) - b * prev
+        terms.append(cur)
+    return terms
+
+
+def mul_linear_inline(n, coeffs, root):
+    """Coefficients of (t - root) * f with the linearization factors computed
+    from the integers in each step."""
+    out = [0.0] * (len(coeffs) + 1)
+    for i, ci in enumerate(coeffs):
+        if ci == 0.0:
+            continue
+        if i == 0:
+            out[1] += ci
+        else:
+            d = 2 * i + n - 2
+            out[i + 1] += ci * (i + n - 2) / d
+            out[i - 1] += ci * i / d
+        out[i] -= ci * root
+    return out
+
+
+def jacobi_zeros_diag(p, i, fixed=None):
+    """Eigenvalues of the Jacobi matrix of P_i^{(a,b)} (shifted to have
+    ``fixed`` as an eigenvalue when given), built with np.diag and fancy
+    indexing; i >= 1."""
+    alpha, beta, _ = _monic_recurrence(p.a, p.b, i)
+    c = 0.0
+    if fixed is not None:
+        al, be = alpha.tolist(), beta.tolist()
+        c = fixed - al[0]
+        for j in range(1, i):
+            c = fixed - al[j] - be[j - 1] / c
+    T = np.diag(alpha)
+    T[-1, -1] += c
+    j = np.arange(i - 1)
+    T[j, j + 1] = T[j + 1, j] = np.sqrt(beta)
+    return np.linalg.eigvalsh(T)

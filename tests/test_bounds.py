@@ -12,8 +12,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sphenergy.bounds
 import sphenergy.cli
-from oracles import spare_node_bound
+from oracles import node_sign_on_linspace, spare_node_bound
 from sphenergy.bounds import (
     _GRID_COSINES,
     COEFF_TOL,
@@ -32,6 +33,7 @@ from sphenergy.bounds import (
 from sphenergy.bounds import test_functions as lp_test_functions
 from sphenergy.errors import CertificationError, InfeasibleClassError, NumericsError
 from sphenergy.levenshtein import (
+    dgs_number,
     find_interval,
     interval_for,
     lev_poly_roots,
@@ -88,6 +90,14 @@ def test_hermite_rejects_high_multiplicity():
     pot = make_potential("log")
     with pytest.raises(ValueError):
         hermite_interpolant(4, pot, (0.0, 0.0, 0.0))
+
+
+def test_hermite_rejects_degrees_beyond_the_maximum():
+    pot = make_potential("newton", n=4)
+    hermite_interpolant(4, pot, np.linspace(-1.0, 0.9, 65))
+    for size in (66, 67, 80):
+        with pytest.raises(ValueError, match="exceeds the supported maximum"):
+            hermite_interpolant(4, pot, np.linspace(-1.0, 0.9, size))
 
 
 def test_lambda_star_linear_case():
@@ -397,3 +407,40 @@ def test_quadrature_table_serves_every_evaluation_at_the_nodes_bitwise(case):
     for f in polys:
         assert f.coeffs.size == quad.m + 1
         assert (f.coeffs @ table).view(np.int64).tolist() == f(quad.nodes).view(np.int64).tolist()
+
+
+@st.composite
+def certify_probe_classes(draw):
+    n = draw(st.integers(2, 24))
+    iv = interval_for(n, draw(st.integers(1, 64)))
+    s = draw(st.one_of(st.just(iv.lo), st.just(iv.hi), st.floats(iv.lo, iv.hi)))
+    return n, iv.m, s, draw(st.sampled_from(["newton", "gauss:2"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(certify_probe_classes())
+def test_certified_classes_pass_the_equispaced_node_sign_check(case):
+    # uub checks the node polynomial's sign on its Chebyshev grid; a class it
+    # certifies must pass the same bound on 257 equispaced points, and its
+    # min_gap must be f(grid) - h(grid) as GegenPoly evaluates f, bitwise.
+    n, m, s, kernel = case
+    pot = parse_potential(kernel, n)
+    try:
+        cert = uub(n, dgs_number(n, m), s, pot)
+    except (CertificationError, NumericsError, InfeasibleClassError):
+        return
+    assert node_sign_on_linspace(cert.lev)
+    grid = _feasibility_grid(cert.s, cert.quad.nodes)
+    assert cert.feasibility.min_gap == float(np.min(cert.f(grid) - pot(grid)))
+
+
+def test_a_class_refused_at_the_node_residual_builds_no_grid(monkeypatch):
+    calls = []
+    real = sphenergy.bounds._feasibility_grid
+    monkeypatch.setattr(sphenergy.bounds, "_feasibility_grid", lambda *a: calls.append(a) or real(*a))
+    iv = interval_for(24, 14)
+    with pytest.raises(CertificationError, match="interpolation residual"):
+        uub(24, dgs_number(24, 14), 0.5 * (iv.lo + iv.hi), make_potential("newton", n=24))
+    assert calls == []
+    uub(5, 11, S_EZ, make_potential("newton", n=5))
+    assert len(calls) == 1

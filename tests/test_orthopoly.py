@@ -8,12 +8,14 @@ import scipy.special as sps
 from numpy.polynomial.chebyshev import poly2cheb
 from numpy.polynomial.polynomial import polyfromroots
 
-from oracles import gegen_coefficient_integral
+from oracles import gegen_coefficient_integral, gegenbauer_terms_inline, jacobi_zeros_diag, mul_linear_inline
 from sphenergy.bounds import _GRID_COSINES
 from sphenergy.orthopoly import (
+    MAX_DEGREE,
     GegenPoly,
     JacobiParams,
     _monic_recurrence,
+    _mul_linear,
     eval_gegenbauer,
     gegenbauer_table,
     gegenbauer_terms,
@@ -115,6 +117,35 @@ def test_gegenbauer_table_rows_are_eval_gegenbauer_bitwise():
                     assert all(bits(p) == bits(eval_gegenbauer(n, i, x)) for x, p in points)
 
 
+@pytest.mark.parametrize("n", range(2, 25))
+def test_cached_dimension_constants_round_like_inline_arithmetic(n):
+    for t in (0.3, -0.77, 1.0, np.linspace(-1.0, 1.0, 9)):
+        terms = [np.copy(p) for p in gegenbauer_terms(n, MAX_DEGREE, t)]
+        assert bits(terms) == bits(gegenbauer_terms_inline(n, MAX_DEGREE, t))
+    rng = np.random.default_rng(n)
+    for size in (1, 2, 7, MAX_DEGREE + 1):
+        coeffs = rng.standard_normal(size)
+        coeffs[rng.random(size) < 0.2] = 0.0  # zero coefficients are skipped
+        coeffs = coeffs.tolist()
+        for root in (-1.0, 0.0, float(rng.uniform(-1.0, 1.0))):
+            assert bits(_mul_linear(n, coeffs, root)) == bits(mul_linear_inline(n, coeffs, root))
+
+
+def test_gegenbauer_terms_refuse_degrees_beyond_the_maximum():
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        list(gegenbauer_terms(3, MAX_DEGREE + 1, 0.5))
+
+
+@pytest.mark.parametrize("n", (2, 3, 5, 8, 24))
+def test_jacobi_matrix_by_strided_writes_matches_diag_construction(n):
+    for p in (JacobiParams((n - 1) / 2.0, (n - 3) / 2.0), JacobiParams((n - 1) / 2.0, (n - 1) / 2.0)):
+        for i in (1, 2, 3, 7, 33, MAX_DEGREE):
+            # The Gauss-Radau shift needs fixed above every zero of P_{i-1}.
+            fixed = 0.5 * (greatest_zero(p, i - 1) + 1.0)
+            assert bits(jacobi_zeros(p, i)) == bits(jacobi_zeros_diag(p, i))
+            assert bits(jacobi_zeros(p, i, fixed)) == bits(jacobi_zeros_diag(p, i, fixed))
+
+
 def test_recurrence_leaves_its_argument_unchanged():
     for t in (np.array(0.3), np.linspace(-1, 1, 9), np.linspace(-1, 1, 12).reshape(3, 4)):
         before = t.copy()
@@ -130,9 +161,9 @@ def test_recurrence_leaves_its_argument_unchanged():
 
 
 def test_cached_recurrence_and_cosine_arrays_are_read_only():
-    alpha, beta = _monic_recurrence(1.5, 0.5, 6)
-    assert alpha.shape == (6,) and beta.shape == (5,)
-    assert not alpha.flags.writeable and not beta.flags.writeable
+    alpha, beta, root = _monic_recurrence(1.5, 0.5, 6)
+    assert alpha.shape == (6,) and beta.shape == root.shape == (5,)
+    assert not any(arr.flags.writeable for arr in (alpha, beta, root))
     assert not _GRID_COSINES.flags.writeable
 
 
