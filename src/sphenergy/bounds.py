@@ -84,9 +84,9 @@ GAP_TOL = 1e-9
 COEFF_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
 DEFAULT_GRID = 2048
-# Chebyshev points on [-1, 1], read-only: every feasibility grid is this
-# one array mapped onto [-1, s].
-_GRID_COSINES = np.cos(np.linspace(0.0, math.pi, DEFAULT_GRID))
+# Chebyshev points on [-1, 1] in ascending order, read-only: every
+# feasibility grid is this one array mapped onto [-1, s].
+_GRID_COSINES = np.cos(np.linspace(0.0, math.pi, DEFAULT_GRID))[::-1].copy()
 _GRID_COSINES.setflags(write=False)
 # Relative tolerances for f = h at the nodes and for the two bound forms.
 NODE_TOL = 1e-10
@@ -165,7 +165,7 @@ def lambda_star(g: GegenPoly, lev: LevenshteinPoly) -> LambdaChoice:
     if dg < 1:
         return LambdaChoice(0.0, 0, True)
     ratios = g.coeffs[1 : dg + 1] / lcoef[1 : dg + 1]
-    arg = int(np.argmax(ratios)) + 1
+    arg = int(ratios.argmax()) + 1
     lam = float(ratios[arg - 1])
     if lam <= 0.0:
         return LambdaChoice(0.0, arg, True)
@@ -203,10 +203,11 @@ class BoundCertificate(NamedTuple):
 def _feasibility_grid(s: float, nodes: np.ndarray) -> np.ndarray:
     # Chebyshev-distributed points cluster near both ends of [-1, s], where
     # the gap f - h is smallest; the quadrature nodes (gap exactly zero)
-    # are appended explicitly.  Sorting and dropping exact repeats gives what
-    # np.unique gives, without the numpy.ma import that np.unique makes.
+    # are appended explicitly.  Both runs ascend, so a stable sort merges
+    # them; dropping exact repeats then gives what np.unique gives, without
+    # the numpy.ma import that np.unique makes.
     pts = np.concatenate([0.5 * (s - 1.0) + 0.5 * (s + 1.0) * _GRID_COSINES, nodes])
-    pts.sort()
+    pts.sort(kind="stable")
     return pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
 
 
@@ -217,7 +218,7 @@ def _node_residual(
     # f.coeffs @ table[:len] is f(nodes) as GegenPoly.__call__ computes it.
     h_vals = pot(nodes)
     f_vals = f.coeffs @ table[: f.coeffs.size]
-    res = float(np.max(np.abs(f_vals - h_vals) / np.maximum(1.0, np.abs(h_vals))))
+    res = float((abs(f_vals - h_vals) / np.maximum(1.0, abs(h_vals))).max())
     return res, h_vals
 
 
@@ -230,9 +231,8 @@ def _grid_table(n: int, s: float, nodes: np.ndarray, degree: int) -> tuple[np.nd
 
 def _check_feasibility(f: GegenPoly, pot: Potential, grid: np.ndarray, table: np.ndarray) -> FeasibilityReport:
     # Every f_i with i >= 1; a constant f has none, and passes.
-    max_interior = float(np.max(f.coeffs[1:], initial=-math.inf))
-    gap = f.coeffs @ table - pot(grid)
-    min_gap = float(np.min(gap))
+    max_interior = float(f.coeffs[1:].max(initial=-math.inf))
+    min_gap = float((f.coeffs @ table - pot(grid)).min())
     passed = max_interior <= COEFF_TOL and min_gap >= -GAP_TOL
     return FeasibilityReport(max_interior, min_gap, grid.size, passed)
 
@@ -277,8 +277,9 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
 
     grid, table = _grid_table(n, quad.s, quad.nodes, quad.m)
     lev_vals = lev.gegen.coeffs @ table
-    lev_max = float(np.max(lev_vals))
-    if lev_max > POSITIVITY_TOL * max(1.0, float(np.max(np.abs(lev_vals)))):
+    lev_max = float(lev_vals.max())
+    # Below POSITIVITY_TOL the scale max(1, max |lev|) cannot change the verdict.
+    if lev_max > POSITIVITY_TOL and lev_max > POSITIVITY_TOL * max(1.0, float(abs(lev_vals).max())):
         raise CertificationError(f"node polynomial is positive on [-1, s]: max {lev_max:.3e}")
     feas = _check_feasibility(f, pot, grid, table)
     if not feas.passed:

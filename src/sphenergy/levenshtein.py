@@ -15,6 +15,12 @@ m = 2k - 1 + eps, the maximal-cardinality value L_m(n, s), and a quadrature
 exact for polynomials of degree at most m.  The nodes alpha_i are the roots
 of (t + 1)^eps (Q_k(t) Q_{k-1}(s) - Q_k(s) Q_{k-1}(t)) with
 Q_i = P_i^{((n-1)/2, eps + (n-3)/2)}; the largest node is s itself.
+
+What depends on the interval alone is built once per (n, m) and cached:
+the endpoints of I_m, and L_m(n, .) with its binomial factor and constant
+term, which ``lev_value``, ``quadrature`` and the root search of
+``solve_cardinality`` all call.  The factors are the same expressions, so
+every value is bitwise what inline arithmetic gives.
 """
 
 from __future__ import annotations
@@ -128,26 +134,31 @@ def find_interval(n: int, s: float) -> IntervalIndex:
     )
 
 
+@lru_cache(maxsize=None)
+def _lev_function(n: int, m: int):
+    """L_m(n, .) as a function of a float s, for a checked n; k, eps and the factors are fixed once."""
+    k, eps = (m + 1) // 2, (m + 1) % 2
+    if eps == 0:
+        binom, const = math.comb(k + n - 3, k - 1), (2 * k + n - 3) / (n - 1)
+    else:
+        binom, const = math.comb(k + n - 2, k), (2 * k + n - 1) / (n - 1)
+
+    def lev(s: float) -> float:
+        p = [1.0, *gegenbauer_terms(n, k + eps, s)]
+        if eps == 0:
+            num, denom = p[k - 1] - p[k], (1.0 - s) * p[k]
+        else:
+            num, denom = (1.0 + s) * (p[k] - p[k + 1]), (1.0 - s) * (p[k] + p[k + 1])
+        if denom == 0.0:
+            raise NumericsError(f"degenerate denominator in L_{m}({n}, {s})")
+        return binom * (const - num / denom)
+
+    return lev
+
+
 def lev_value(n: int, interval: IntervalIndex, s: float) -> float:
     """The maximal-cardinality value L_m(n, s) on the given interval."""
-    n = _check_dim(n)
-    s = float(s)
-    k, eps = interval.k, interval.eps
-    p = [1.0, *gegenbauer_terms(n, k + eps, s)]
-    pk = p[k]
-    if eps == 0:
-        pk_prev = p[k - 1]
-        denom = (1.0 - s) * pk
-        if denom == 0.0:
-            raise NumericsError(f"degenerate denominator in L_{interval.m}({n}, {s})")
-        ratio = (pk_prev - pk) / denom
-        return math.comb(k + n - 3, k - 1) * ((2 * k + n - 3) / (n - 1) - ratio)
-    pk_next = p[k + 1]
-    denom = (1.0 - s) * (pk + pk_next)
-    if denom == 0.0:
-        raise NumericsError(f"degenerate denominator in L_{interval.m}({n}, {s})")
-    ratio = (1.0 + s) * (pk - pk_next) / denom
-    return math.comb(k + n - 2, k) * ((2 * k + n - 1) / (n - 1) - ratio)
+    return _lev_function(_check_dim(n), interval.m)(float(s))
 
 
 def dgs_number(n: int, m: int) -> float:
@@ -196,7 +207,7 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
             f"node {roots[0]} lies below -1 (n={n}, m={interval.m}, s={s})"
         )
     out = np.concatenate(([-1.0], roots)) if eps == 1 else roots
-    if np.any(np.diff(out) <= 0):
+    if (out[1:] <= out[:-1]).any():
         raise NumericsError(f"nodes are not strictly increasing: {out}")
     return out
 
@@ -241,7 +252,7 @@ def levenshtein_poly(
         )
     poly = product_to_gegen(n, multiset)
     coeffs = poly.coeffs
-    if np.any(coeffs <= 0.0):
+    if (coeffs <= 0.0).any():
         raise CertificationError(
             f"node polynomial has nonpositive Gegenbauer coefficients: {coeffs}"
         )
@@ -282,7 +293,7 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     s = float(s)
     interval = find_interval(n, s)
     roots = lev_poly_roots(n, interval, s)
-    N = lev_value(n, interval, s)
+    N = _lev_function(n, interval.m)(s)
     q = roots.size  # = k + eps
     # P_j(alpha_i) on plain floats, one node at a time, which rounds like
     # gegenbauer_table.  The table is stored in C order as gegenbauer_table
@@ -290,14 +301,16 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     # BLAS path and rounds differently.
     table = np.array([[1.0, *gegenbauer_terms(n, interval.m, a)] for a in roots.tolist()]).T.copy()
     table.setflags(write=False)
-    rhs = np.full(q, -1.0 / N)
-    rhs[0] += 1.0
-    weights = np.linalg.solve(table[:q], rhs)
-    if np.any(weights <= 0.0):
+    # delta_j0 - 1/N for j = 0 .. m: the solve takes rows 0 .. q - 1, the
+    # exactness residual all of them, as ``exactness_residual`` computes it.
+    target = np.full(interval.m + 1, -1.0 / N)
+    target[0] += 1.0
+    weights = np.linalg.solve(table[:q], target[:q])
+    if (weights <= 0.0).any():
         raise CertificationError(
             f"nonpositive quadrature weight for (n={n}, s={s}): {weights}"
         )
-    residual = exactness_residual(table, weights, N)
+    residual = float(abs(table @ weights - target).max())
     if residual > EXACTNESS_TOL:
         raise CertificationError(
             f"quadrature exactness residual {residual:.3e} exceeds {EXACTNESS_TOL:g} (n={n}, s={s})"
@@ -309,7 +322,7 @@ def exactness_residual(table: np.ndarray, weights: np.ndarray, N: float) -> floa
     """max_j |sum_i rho_i P_j(alpha_i) - (delta_j0 - 1/N)|, table[j] = P_j(nodes)."""
     target = np.full(table.shape[0], -1.0 / N)
     target[0] += 1.0
-    return float(np.max(np.abs(table @ weights - target)))
+    return float(abs(table @ weights - target).max())
 
 
 def illinois_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:
@@ -377,9 +390,8 @@ def solve_cardinality(n: int, M: float) -> tuple[float, QuadratureRule]:
             f"cardinality {M} needs intervals beyond index {MAX_INTERVAL}; "
             f"I_{MAX_INTERVAL} reaches D({n}, {MAX_INTERVAL + 1}) = {D[-1]:g}"
         )
-    interval = interval_for(n, m)
+    interval, lev = interval_for(n, m), _lev_function(n, m)
     r = illinois_root(
-        lambda t: lev_value(n, interval, t) - M, interval.lo, interval.hi,
-        D[m - 1] - M, D[m] - M, CARDINALITY_TOL,
+        lambda t: lev(t) - M, interval.lo, interval.hi, D[m - 1] - M, D[m] - M, CARDINALITY_TOL
     )
     return r, quadrature(n, r)

@@ -62,6 +62,9 @@ __all__ = [
 # bound pipeline needs small degrees only.
 MAX_DEGREE = 64
 
+# A coefficient counts toward ``GegenPoly.degree`` above this share of the scale.
+DEGREE_TOL = 1e-14
+
 
 def _check_dim(n) -> int:
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -254,20 +257,20 @@ class GegenPoly(NamedTuple("GegenPoly", [("dim", int), ("coeffs", np.ndarray)]))
 
     def __new__(cls, dim: int, coeffs):
         _check_dim(dim)
-        c = np.atleast_1d(np.asarray(coeffs, dtype=float)).copy()
+        c = np.array(coeffs, dtype=float, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-D sequence")
         if c.size - 1 > MAX_DEGREE:
             raise ValueError(f"degree {c.size - 1} exceeds the supported maximum {MAX_DEGREE}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
         return super().__new__(cls, dim, c)
 
     @property
     def degree(self) -> int:
-        scale = max(1.0, float(np.max(np.abs(self.coeffs))))
-        live = np.nonzero(np.abs(self.coeffs) > 1e-14 * scale)[0]
+        mag = abs(self.coeffs)
+        live = (mag > DEGREE_TOL * max(1.0, float(mag.max()))).nonzero()[0]
         return int(live[-1]) if live.size else 0
 
     def __call__(self, t):

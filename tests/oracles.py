@@ -4,13 +4,14 @@ Each one computes, by a slower or independent road, a quantity the library
 computes itself; the library never calls them.
 """
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 from scipy.special import roots_jacobi
 
 from sphenergy.bounds import POSITIVITY_TOL, hermite_interpolant, lambda_star
-from sphenergy.orthopoly import GegenPoly, _monic_recurrence, eval_gegenbauer
+from sphenergy.orthopoly import GegenPoly, _monic_recurrence, eval_gegenbauer, gegenbauer_terms
 
 
 def _gauss_jacobi_estimate(n, f, i, order):
@@ -123,3 +124,20 @@ def jacobi_zeros_diag(p, i, fixed=None):
     j = np.arange(i - 1)
     T[j, j + 1] = T[j + 1, j] = np.sqrt(beta)
     return np.linalg.eigvalsh(T)
+
+
+def lev_value_inline(n, interval, s):
+    """L_m(n, s) with the binomial factor and the constant term computed from
+    k and eps at every call, without the zero-denominator check."""
+    k, eps = interval.k, interval.eps
+    p = [1.0, *gegenbauer_terms(n, k + eps, s)]
+    pk = p[k]
+    if eps == 0:
+        pk_prev = p[k - 1]
+        denom = (1.0 - s) * pk
+        ratio = (pk_prev - pk) / denom
+        return math.comb(k + n - 3, k - 1) * ((2 * k + n - 3) / (n - 1) - ratio)
+    pk_next = p[k + 1]
+    denom = (1.0 - s) * (pk + pk_next)
+    ratio = (1.0 + s) * (pk - pk_next) / denom
+    return math.comb(k + n - 2, k) * ((2 * k + n - 1) / (n - 1) - ratio)

@@ -10,13 +10,17 @@ bools and nulls must match exactly; floats within 1e-12 * max(1, |old|, |new|).
 refuses: ``uub``'s node-residual gate decides borderline classes by
 roundoff, so a change of arithmetic shows there first.  It holds what
 ``refusal_entry`` returned for every class of ``REFUSAL_CLASSES`` before the
-quadrature kept its node table.
+quadrature kept its node table.  A change that moves classes on purpose
+rewrites it, in its committed format, with
+
+    PYTHONPATH=src python tests/test_golden.py --write-refusals
 """
 
 import json
 import math
 import os
 import re
+import sys
 
 import pytest
 
@@ -96,9 +100,21 @@ def refusal_entry(n, m, kernel):
     return {"uub": es.uub, "ulb": es.ulb}
 
 
+def refusal_table():
+    return {f"{n} {m} {kernel}": refusal_entry(n, m, kernel) for n, m, kernel in REFUSAL_CLASSES}
+
+
 def test_certified_and_refused_classes_match_golden():
     with open(os.path.join(DATA, "refusals.json"), encoding="utf-8") as fh:
         golden = json.load(fh)
-    got = {f"{n} {m} {kernel}": refusal_entry(n, m, kernel) for n, m, kernel in REFUSAL_CLASSES}
+    got = refusal_table()
     assert list(got) == list(golden)
     assert mismatches(golden, got) == []
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write-refusals"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write-refusals")
+    with open(os.path.join(DATA, "refusals.json"), "w", encoding="utf-8") as fh:
+        json.dump(refusal_table(), fh, indent=1)
+        fh.write("\n")

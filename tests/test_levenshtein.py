@@ -4,10 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import lev_value_inline
+from sphenergy.bounds import SHARP_TOL
 from sphenergy.errors import CertificationError
 from sphenergy.levenshtein import (
+    _lev_function,
     dgs_number,
+    exactness_residual,
     find_interval,
     interval_for,
     lev_poly_roots,
@@ -93,6 +99,23 @@ def test_lev_function_monotone_and_continuous():
             assert b == pytest.approx(a, rel=1e-9)
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 24), st.integers(1, 64), st.booleans())
+def test_per_interval_lev_function_is_lev_value_bitwise(n, m, at_hi):
+    # Odd and even m cover both eps; each end of I_m in turn.
+    iv = interval_for(n, m)
+    s = iv.hi if at_hi else iv.lo
+    want = lev_value_inline(n, iv, s).hex()
+    assert _lev_function(n, m)(s).hex() == want
+    assert lev_value(n, iv, s).hex() == want
+    # M = D(n, m) is L at an end of the interval solve_cardinality picks, where
+    # the bracket value there is exactly 0 and the root search returns that end.
+    M = dgs_number(n, m)
+    r, rule = solve_cardinality(n, M)
+    assert r in (rule.interval.lo, rule.interval.hi)
+    assert abs(rule.N - M) <= SHARP_TOL * max(1.0, M)
+
+
 def test_lev_endpoints_are_dgs_numbers():
     for n in (3, 4, 5, 8):
         for m in range(1, 8):
@@ -175,6 +198,7 @@ def test_quadrature_partition_of_unity_and_exactness():
         assert 1.0 / rule.N + sum(rule.weights) == pytest.approx(1.0, abs=1e-11)
         assert all(w > 0 for w in rule.weights)
         assert rule.residual < 1e-9
+        assert rule.residual == exactness_residual(rule.table, rule.weights, rule.N)
 
 
 def test_quadrature_ez_residual():

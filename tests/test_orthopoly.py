@@ -267,6 +267,21 @@ def test_gegen_poly_call_matches_tensordot_bitwise():
                 assert got.shape == shape and np.array_equal(got, want)
 
 
+def test_gegen_poly_keeps_a_read_only_copy_of_finite_1d_coefficients():
+    src = np.array([0.5, -1.0, 0.25])
+    poly = GegenPoly(5, src)
+    src[0] = 7.0
+    assert poly.coeffs.tolist() == [0.5, -1.0, 0.25]
+    assert not poly.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        poly.coeffs[0] = 1.0
+    assert GegenPoly(5, 2.5).coeffs.tolist() == [2.5]
+    assert GegenPoly(5, np.float64(2.5)).coeffs.shape == (1,)
+    for bad in ([1.0, math.nan], [math.inf], [[1.0, 2.0]], [], np.empty(0)):
+        with pytest.raises(ValueError):
+            GegenPoly(5, bad)
+
+
 def test_product_to_gegen_known_expansion():
     # t(t+1) = (1/n) P_0 + P_1 + ((n-1)/n) P_2
     for n in (3, 4, 5, 6, 9):
