@@ -109,8 +109,8 @@ def _sharp_slack(L: float) -> float:
 def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     """Hermite interpolant of the potential on a node multiset.
 
-    Node multiplicity up to 2 is supported; a doubled node matches the
-    first derivative there.  Newton's divided differences supply the
+    Node multiplicity is at most 2 because the kernel supplies h' only: a
+    doubled node matches h' there.  Newton's divided differences supply the
     coefficients, and the Newton form is resynthesized directly over the
     Gegenbauer basis.  Both run on plain floats: the table is kept as one
     column, overwritten top-down, whose head is the next Newton coefficient.

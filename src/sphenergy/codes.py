@@ -43,15 +43,7 @@ __all__ = [
     "moments",
     "verify_strip",
     "ez_separation",
-    "ez_energy_n5",
-    "EZ_N5_COSINES",
 ]
-
-# Inner products of the 11-point dimension-5 code of Ermolaeva and Zinoviev
-# beyond its separation, as printed in the source tables, with the pair
-# multiplicities (over ordered pairs) attached by the construction.
-EZ_N5_COSINES = (-0.22793, -0.553428, -0.89904)
-_EZ_N5_MULTIPLICITIES = (70, 20, 10, 10)  # for (s, a, b, c)
 
 # Inner products per block of the Gram's upper triangle: 2**16 doubles
 # (512 KB) bound the working set of every pairwise reduction, whatever M is.
@@ -369,11 +361,3 @@ def ez_separation(n: int) -> float:
     # f(0) = 1 > 0 and f(1/n) = (n - 2)^2 / n^2 - 1 < 0; tol 0 runs the
     # bracket down to adjacent floats.
     return illinois_root(f, 0.0, 1.0 / n, f(0.0), f(1.0 / n), 0.0)
-
-
-def ez_energy_n5(pot: Potential) -> float:
-    """Energy of the 11-point dimension-5 code, from its inner-product
-    distribution (the separation is recomputed from its cubic; the other
-    three cosines are the printed fixture values)."""
-    cosines = (ez_separation(5),) + EZ_N5_COSINES
-    return float(sum(mult * pot(t) for mult, t in zip(_EZ_N5_MULTIPLICITIES, cosines)))

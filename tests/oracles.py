@@ -11,6 +11,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from sphenergy.bounds import POSITIVITY_TOL, hermite_interpolant, lambda_star
+from sphenergy.codes import ez_separation
 from sphenergy.orthopoly import GegenPoly, _monic_recurrence, eval_gegenbauer, gegenbauer_terms
 
 
@@ -36,26 +37,35 @@ def gegen_coefficient_integral(n, f, i):
 
 
 class DerivativeReport(NamedTuple):
-    order: int
     grid_size: int
     max_rel_dev: float
 
 
-def derivative_check(pot, order, grid):
-    """Compare a kernel's analytic derivative of order 1 or 2 with central
-    finite differences on a grid in [-1, 1)."""
+def derivative_check(pot, grid):
+    """Compare a kernel's analytic first derivative with central finite
+    differences on a grid in [-1, 1)."""
     t = np.asarray(grid, dtype=float)
     step = 1e-5 * np.maximum(1.0, np.abs(t))
     step = np.minimum(step, 0.25 * (1.0 - t))
-    up, dn = pot(t + step), pot(t - step)
-    if order == 1:
-        approx = (up - dn) / (2.0 * step)
-        exact = np.asarray(pot.deriv(t), dtype=float)
-    else:
-        approx = (up - 2.0 * pot(t) + dn) / step**2
-        exact = np.asarray(pot.deriv_p(t, 2), dtype=float)
+    approx = (pot(t + step) - pot(t - step)) / (2.0 * step)
+    exact = np.asarray(pot.deriv(t), dtype=float)
     dev = np.abs(approx - exact) / np.maximum(1.0, np.abs(exact))
-    return DerivativeReport(order, t.size, float(np.max(dev)))
+    return DerivativeReport(t.size, float(np.max(dev)))
+
+
+# Inner products of the 11-point dimension-5 code of Ermolaeva and Zinoviev
+# beyond its separation, as printed in the source tables, with the pair
+# multiplicities (over ordered pairs) attached by the construction.
+EZ_N5_COSINES = (-0.22793, -0.553428, -0.89904)
+_EZ_N5_MULTIPLICITIES = (70, 20, 10, 10)  # for (s, a, b, c)
+
+
+def ez_energy_n5(pot):
+    """Energy of the 11-point dimension-5 code, from its inner-product
+    distribution (the separation is recomputed from its cubic; the other
+    three cosines are the printed fixture values)."""
+    cosines = (ez_separation(5),) + EZ_N5_COSINES
+    return float(sum(mult * pot(t) for mult, t in zip(_EZ_N5_MULTIPLICITIES, cosines)))
 
 
 def spare_node_bound(cert):

@@ -20,7 +20,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import eval_jacobi
 
-from oracles import gegen_coefficient_integral, spare_node_bound
+from oracles import ez_energy_n5, gegen_coefficient_integral, spare_node_bound
 from sphenergy.bounds import (
     hermite_interpolant,
     optimality_probe,
@@ -33,7 +33,6 @@ from sphenergy.cli import main
 from sphenergy.codes import (
     SphericalCode,
     energy,
-    ez_energy_n5,
     ez_separation,
     generate,
     moments,

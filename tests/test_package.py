@@ -32,7 +32,10 @@ def test_test_only_names_and_keywords_are_not_public():
     # none of these is part of the bound pipeline; the reference oracles
     # among them are in tests/oracles.py
     removed = {
-        codes: ("distance_distribution", "DistanceDistribution", "dd_system_solve", "DDSolveReport"),
+        codes: (
+            "distance_distribution", "DistanceDistribution", "dd_system_solve", "DDSolveReport",
+            "ez_energy_n5", "EZ_N5_COSINES",
+        ),
         potentials: ("derivative_check", "DerivativeReport"),
         orthopoly: ("gegen_coefficient_integral",),
     }
@@ -45,6 +48,10 @@ def test_test_only_names_and_keywords_are_not_public():
         assert name not in sphenergy.cli.__all__
     assert "extra_node" not in inspect.signature(bounds.uub).parameters
     assert "dim_hint" not in inspect.signature(codes.load_code).parameters
+    # kernels carry h and h' only
+    assert not hasattr(potentials.Potential, "deriv_p")
+    assert "deriv_p_fn" not in potentials.Potential._fields
+    assert "deriv_p_fn" not in inspect.signature(potentials.make_potential).parameters
 
 
 def test_codes_loads_on_first_use_only():

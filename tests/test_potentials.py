@@ -1,7 +1,8 @@
-"""Kernel construction, derivatives, absolute monotonicity, parsing."""
+"""Kernel construction, h and h', absolute monotonicity, parsing."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -52,32 +53,50 @@ def test_derivative_check_passes_for_named_kernels():
         make_potential("log"),
         make_potential("gauss", alpha=1.0),
     ):
-        for order, tol in ((1, 1e-6), (2, 1e-4)):
-            rep = derivative_check(pot, order, grid)
-            assert rep.order == order
-            assert rep.grid_size == len(grid)
-            assert rep.max_rel_dev < tol
+        rep = derivative_check(pot, grid)
+        assert rep.grid_size == len(grid)
+        assert rep.max_rel_dev < 1e-6
 
 
 def test_derivative_check_constant_kernel():
     pot = make_potential("custom", eval_fn=lambda t: 1.0, deriv_fn=lambda t: 0.0)
-    rep = derivative_check(pot, 1, np.linspace(-1.0, 0.9, 50))
+    rep = derivative_check(pot, np.linspace(-1.0, 0.9, 50))
     assert rep.max_rel_dev == 0.0
 
 
+def closed_form(spec, n):
+    """The named kernel h as an mpmath function, written out independently
+    of sphenergy.potentials."""
+    name, _, arg = spec.partition(":")
+    if name == "newton":
+        name, arg = ("log", "0.5") if n == 2 else ("riesz", str(n - 2))
+    if name == "riesz":
+        return lambda t: (2 - 2 * t) ** (-mpmath.mpf(arg) / 2)
+    if name == "gauss":
+        return lambda t: mpmath.exp(-mpmath.mpf(arg) * (1 - t))
+    return lambda t: -mpmath.mpf(arg or 1) * mpmath.log(2 - 2 * t)
+
+
 def test_absolute_monotonicity():
-    grid = np.linspace(-1.0, 0.9, 300)
-    for pot in (
-        make_potential("newton", n=5),
-        make_potential("riesz", alpha=2.5),
-        make_potential("gauss", alpha=1.7),
+    # h and h' match the closed form's Taylor coefficients at 30 digits, and
+    # the derivatives of orders 0..4 are nonnegative: orders 1..4 for the
+    # log kernels, which are negative near t = -1.
+    grid = np.linspace(-1.0, 0.9, 40)
+    for spec, n, first in (
+        ("newton", 2, 1),
+        ("newton", 5, 0),
+        ("riesz:2.5", 5, 0),
+        ("gauss:1.7", 5, 0),
+        ("log", 5, 1),
     ):
-        for p in range(5):
-            assert np.all(pot.deriv_p(grid, p) >= 0.0)
-    # log kernel is absolutely monotone from the first derivative on
-    logp = make_potential("log")
-    for p in range(1, 5):
-        assert np.all(logp.deriv_p(grid, p) > 0.0)
+        pot, h = parse_potential(spec, n), closed_form(spec, n)
+        vals, ders = pot(grid), pot.deriv(grid)
+        with mpmath.workdps(30):
+            for i, t in enumerate(grid):
+                c = mpmath.taylor(h, mpmath.mpf(float(t)), 4)
+                assert [vals[i], pot(float(t))] == pytest.approx([float(c[0])] * 2, rel=1e-13)
+                assert [ders[i], pot.deriv(float(t))] == pytest.approx([float(c[1])] * 2, rel=1e-13)
+                assert all(ck >= 0 for ck in c[first:]), (spec, n, t)
 
 
 def test_kernels_nondecreasing():
