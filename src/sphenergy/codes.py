@@ -8,16 +8,25 @@ basis makes every moment nonnegative.
 No Gram matrix is stored.  Every pairwise quantity is a reduction over the
 strict upper triangle of the Gram matrix, streamed in blocks of rows of
 about ``_BLOCK_ELEMS`` inner products each, so memory is O(M * B) rather
-than O(M^2): the separation is a maximum, the energy twice a sum of h, and
-the moments M + 2 sum P_i, with P_i from the three-term recurrence run on
-each block.  The separation, a maximum that a mirrored pair cannot change,
+than O(M^2).  The separation, a maximum that a mirrored pair cannot change,
 reads each row block whole with its diagonal overwritten instead of
-masking it to the upper triangle.  ``verify_strip`` makes two passes: one
-for the separation, which fixes the bound class, and one for energy,
-moments and node coverage, which sorts each block first and evaluates h
-and every P_i once per distinct value, weighted by its count: designs and
-sharp codes have few distinct products.  Node coverage counts the distinct
-products in a window of +-COVER_TOL about each node.
+masking it to the upper triangle.  ``energy``, ``moments`` and the second
+pass of ``verify_strip`` reduce over the same grouped blocks (see
+``_grouped_blocks``): each block is rounded to the grid 2**-53, sorted, and
+h and every P_i are evaluated once per distinct value, weighted by its
+count, so the energy is twice a weighted sum of h and the moments are
+M + 2 sum P_i; designs and sharp codes have few distinct products.
+
+The grid 2**-53 is the spacing of doubles in [1/2, 1), so rounding is the
+identity on |<x,y>| >= 1/2 (and on 0 and +-1) and moves any other product
+by at most 2**-54 = u/2, u = 2**-53 the unit roundoff.  A computed inner
+product of unit vectors in R^n already carries the a-priori error bound
+gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 3), and u/2 < gamma_n / 4 for every n >= 2.  What the
+rounding buys is that the float noise of orthogonal pairs, products of
+size ~1e-16 that differ in every pair, collapses onto a few grid points.
+Node coverage counts the distinct products in a window of +-COVER_TOL
+about each node.
 """
 
 from __future__ import annotations
@@ -51,6 +60,10 @@ __all__ = [
 # ~15% faster with it than with 2**18, whose blocks and recurrence arrays
 # together outgrow L2.
 _BLOCK_ELEMS = 2**16
+
+# Grid the inner products are rounded to before they are grouped: 2**-53,
+# the spacing of doubles in [1/2, 1), fixed by the float format.
+_GRID = 2.0**-53
 
 # Largest deviation of a row norm from 1 that a code accepts.
 NORM_TOL = 1e-9
@@ -190,16 +203,42 @@ def _row_blocks(size: int):
         i = j
 
 
-def _triu_blocks(points: np.ndarray):
-    """Yield the strict upper triangle of the Gram matrix, clipped to [-1, 1],
-    as flat arrays, one per block of ``_row_blocks``: the block
-    ``points[i:j] @ points[i:].T`` masked to the columns past each row.
+def _to_grid_units(x: np.ndarray) -> np.ndarray:
+    """Round x in place to the nearest multiple of ``_GRID`` and return it in
+    units of the grid: rint(x / _GRID).  The scaling by a power of two is
+    exact; the rounding moves a value of magnitude below 1/2 by at most
+    _GRID / 2, leaves every other value unchanged and keeps ascending values
+    ascending."""
+    x *= 1.0 / _GRID
+    return np.rint(x, out=x)
+
+
+def _grouped_blocks(points: np.ndarray):
+    """Yield the strict upper triangle of the Gram matrix on the grid
+    ``_GRID``, one block of ``_row_blocks`` at a time, as the block's distinct
+    values, ascending and clipped to [-1, 1], and their counts (see ``_runs``).
+
+    Each block is the GEMM ``points[i:j] @ points[i:].T``.  Its diagonal and
+    the entries left of it are set to +inf, so after the in-place sort they
+    are the block's last b (b + 1) / 2 entries and are dropped; the clip
+    touches only the ends of the sorted values.  Rounding (``_to_grid_units``)
+    comes before the sort, and the block stays in grid units until only its
+    distinct values are scaled back.
     """
-    for i, j, width in _row_blocks(points.shape[0]):
-        upper = np.arange(j - i)[:, None] < np.arange(width)
-        vals = (points[i:j] @ points[i:].T)[upper]
-        np.clip(vals, -1.0, 1.0, out=vals)
-        yield vals
+    blocks = list(_row_blocks(points.shape[0]))
+    lower = np.tri(max(j - i for i, j, _ in blocks), dtype=bool)
+    one = 1.0 / _GRID
+    for i, j, _ in blocks:
+        b = j - i
+        block = points[i:j] @ points[i:].T
+        np.copyto(block[:, :b], np.inf, where=lower[:b, :b])
+        vals = _to_grid_units(block).ravel()
+        vals.sort()
+        vals = vals[: vals.size - b * (b + 1) // 2]
+        vals[: np.searchsorted(vals, -one, "left")] = -one
+        vals[np.searchsorted(vals, one, "right") :] = one
+        values, counts = _runs(vals)
+        yield values * _GRID, counts
 
 
 def _refuse_coincident(s: float) -> None:
@@ -210,10 +249,10 @@ def _refuse_coincident(s: float) -> None:
         )
 
 
-def _add_gegen_sums(n: int, vals: np.ndarray, sums: np.ndarray) -> None:
-    # sums[i - 1] += sum of P_i(vals), i = 1..sums.size.
-    for i, p in enumerate(gegenbauer_terms(n, sums.size, vals)):
-        sums[i] += float(p.sum())
+def _add_gegen_sums(n: int, values: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
+    # sums[i - 1] += sum of counts * P_i(values), i = 1..sums.size.
+    for i, p in enumerate(gegenbauer_terms(n, sums.size, values)):
+        sums[i] += float(counts @ p)
 
 
 def _runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,21 +300,30 @@ def separation(code: SphericalCode) -> float:
 
 
 def energy(code: SphericalCode, pot: Potential) -> float:
-    """Sum of h over ordered pairs of distinct points."""
+    """Sum of h over ordered pairs of distinct points.
+
+    h is evaluated once per distinct inner product of each block, weighted
+    by its count, after the products are rounded to the grid 2**-53 (see
+    ``_grouped_blocks``); the result equals ``verify_strip(code, pot).energy``
+    bit for bit."""
     total = 0.0
-    for vals in _triu_blocks(code.points):
+    for values, counts in _grouped_blocks(code.points):
         if not pot.finite_at_one:
-            _refuse_coincident(float(np.max(vals)))
-        total += float(pot(vals).sum())
+            _refuse_coincident(float(values[-1]))
+        total += float(counts @ pot(values))
     return 2.0 * total
 
 
 def moments(code: SphericalCode, i_max: int) -> np.ndarray:
     """Gegenbauer moments sum_{x,y} P_i(<x,y>) for i = 0..i_max (diagonal
-    included, so the zeroth moment is M^2 and all are nonnegative)."""
+    included, so the zeroth moment is M^2 and all are nonnegative).
+
+    Like ``energy``, each P_i is evaluated once per distinct inner product
+    on the grid 2**-53; for i_max equal to the class's m the result equals
+    ``verify_strip``'s moments bit for bit."""
     sums = np.zeros(_check_degree(i_max))
-    for vals in _triu_blocks(code.points):
-        _add_gegen_sums(code.dim, vals, sums)
+    for values, counts in _grouped_blocks(code.points):
+        _add_gegen_sums(code.dim, values, counts, sums)
     return _moments_from_sums(code.size, sums)
 
 
@@ -307,10 +355,13 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
 
     The inner products are streamed twice: once for s(C), which fixes m and
     the nodes and reads each row block whole, unmasked (see ``separation``),
-    then once over the masked upper triangle, which sorts each block, takes
-    the energy and the moments over its distinct values, weighted by their
-    counts (see ``_runs``), and node coverage from the same values (see
-    ``_nodes_cover``).  A code with a repeated point raises
+    then once over the upper triangle rounded to the grid 2**-53, which
+    moves a product of magnitude below 1/2 by at most 2**-54 and no other
+    (see ``_grouped_blocks``).  That pass takes the energy and the moments
+    over each sorted block's distinct values, weighted by their counts, and
+    node coverage from the same values (see ``_nodes_cover``); ``energy``
+    and ``moments`` reduce the same way, so they equal the verdict's fields
+    bit for bit.  A code with a repeated point raises
     InfiniteEnergyError for a kernel infinite at t = 1 and ValueError for
     any other kernel.
     """
@@ -324,12 +375,9 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     es = strip(code.dim, code.size, s, pot)
     quad = es.uub_cert.quad
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True
-    for vals in _triu_blocks(code.points):
-        vals.sort()
-        values, counts = _runs(vals)
+    for values, counts in _grouped_blocks(code.points):
         half_energy += float(counts @ pot(values))
-        for i, p in enumerate(gegenbauer_terms(code.dim, quad.m, values)):
-            sums[i] += float(counts @ p)
+        _add_gegen_sums(code.dim, values, counts, sums)
         covered = covered and _nodes_cover(values, quad.nodes)
     e = 2.0 * half_energy
     tol = STRIP_TOL * max(1.0, abs(es.uub), abs(es.ulb))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import tracemalloc
@@ -23,10 +23,10 @@ from sphenergy.codes import (
     separation,
     verify_strip,
 )
-from sphenergy.errors import InfiniteEnergyError
+from sphenergy.errors import CertificationError, InfiniteEnergyError
 from sphenergy.levenshtein import quadrature
 from sphenergy.orthopoly import gegenbauer_table
-from sphenergy.potentials import make_potential
+from sphenergy.potentials import make_potential, parse_potential
 
 
 def random_code(rng, M, n):
@@ -105,6 +105,18 @@ def test_energy_diverges_for_coincident_points():
     assert val == pytest.approx(2.0 * (1.0 + 2.0 * math.exp(-1.0)), rel=1e-12)
 
 
+def test_products_past_one_are_clipped_to_one():
+    # Rows may miss unit length by NORM_TOL: a repeated row of norm 1 + 1e-12
+    # and its antipode have products near 1 + 2e-12 and -1 - 2e-12, which
+    # group to exactly -1 (twice) and 1 (once).
+    v = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-12)
+    code = SphericalCode(np.array([v, v, -v]))
+    ((values, counts),) = codes_module._grouped_blocks(code.points)
+    assert np.array_equal(values, [-1.0, 1.0]) and np.array_equal(counts, [2.0, 1.0])
+    pot = make_potential("gauss", alpha=1.0)
+    assert energy(code, pot) == 2.0 * float(counts @ pot(values))
+
+
 def test_energy_rotation_invariance():
     rng = np.random.RandomState(67)
     pot = make_potential("log")
@@ -137,14 +149,17 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 50)
     rng = np.random.RandomState(73)
     code = random_code(rng, 37, 10)
-    sizes = [vals.size for vals in codes_module._triu_blocks(code.points)]
+    groups = list(codes_module._grouped_blocks(code.points))
+    sizes = [counts.sum() for _, counts in groups]
     assert len(sizes) == 21 and sizes[0] == 36 and sizes[-1] == 1
     assert sum(sizes) == 37 * 36 // 2
+    for values, counts in groups:
+        assert np.all(values[1:] > values[:-1]) and np.all(counts >= 1)
+        assert -1.0 <= values[0] and values[-1] <= 1.0
 
     gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
     off = gram[np.triu_indices(code.size, k=1)]
     pot = make_potential("riesz", alpha=1.0)
-    assert separation(code) == max(float(np.max(v)) for v in codes_module._triu_blocks(code.points))
     assert separation(code) == pytest.approx(float(np.max(off)), abs=1e-15)
     assert energy(code, pot) == pytest.approx(2.0 * float(np.sum(pot(off))), rel=1e-13)
     dense = gegenbauer_table(code.dim, 7, gram).sum(axis=(1, 2))
@@ -152,8 +167,8 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
 
     v = verify_strip(code, pot)
     assert v.separation == separation(code)
-    assert v.energy == pytest.approx(energy(code, pot), rel=1e-13)
-    assert v.moments == pytest.approx(moments(code, v.strip.uub_cert.quad.m), abs=1e-12 * code.size**2)
+    assert v.energy == energy(code, pot)
+    assert np.array_equal(v.moments, moments(code, v.strip.uub_cert.quad.m))
 
 
 @st.composite
@@ -246,6 +261,85 @@ def test_verify_strip_over_distinct_products_matches_the_dense_gram(monkeypatch,
     assert v.nodes_cover_products
 
 
+# Around the grid's edge at 1/2, near 0 (down to subnormals) and past +-1,
+# where a computed product of unit vectors can land.
+grid_values = st.one_of(
+    st.floats(-1.0 - 2.0**-50, 1.0 + 2.0**-50),
+    st.floats(-(2.0**-40), 2.0**-40),
+    st.floats(0.5 - 2.0**-40, 0.5 + 2.0**-40).flatmap(lambda v: st.sampled_from((v, -v))),
+    st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0**-54, 3 * 2.0**-54, 5e-324, 0.5 - 2.0**-54)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(grid_values, min_size=1, max_size=50))
+def test_the_grid_moves_only_products_below_one_half_and_by_at_most_half_a_step(vals):
+    x = np.array(vals)
+    units = codes_module._to_grid_units(x.copy())
+    assert np.array_equal(units, np.rint(units))
+    on_grid = units * 2.0**-53
+    big = np.abs(x) >= 0.5
+    assert np.array_equal(on_grid[big], x[big])
+    assert np.all(np.abs(on_grid - x) <= 2.0**-54)
+    ascending = codes_module._to_grid_units(np.sort(x))
+    assert np.all(ascending[1:] >= ascending[:-1])
+
+
+@st.composite
+def grouped_codes(draw, max_size):
+    # Random codes, and E8 and cross polytopes under a random rotation, whose
+    # products repeat only up to float noise; a kernel; and a block size from
+    # one-row blocks up to the module's own.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("random", "e8", "cross_polytope")))
+    if kind == "random":
+        n = draw(st.integers(2, 10))
+        pts = rng.standard_normal((draw(st.integers(2, max_size)), n))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    else:
+        pts = _e8_roots() if kind == "e8" else generate("cross_polytope", draw(st.integers(2, 8))).points
+        pts = pts @ np.linalg.qr(rng.standard_normal((pts.shape[1],) * 2))[0]
+    kernel = draw(st.sampled_from(("newton", "riesz:1", "gauss:2", "log")))
+    return SphericalCode(pts), kernel, draw(st.sampled_from((7, 50, codes_module._BLOCK_ELEMS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_codes(max_size=15))
+def test_energy_and_moments_equal_the_verdict_bitwise(case):
+    code, kernel, block_elems = case
+    pot = parse_potential(kernel, code.dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+        try:
+            v = verify_strip(code, pot)
+        except CertificationError:
+            reject()
+        assert energy(code, pot) == v.energy
+        assert np.array_equal(moments(code, v.strip.uub_cert.quad.m), v.moments)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grouped_codes(max_size=80))
+def test_grouped_reductions_match_the_dense_gram(case):
+    code, kernel, block_elems = case
+    pot = parse_potential(kernel, code.dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+        e, mom = energy(code, pot), moments(code, 8)
+    gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
+    off = gram[np.triu_indices(code.size, k=1)]
+    h = pot(off)
+    # Relative to the sum of |h|, as the log kernel changes sign; plus what h
+    # makes of the gap between the dense GEMM's products and the blocks',
+    # each within gamma_n of the exact one, which near t = 1 (close random
+    # points) is far more than the grid's 2**-54.
+    gamma = code.dim * 2.0**-53 / (1.0 - code.dim * 2.0**-53)
+    tol = 1e-13 * float(np.sum(np.abs(h))) + 2.0 * gamma * float(np.sum(np.abs(pot.deriv(off))))
+    assert abs(e - 2.0 * float(np.sum(h))) <= 2.0 * tol
+    dense = gegenbauer_table(code.dim, 8, gram).sum(axis=(1, 2))
+    assert np.all(np.abs(mom - dense) <= 1e-13 * code.size**2)
+
+
 def _late_off_node_code():
     # +-e1, +-e2 and two unit vectors of the (e3, e4) plane at angle 2: the
     # only product off the nodes of (4, 6, 0) is cos 2, in the last row.
@@ -294,7 +388,8 @@ def test_constant_kernel_returning_a_scalar():
 @pytest.mark.parametrize("block_elems", [7, 50, codes_module._BLOCK_ELEMS])
 def test_separation_is_the_maximum_of_the_masked_blocks(monkeypatch, block_elems):
     # separation reads whole row blocks with the diagonal overwritten; it must
-    # give exactly the maximum over the masked upper triangle.
+    # give exactly the maximum over the upper triangle of the same GEMMs,
+    # masked here to the columns past each row.
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
     rng = np.random.RandomState(79)
     pair = random_code(rng, 2, 5)
@@ -302,8 +397,12 @@ def test_separation_is_the_maximum_of_the_masked_blocks(monkeypatch, block_elems
     repeated = random_code(rng, 30, 4)
     repeated.points[17] = repeated.points[3]
     for code in (pair, antipodal, repeated, random_code(rng, 37, 10), generate("cross_polytope", 6)):
-        masked = max(float(np.max(v)) for v in codes_module._triu_blocks(code.points))
-        assert separation(code) == masked
+        masked = -1.0
+        for i, j, width in codes_module._row_blocks(code.size):
+            block = code.points[i:j] @ code.points[i:].T
+            upper = np.arange(j - i)[:, None] < np.arange(width)
+            masked = max(masked, float(np.max(block[upper])))
+        assert separation(code) == min(masked, 1.0)
     assert separation(antipodal) == -1.0
     assert separation(repeated) == 1.0
 
