@@ -8,14 +8,18 @@ basis makes every moment nonnegative.
 No Gram matrix is stored.  Every pairwise quantity is a reduction over the
 strict upper triangle of the Gram matrix, streamed in blocks of rows of
 about ``_BLOCK_ELEMS`` inner products each, so memory is O(M * B) rather
-than O(M^2).  The separation, a maximum that a mirrored pair cannot change,
-reads each row block whole with its diagonal overwritten instead of
-masking it to the upper triangle.  ``energy``, ``moments`` and the second
-pass of ``verify_strip`` reduce over the same grouped blocks (see
-``_grouped_blocks``): each block is rounded to the grid 2**-53, sorted, and
-h and every P_i are evaluated once per distinct value, weighted by its
-count, so the energy is twice a weighted sum of h and the moments are
-M + 2 sum P_i; designs and sharp codes have few distinct products.
+than O(M^2).  Every reduction reads the row blocks from one generator
+(``_gram_blocks``).  The separation, a maximum that a mirrored pair cannot
+change, reads each block whole with its diagonal overwritten instead of
+masking it to the upper triangle.  ``verify_strip``, ``energy`` and
+``moments`` stream the Gram once (``_gram_pass``): the same GEMM gives each
+block's share of the separation and is then rounded to the grid 2**-53,
+sorted and grouped into distinct values and counts, which are kept while
+their total stays within ``_BLOCK_ELEMS``.  h and every P_i are evaluated
+once per kept value in one batch, and the blocks past that budget are
+computed again and evaluated one at a time (``_batches``), so the energy is
+twice a weighted sum of h and the moments are M + 2 sum P_i; designs and
+sharp codes have few distinct products and are streamed once.
 
 The grid 2**-53 is the spacing of doubles in [1/2, 1), so rounding is the
 identity on |<x,y>| >= 1/2 (and on 0 and +-1) and moves any other product
@@ -189,18 +193,37 @@ def generate(kind: str, n: int | None = None) -> SphericalCode:
     raise ValueError(f"unknown code kind {kind!r}")
 
 
-def _row_blocks(size: int):
+def _row_blocks(size: int, start: int = 0):
     """Yield (i, j, width): rows i..j-1 of the Gram against its columns
     i..size-1, width = size - i, with j - i sized so the block holds about
-    ``_BLOCK_ELEMS`` products (at least one row).  The blocks cover the
-    strict upper triangle once; row size - 1 has no column past it.
+    ``_BLOCK_ELEMS`` products (at least one row).  From start = 0 the blocks
+    cover the strict upper triangle once; row size - 1 has no column past it.
+    A start where a block begins yields the same blocks from there on.
     """
-    i = 0
+    i = start
     while i < size - 1:
         width = size - i
         j = min(size - 1, i + max(1, _BLOCK_ELEMS // width))
         yield i, j, width
         i = j
+
+
+def _gram_blocks(points: np.ndarray, start: int = 0):
+    """Yield (i, block, lower) for each row block of ``_row_blocks`` from row
+    ``start``: block is the GEMM ``points[i:j] @ points[i:].T`` with its j - i
+    diagonal entries (flat stride width + 1) set to -2, below any inner
+    product, and lower masks the diagonal and the entries left of it, the
+    transposes of pairs above it, in the block's first j - i columns.
+
+    Every reduction reads the Gram through here, so a row block's products
+    are the same floats whichever reduction reads them.
+    """
+    blocks = list(_row_blocks(points.shape[0], start))
+    tri = np.tri(max((j - i for i, j, _ in blocks), default=0), dtype=bool)
+    for i, j, width in blocks:
+        block = points[i:j] @ points[i:].T
+        block.ravel()[:: width + 1] = -2.0
+        yield i, block, tri[: j - i, : j - i]
 
 
 def _to_grid_units(x: np.ndarray) -> np.ndarray:
@@ -213,32 +236,66 @@ def _to_grid_units(x: np.ndarray) -> np.ndarray:
     return np.rint(x, out=x)
 
 
-def _grouped_blocks(points: np.ndarray):
-    """Yield the strict upper triangle of the Gram matrix on the grid
-    ``_GRID``, one block of ``_row_blocks`` at a time, as the block's distinct
-    values, ascending and clipped to [-1, 1], and their counts (see ``_runs``).
+def _group(block: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strict upper triangle of a block of ``_gram_blocks`` on the grid
+    ``_GRID``, as its distinct values, ascending and clipped to [-1, 1], and
+    their counts (see ``_runs``).  Overwrites the block.
 
-    Each block is the GEMM ``points[i:j] @ points[i:].T``.  Its diagonal and
-    the entries left of it are set to +inf, so after the in-place sort they
-    are the block's last b (b + 1) / 2 entries and are dropped; the clip
+    The entries under ``lower`` are set to +inf, so after the in-place sort
+    they are the block's last b (b + 1) / 2 entries and are dropped; the clip
     touches only the ends of the sorted values.  Rounding (``_to_grid_units``)
     comes before the sort, and the block stays in grid units until only its
     distinct values are scaled back.
     """
-    blocks = list(_row_blocks(points.shape[0]))
-    lower = np.tri(max(j - i for i, j, _ in blocks), dtype=bool)
+    b = lower.shape[0]
     one = 1.0 / _GRID
-    for i, j, _ in blocks:
-        b = j - i
-        block = points[i:j] @ points[i:].T
-        np.copyto(block[:, :b], np.inf, where=lower[:b, :b])
-        vals = _to_grid_units(block).ravel()
-        vals.sort()
-        vals = vals[: vals.size - b * (b + 1) // 2]
-        vals[: np.searchsorted(vals, -one, "left")] = -one
-        vals[np.searchsorted(vals, one, "right") :] = one
-        values, counts = _runs(vals)
-        yield values * _GRID, counts
+    np.copyto(block[:, :b], np.inf, where=lower)
+    vals = _to_grid_units(block).ravel()
+    vals.sort()
+    vals = vals[: vals.size - b * (b + 1) // 2]
+    vals[: np.searchsorted(vals, -one, "left")] = -one
+    vals[np.searchsorted(vals, one, "right") :] = one
+    values, counts = _runs(vals)
+    return values * _GRID, counts
+
+
+def _gram_pass(points: np.ndarray) -> tuple[float, list, int]:
+    """Compute each row block once: take its maximum (see ``separation``)
+    and, while the budget lasts, group it (``_group``).  Returns the
+    separation, the grouped blocks before the first whose distinct values
+    would take their total past ``_BLOCK_ELEMS``, and the row that block
+    starts at (size - 1 when every block was kept).  Past the budget only
+    the maximum is taken, and ``_batches`` computes those blocks again."""
+    s, kept, total, resume = -1.0, [], 0, None
+    for i, block, lower in _gram_blocks(points):
+        s = max(s, float(block.max()))
+        if resume is None:
+            group = _group(block, lower)
+            total += group[0].size
+            if total <= _BLOCK_ELEMS:
+                kept.append(group)
+            else:
+                resume = i
+    return min(s, 1.0), kept, points.shape[0] - 1 if resume is None else resume
+
+
+def _batches(points: np.ndarray, kept: list, resume: int):
+    """Yield lists of grouped blocks to evaluate together: the kept ones as
+    one batch, then each block from row ``resume`` on, computed and grouped
+    again, alone.  Memory stays O(M * B) whatever the number of distinct
+    values."""
+    if kept:
+        yield kept
+    for _, block, lower in _gram_blocks(points, resume):
+        yield [_group(block, lower)]
+
+
+def _pooled(batch: list) -> tuple[np.ndarray, np.ndarray]:
+    """The values and counts of a batch as one pair of arrays."""
+    if len(batch) == 1:
+        return batch[0]
+    values, counts = zip(*batch)
+    return np.concatenate(values), np.concatenate(counts)
 
 
 def _refuse_coincident(s: float) -> None:
@@ -286,15 +343,14 @@ def _nodes_cover(vals: np.ndarray, nodes: np.ndarray) -> bool:
 def separation(code: SphericalCode) -> float:
     """Largest off-diagonal inner product, clipped to [-1, 1].
 
-    Each row block of the Gram is read whole, with no mask: its j - i
-    diagonal entries (flat stride width + 1) are set to -2, below any inner
-    product, and the entries left of the diagonal are genuine pairs, the
-    transposes of entries above it.
+    Each row block of the Gram (``_gram_blocks``) is read whole, with no
+    mask: its diagonal entries are -2, below any inner product, and the
+    entries left of the diagonal are genuine pairs, the transposes of entries
+    above it.  ``verify_strip``, ``energy`` and ``moments`` take the same
+    maximum over the same blocks in the pass that groups them.
     """
     s = -1.0
-    for i, j, width in _row_blocks(code.size):
-        block = code.points[i:j] @ code.points[i:].T
-        block.ravel()[:: width + 1] = -2.0
+    for _, block, _ in _gram_blocks(code.points):
         s = max(s, float(block.max()))
     return min(s, 1.0)
 
@@ -302,14 +358,18 @@ def separation(code: SphericalCode) -> float:
 def energy(code: SphericalCode, pot: Potential) -> float:
     """Sum of h over ordered pairs of distinct points.
 
-    h is evaluated once per distinct inner product of each block, weighted
-    by its count, after the products are rounded to the grid 2**-53 (see
-    ``_grouped_blocks``); the result equals ``verify_strip(code, pot).energy``
-    bit for bit."""
+    Coincident points are refused from the separation before h is evaluated.
+    h is evaluated once per distinct inner product of each batch of grouped
+    blocks, weighted by its count, after the products are rounded to the
+    grid 2**-53 (see ``_group`` and ``_batches``); the Gram is streamed once,
+    and again only past the budget, and the result equals
+    ``verify_strip(code, pot).energy`` bit for bit."""
+    s, kept, resume = _gram_pass(code.points)
+    if not pot.finite_at_one:
+        _refuse_coincident(s)
     total = 0.0
-    for values, counts in _grouped_blocks(code.points):
-        if not pot.finite_at_one:
-            _refuse_coincident(float(values[-1]))
+    for batch in _batches(code.points, kept, resume):
+        values, counts = _pooled(batch)
         total += float(counts @ pot(values))
     return 2.0 * total
 
@@ -319,11 +379,12 @@ def moments(code: SphericalCode, i_max: int) -> np.ndarray:
     included, so the zeroth moment is M^2 and all are nonnegative).
 
     Like ``energy``, each P_i is evaluated once per distinct inner product
-    on the grid 2**-53; for i_max equal to the class's m the result equals
-    ``verify_strip``'s moments bit for bit."""
+    of each batch on the grid 2**-53; for i_max equal to the class's m the
+    result equals ``verify_strip``'s moments bit for bit."""
     sums = np.zeros(_check_degree(i_max))
-    for values, counts in _grouped_blocks(code.points):
-        _add_gegen_sums(code.dim, values, counts, sums)
+    _, kept, resume = _gram_pass(code.points)
+    for batch in _batches(code.points, kept, resume):
+        _add_gegen_sums(code.dim, *_pooled(batch), sums)
     return _moments_from_sums(code.size, sums)
 
 
@@ -353,19 +414,21 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     (equality in the upper bound requires the moments paired with the
     negative coefficients of f to vanish).
 
-    The inner products are streamed twice: once for s(C), which fixes m and
-    the nodes and reads each row block whole, unmasked (see ``separation``),
-    then once over the upper triangle rounded to the grid 2**-53, which
-    moves a product of magnitude below 1/2 by at most 2**-54 and no other
-    (see ``_grouped_blocks``).  That pass takes the energy and the moments
-    over each sorted block's distinct values, weighted by their counts, and
-    node coverage from the same values (see ``_nodes_cover``); ``energy``
-    and ``moments`` reduce the same way, so they equal the verdict's fields
-    bit for bit.  A code with a repeated point raises
+    The Gram is streamed once (``_gram_pass``): each row block's GEMM gives
+    its share of s(C), which fixes m and the nodes, and is then rounded to
+    the grid 2**-53, which moves a product of magnitude below 1/2 by at most
+    2**-54 and no other, sorted and grouped into distinct values and counts.
+    The groups are kept while their total stays within ``_BLOCK_ELEMS``
+    values; the blocks past that budget are computed and grouped again
+    after ``strip`` has run.  The energy and the moments are taken over the
+    kept groups as one batch and over each later block alone, weighted by
+    the counts, and node coverage over each group (see ``_nodes_cover``);
+    ``energy`` and ``moments`` reduce the same way, so they equal the
+    verdict's fields bit for bit.  A code with a repeated point raises
     InfiniteEnergyError for a kernel infinite at t = 1 and ValueError for
     any other kernel.
     """
-    s = separation(code)
+    s, kept, resume = _gram_pass(code.points)
     if not pot.finite_at_one:
         _refuse_coincident(s)
     if s >= 1.0:
@@ -375,10 +438,11 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     es = strip(code.dim, code.size, s, pot)
     quad = es.uub_cert.quad
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True
-    for values, counts in _grouped_blocks(code.points):
+    for batch in _batches(code.points, kept, resume):
+        values, counts = _pooled(batch)
         half_energy += float(counts @ pot(values))
         _add_gegen_sums(code.dim, values, counts, sums)
-        covered = covered and _nodes_cover(values, quad.nodes)
+        covered = covered and all(_nodes_cover(v, quad.nodes) for v, _ in batch)
     e = 2.0 * half_energy
     tol = STRIP_TOL * max(1.0, abs(es.uub), abs(es.ulb))
     inside = (es.ulb - tol <= e) and (e <= es.uub + tol)

@@ -1,5 +1,6 @@
 """Code containers, named constructions, energies, and strip verification."""
 
+import collections
 import math
 
 import numpy as np
@@ -111,7 +112,9 @@ def test_products_past_one_are_clipped_to_one():
     # group to exactly -1 (twice) and 1 (once).
     v = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-12)
     code = SphericalCode(np.array([v, v, -v]))
-    ((values, counts),) = codes_module._grouped_blocks(code.points)
+    _, kept, resume = codes_module._gram_pass(code.points)
+    ((values, counts),) = kept
+    assert resume == code.size - 1
     assert np.array_equal(values, [-1.0, 1.0]) and np.array_equal(counts, [2.0, 1.0])
     pot = make_potential("gauss", alpha=1.0)
     assert energy(code, pot) == 2.0 * float(counts @ pot(values))
@@ -149,13 +152,21 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 50)
     rng = np.random.RandomState(73)
     code = random_code(rng, 37, 10)
-    groups = list(codes_module._grouped_blocks(code.points))
+    groups = [codes_module._group(block, lower) for _, block, lower in codes_module._gram_blocks(code.points)]
     sizes = [counts.sum() for _, counts in groups]
     assert len(sizes) == 21 and sizes[0] == 36 and sizes[-1] == 1
     assert sum(sizes) == 37 * 36 // 2
     for values, counts in groups:
         assert np.all(values[1:] > values[:-1]) and np.all(counts >= 1)
         assert -1.0 <= values[0] and values[-1] <= 1.0
+    # The products are all distinct, so the first block alone fits the
+    # budget; the blocks past it are computed and grouped again, to the bit.
+    _, kept, resume = codes_module._gram_pass(code.points)
+    assert len(kept) == 1 and resume == 1
+    again = [group for batch in codes_module._batches(code.points, kept, resume) for group in batch]
+    assert len(again) == 21
+    for (values, counts), (v2, c2) in zip(groups, again):
+        assert np.array_equal(values, v2) and np.array_equal(counts, c2)
 
     gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
     off = gram[np.triu_indices(code.size, k=1)]
@@ -340,11 +351,13 @@ def test_grouped_reductions_match_the_dense_gram(case):
     assert np.all(np.abs(mom - dense) <= 1e-13 * code.size**2)
 
 
-def _late_off_node_code():
-    # +-e1, +-e2 and two unit vectors of the (e3, e4) plane at angle 2: the
-    # only product off the nodes of (4, 6, 0) is cos 2, in the last row.
-    late = [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, math.cos(2.0), math.sin(2.0)]]
-    return SphericalCode(np.vstack([np.eye(4)[:2], -np.eye(4)[:2], late]))
+def _late_off_node_code(k=2):
+    # +-e1..+-ek and two unit vectors of the (e_k+1, e_k+2) plane at angle 2:
+    # the only product off the nodes of (k + 2, 2 k + 2, 0) is cos 2, in the
+    # last row.
+    late = np.zeros((2, k + 2))
+    late[0, k], late[1, k:] = 1.0, (math.cos(2.0), math.sin(2.0))
+    return SphericalCode(np.vstack([np.eye(k + 2)[:k], -np.eye(k + 2)[:k], late]))
 
 
 @pytest.mark.parametrize("block_elems", [7, 50])
@@ -354,6 +367,9 @@ def test_node_coverage_over_blocks_matches_the_dense_check(monkeypatch, block_el
     cases = (
         (generate("cross_polytope", 6), True),
         (_late_off_node_code(), False),
+        # At 50 products per block both of its blocks are kept, and the
+        # off-node product is in the second.
+        (_late_off_node_code(4), False),
         (random_code(np.random.RandomState(73), 37, 10), False),
     )
     for code, covered in cases:
@@ -407,25 +423,109 @@ def test_separation_is_the_maximum_of_the_masked_blocks(monkeypatch, block_elems
     assert separation(repeated) == 1.0
 
 
-def test_verify_strip_memory_is_linear_in_the_size():
-    # 3000 of the 3136 norm-6 vectors of D8, scaled to the sphere: a code in
-    # R^8 with separation 5/6 that the bound pipeline certifies.  Its Gram
-    # matrix alone would take 8 M^2 bytes (72 MB); verify_strip must stay
-    # below a quarter of that.
+def _d8_shell(size, jitter=0.0):
+    # The first `size` of the 3136 norm-6 vectors of D8, scaled to the
+    # sphere: separation 5/6.  With jitter, each coordinate moves by that
+    # times a standard normal (default_rng(1)) before the rows are
+    # renormalized, which leaves no two products equal.
     axis = np.arange(-2, 3, dtype=np.int8)
     grid = np.stack(np.meshgrid(*[axis] * 8, indexing="ij"), axis=-1).reshape(-1, 8)
-    shell = grid[np.sum(grid.astype(int) ** 2, axis=1) == 6]
-    code = SphericalCode(shell[:3000] / math.sqrt(6.0))
+    pts = grid[np.sum(grid.astype(int) ** 2, axis=1) == 6][:size] / math.sqrt(6.0)
+    if jitter:
+        pts = pts + jitter * np.random.default_rng(1).standard_normal(pts.shape)
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    return SphericalCode(pts)
+
+
+def _blocks_past_budget(code):
+    # Row starts of the blocks whose distinct products, counted from each
+    # block's upper triangle on the grid and added up in order, first pass
+    # _BLOCK_ELEMS, and of every block after it.
+    starts, total = [], 0
+    for i, j, width in codes_module._row_blocks(code.size):
+        block = code.points[i:j] @ code.points[i:].T
+        upper = block[np.arange(j - i)[:, None] < np.arange(width)]
+        total += np.unique(np.clip(np.rint(upper * 2.0**53), -(2.0**53), 2.0**53)).size
+        if starts or total > codes_module._BLOCK_ELEMS:
+            starts.append(i)
+    return starts
+
+
+@pytest.mark.parametrize("block_elems", [7, 50, 2**16])
+def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatch, block_elems):
+    # Count the GEMMs of each row block through the one generator that makes
+    # them.  A block is computed once in the pass that takes the separation
+    # and groups it, and once more only if it lies past the budget.
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+    calls = collections.Counter()
+    blocks = codes_module._gram_blocks
+
+    def counted(points, start=0):
+        for item in blocks(points, start):
+            calls[item[0]] += 1
+            yield item
+
+    monkeypatch.setattr(codes_module, "_gram_blocks", counted)
+    rotation = np.linalg.qr(np.random.RandomState(89).randn(8, 8))[0]
+    cases = {
+        "cross_polytope": (generate("cross_polytope", 6), "riesz:1"),
+        "e8": (SphericalCode(_e8_roots() @ rotation), "riesz:1"),
+        "jittered": (_d8_shell(400, jitter=1e-7), "gauss:1"),
+    }
+    past = {}
+    for name, (code, kernel) in cases.items():
+        calls.clear()
+        v = verify_strip(code, parse_potential(kernel, code.dim))
+        assert v.inside
+        past[name] = _blocks_past_budget(code)
+        starts = [i for i, _, _ in codes_module._row_blocks(code.size)]
+        assert calls == {i: 2 if i in past[name] else 1 for i in starts}
+    # A rotated E8 keeps about 13 distinct grid values per row block, so
+    # one-row blocks of 7 or 50 products spend those budgets early.
+    if block_elems == 2**16:
+        assert not past["cross_polytope"] and not past["e8"]
+    assert bool(past["cross_polytope"]) == (block_elems == 7)
+    assert past["jittered"]
+
+
+def test_verify_strip_memory_is_linear_in_the_size():
+    # 3000-point codes in R^8 that the bound pipeline certifies: one whose
+    # products repeat, and one whose products are all distinct, so that
+    # nearly every row block lies past the budget.  Its Gram matrix alone
+    # would take 8 M^2 bytes (72 MB); verify_strip must stay below a
+    # quarter of that.
     pot = make_potential("gauss", alpha=1.0)
-    tracemalloc.start()
-    try:
-        v = verify_strip(code, pot)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert v.separation == pytest.approx(5.0 / 6.0, abs=1e-15)
-    assert v.inside and v.moments[0] == code.size**2
-    assert peak < 8 * code.size**2 / 4
+    for jitter, s, tol in ((0.0, 5.0 / 6.0, 1e-15), (1e-7, 0.83333365, 1e-8)):
+        code = _d8_shell(3000, jitter)
+        tracemalloc.start()
+        try:
+            v = verify_strip(code, pot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.separation == pytest.approx(s, abs=tol)
+        assert v.inside and v.moments[0] == code.size**2
+        assert peak < 8 * code.size**2 / 4
+
+
+def test_energy_refuses_coincident_points_before_calling_the_kernel(monkeypatch):
+    # The repeated pair (3, 17) lies in the fourth of the one-row blocks, so
+    # a reduction that refused block by block would call h on three blocks
+    # first.
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 50)
+    code = random_code(np.random.RandomState(79), 30, 4)
+    code.points[17] = code.points[3]
+    newton = make_potential("newton", n=4)
+    calls = []
+
+    def counted(t):
+        calls.append(np.size(t))
+        return newton.eval_fn(t)
+
+    with pytest.raises(InfiniteEnergyError, match="coincident points"):
+        energy(code, newton._replace(eval_fn=counted))
+    assert calls == []
+    assert energy(code, make_potential("gauss", alpha=1.0)) == pytest.approx(405.00722556110196, rel=1e-13)
 
 
 def test_load_code_good_file(tmp_path):
