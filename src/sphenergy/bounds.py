@@ -55,7 +55,7 @@ from .levenshtein import (
     quadrature,
     solve_cardinality,
 )
-from .orthopoly import MAX_DEGREE, GegenPoly, _mul_linear, gegenbauer_table
+from .orthopoly import MAX_DEGREE, GegenPoly, _newton_to_gegen, gegenbauer_table
 from .potentials import Potential, parse_potential
 
 __all__ = [
@@ -64,14 +64,12 @@ __all__ = [
     "BoundCertificate",
     "EnergyStrip",
     "TestFunctionReport",
-    "ProbeReport",
     "hermite_interpolant",
     "lambda_star",
     "uub",
     "ulb",
     "strip",
     "test_functions",
-    "optimality_probe",
     "certificate_to_dict",
     "strip_to_dict",
     "recheck_certificate",
@@ -94,12 +92,10 @@ FORMS_TOL = 1e-10
 # Relative slack between M and L_m(n, s) computed in floating point: within
 # it the class is sharp (M = L), beyond it on the high side infeasible.
 SHARP_TOL = 1e-9
-# ``strip``'s slack for ulb above uub, relative to max(1, |uub|); the absolute
-# slack below 0 of a negative R_j in ``test_functions``; and the slack below
-# uub, relative to |uub|, of a violation in ``optimality_probe``.
+# ``strip``'s slack for ulb above uub, relative to max(1, |uub|), and the
+# absolute slack below 0 of a negative R_j in ``test_functions``.
 INVERSION_TOL = 1e-9
 SIGN_TOL = 1e-9
-PROBE_TOL = 1e-9
 
 
 def _sharp_slack(L: float) -> float:
@@ -134,11 +130,7 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
             else:
                 col[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
         newton.append(col[0])
-    coeffs = [newton[d - 1]]
-    for j in range(d - 2, -1, -1):
-        coeffs = _mul_linear(n, coeffs, z[j])
-        coeffs[0] += newton[j]
-    return GegenPoly(n, coeffs)
+    return _newton_to_gegen(n, z, newton)
 
 
 class LambdaChoice(NamedTuple):
@@ -475,46 +467,3 @@ def test_functions(n: int, s: float, j_max: int) -> TestFunctionReport:
         optimal_in_range=not bad,
         first_negative=bad[0] if bad else None,
     )
-
-
-class ProbeReport(NamedTuple):
-    trials: int
-    accepted: int
-    violations: int
-    min_margin: float
-
-
-def optimality_probe(cert: BoundCertificate, trials: int = 100, seed: int = 0) -> ProbeReport:
-    """Random sanity check that no feasible competitor beats the certificate.
-
-    Draws perturbations F = f - sum_i c_i P_i with c_i uniform in
-    [0, 1e-3 (1 + |lambda|)], keeps those still above the potential on the
-    feasibility grid (F(1) <= f(1) holds automatically), and checks
-    M (F_0 M - F(1)) >= uub - ``PROBE_TOL`` |uub| for each survivor.  ``min_margin``
-    is the smallest observed slack.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
-    rng = np.random.default_rng(seed)
-    m = cert.quad.m
-    grid, table = _grid_table(cert.dim, cert.s, cert.quad.nodes, m)
-    f_vals = cert.f.coeffs @ table
-    h_vals = cert.potential(grid)
-    M = cert.M
-    f_one = cert.f.at_one()
-    f0 = float(cert.f.coeffs[0])
-    accepted = violations = 0
-    min_margin = math.inf
-    tol = PROBE_TOL * abs(cert.uub_value)
-    for _ in range(trials):
-        c = rng.uniform(0.0, 1e-3 * (1.0 + abs(cert.lam)), m + 1)
-        pert = c @ table
-        if float(np.min(f_vals - pert - h_vals)) < -GAP_TOL:
-            continue
-        accepted += 1
-        bound = M * ((f0 - c[0]) * M - (f_one - float(c.sum())))
-        margin = bound - cert.uub_value
-        min_margin = min(min_margin, margin)
-        if margin < -tol:
-            violations += 1
-    return ProbeReport(trials, accepted, violations, min_margin)

@@ -301,16 +301,16 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     # BLAS path and rounds differently.
     table = np.array([[1.0, *gegenbauer_terms(n, interval.m, a)] for a in roots.tolist()]).T.copy()
     table.setflags(write=False)
-    # delta_j0 - 1/N for j = 0 .. m: the solve takes rows 0 .. q - 1, the
-    # exactness residual all of them, as ``exactness_residual`` computes it.
-    target = np.full(interval.m + 1, -1.0 / N)
+    # delta_j0 - 1/N for j = 0 .. q - 1; ``exactness_residual`` checks every
+    # j up to m.
+    target = np.full(q, -1.0 / N)
     target[0] += 1.0
-    weights = np.linalg.solve(table[:q], target[:q])
+    weights = np.linalg.solve(table[:q], target)
     if (weights <= 0.0).any():
         raise CertificationError(
             f"nonpositive quadrature weight for (n={n}, s={s}): {weights}"
         )
-    residual = float(abs(table @ weights - target).max())
+    residual = exactness_residual(table, weights, N)
     if residual > EXACTNESS_TOL:
         raise CertificationError(
             f"quadrature exactness residual {residual:.3e} exceeds {EXACTNESS_TOL:g} (n={n}, s={s})"
@@ -320,9 +320,12 @@ def quadrature(n: int, s: float) -> QuadratureRule:
 
 def exactness_residual(table: np.ndarray, weights: np.ndarray, N: float) -> float:
     """max_j |sum_i rho_i P_j(alpha_i) - (delta_j0 - 1/N)|, table[j] = P_j(nodes)."""
-    target = np.full(table.shape[0], -1.0 / N)
-    target[0] += 1.0
-    return float(abs(table @ weights - target).max())
+    # Rounds as subtracting the target array would, without building it.
+    dev = table @ weights
+    first = float(dev[0]) - (1.0 - 1.0 / N)
+    dev += 1.0 / N
+    dev[0] = first
+    return float(abs(dev).max())
 
 
 def illinois_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:

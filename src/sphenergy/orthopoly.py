@@ -321,13 +321,22 @@ def _mul_linear(n: int, coeffs: list[float], root: float) -> list[float]:
     return out
 
 
+def _newton_to_gegen(n: int, z: list[float], newton: list[float]) -> GegenPoly:
+    """The Newton form sum_j newton[j] prod_{i < j} (t - z[i]) over the
+    Gegenbauer basis, by nested multiplication from the last coefficient
+    down.  Plain floats in; z needs at least len(newton) - 1 entries."""
+    coeffs = [newton[-1]]
+    for j in range(len(newton) - 2, -1, -1):
+        coeffs = _mul_linear(n, coeffs, z[j])
+        coeffs[0] += newton[j]
+    return GegenPoly(n, coeffs)
+
+
 def product_to_gegen(n: int, roots) -> GegenPoly:
-    """Expand the monic polynomial prod (t - r) over the Gegenbauer basis."""
+    """Expand the monic polynomial prod (t - r) over the Gegenbauer basis,
+    multiplying the factors in the order given."""
     n = _check_dim(n)
     roots = [float(r) for r in roots]
     if len(roots) > MAX_DEGREE:
         raise ValueError(f"product degree {len(roots)} exceeds the supported maximum {MAX_DEGREE}")
-    coeffs = [1.0]
-    for r in roots:
-        coeffs = _mul_linear(n, coeffs, r)
-    return GegenPoly(n, coeffs)
+    return _newton_to_gegen(n, roots[::-1], [0.0] * len(roots) + [1.0])

@@ -10,9 +10,15 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import roots_jacobi
 
-from sphenergy.bounds import POSITIVITY_TOL, hermite_interpolant, lambda_star
+from sphenergy.bounds import POSITIVITY_TOL, _feasibility_grid, hermite_interpolant, lambda_star
 from sphenergy.codes import ez_separation
-from sphenergy.orthopoly import GegenPoly, _monic_recurrence, eval_gegenbauer, gegenbauer_terms
+from sphenergy.orthopoly import (
+    GegenPoly,
+    _monic_recurrence,
+    eval_gegenbauer,
+    gegenbauer_table,
+    gegenbauer_terms,
+)
 
 
 def _gauss_jacobi_estimate(n, f, i, order):
@@ -80,6 +86,33 @@ def spare_node_bound(cert):
     lam = lambda_star(g, cert.lev).value
     f = GegenPoly(cert.dim, g.coeffs - lam * cert.lev.gegen.coeffs)
     return g, cert.M * (float(f.coeffs[0]) * cert.M - f.at_one())
+
+
+def lp_upper(cert):
+    """Polynomial f and value of the degree-m upper linear program on
+    ``cert``'s own feasibility grid: minimize M (M f_0 - f(1)) over
+    f = sum_{i <= m} f_i P_i with f >= h on the grid, f_i <= 0 for i >= 1
+    and f_0 free, solved by HiGHS.  ``cert.f`` is one feasible point, so
+    the value is at most ``cert.uub_value`` up to the gates' tolerances.
+    """
+    from scipy.optimize import linprog
+
+    n, M, m = cert.dim, cert.M, cert.quad.m
+    grid = _feasibility_grid(cert.s, cert.quad.nodes)
+    table = gegenbauer_table(n, m, grid)
+    # M f_0 - f(1), scaled by M after the solve: with the cost M times larger,
+    # HiGHS stops on numerical difficulties at M = 196560.
+    cost = np.full(m + 1, -1.0)
+    cost[0] = M - 1.0
+    res = linprog(
+        cost,
+        A_ub=-table.T,
+        b_ub=-cert.potential(grid),
+        bounds=[(None, None)] + [(None, 0.0)] * m,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return GegenPoly(n, res.x), M * float(res.fun)
 
 
 def node_sign_on_linspace(lev):

@@ -199,6 +199,9 @@ def test_quadrature_partition_of_unity_and_exactness():
         assert all(w > 0 for w in rule.weights)
         assert rule.residual < 1e-9
         assert rule.residual == exactness_residual(rule.table, rule.weights, rule.N)
+        target = np.full(rule.m + 1, -1.0 / rule.N)
+        target[0] += 1.0
+        assert rule.residual == float(abs(rule.table @ rule.weights - target).max())
 
 
 def test_quadrature_ez_residual():

@@ -38,6 +38,7 @@ def test_test_only_names_and_keywords_are_not_public():
         ),
         potentials: ("derivative_check", "DerivativeReport"),
         orthopoly: ("gegen_coefficient_integral",),
+        bounds: ("optimality_probe", "ProbeReport", "PROBE_TOL"),
     }
     listed = dir(sphenergy)
     for mod, names in removed.items():
