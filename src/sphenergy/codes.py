@@ -16,10 +16,27 @@ masking it to the upper triangle.  ``verify_strip``, ``energy`` and
 block's share of the separation and is then rounded to the grid 2**-53,
 sorted and grouped into distinct values and counts, which are kept while
 their total stays within ``_BLOCK_ELEMS``.  h and every P_i are evaluated
-once per kept value in one batch, and the blocks past that budget are
-computed again and evaluated one at a time (``_batches``), so the energy is
-twice a weighted sum of h and the moments are M + 2 sum P_i; designs and
-sharp codes have few distinct products and are streamed once.
+once per kept value in one batch, the groups of the block that passes the
+budget in batches of their own, and the blocks after it are computed again
+and evaluated one group at a time, so the energy is twice a weighted sum of
+h and the moments are M + 2 sum P_i; designs and sharp codes have few
+distinct products and are streamed once.
+
+Antipodal codes, closed under x -> -x as most sharp and optimal codes are
+(cross polytopes, the icosahedron, E8, the 600-cell, Leech), stream a
+quarter of the Gram.  ``_antipodal_half`` finds, exactly and from the points
+alone, a pairing with points[a] == -points[b] entry for entry; the blocks
+are then those of H = points[a], M/2 rows.  A product v of x, y in H stands
+for the pairs {x, y} and {-x, -y} of the code and -v for {x, -y} and
+{-x, y}, and the M/2 pairs {x, -x} have the products -<x, x>.  IEEE
+negation is exact and commutes with every product, FMA and sum, and the
+grid rounding (half to even) and the clip to [-1, 1] are odd, so the groups
+of H with doubled counts and their mirror images are those of the whole
+code up to the GEMM's own rounding.  That rounding can depend on the shape
+of the product (a one-row block is a matrix-vector product), so a product,
+and with it the separation, can differ in its last bits from a stream of
+the whole code.  Every other code is streamed whole; no option chooses the
+path.
 
 The grid 2**-53 is the spacing of doubles in [1/2, 1), so rounding is the
 identity on |<x,y>| >= 1/2 (and on 0 and +-1) and moves any other product
@@ -35,8 +52,10 @@ about each node.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -193,6 +212,67 @@ def generate(kind: str, n: int | None = None) -> SphericalCode:
     raise ValueError(f"unknown code kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _key_weights(n: int) -> np.ndarray:
+    """The square roots of the first n primes, linearly independent over the
+    rationals: distinct points with rational coordinates, up to a common
+    scale, get distinct keys ``points @ w`` before rounding.  The n-th prime
+    is below n (ln n + ln ln n) for n >= 6 (Rosser), and below 14 for n < 6.
+    """
+    limit = max(14, math.ceil(n * (math.log(n) + math.log(math.log(n)))))
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    w = np.sqrt(np.flatnonzero(sieve)[:n].astype(float))
+    w.setflags(write=False)
+    return w
+
+
+def _pairs_up(points: np.ndarray, order: np.ndarray) -> bool:
+    """Whether points[order[k]] == -points[order[M - 1 - k]] for every k < M/2,
+    entry for entry."""
+    half = order.size // 2
+    return np.array_equal(points[order[:half]], -points[order[: half - 1 : -1]])
+
+
+def _antipodal_half(points: np.ndarray) -> np.ndarray | None:
+    """Row indices a of one point of each pair {x, -x} if the code is
+    antipodal, that is, if M is even and some pairing b of the other rows has
+    points[a] == -points[b] entry for entry; None otherwise.
+
+    The rows are sorted, and the k-th is paired with the (M - 1 - k)-th: an
+    order that negation reverses sorts -x to the place mirroring x's.  The
+    key ``points @ w`` (``_key_weights``) is fast.  Each key is within
+    gamma_n |w| of its exact value, so the sorted keys of an antipodal code
+    and their reversed negatives differ by at most 2 gamma_n |w| < 4 n u |w|,
+    and keys farther from symmetric refuse the code at once.  Tied keys of
+    distinct points can pair the wrong rows, so if the key's pairing fails
+    the rows are paired again in lexicographic order, which negation reverses
+    exactly.  The answer depends only on the points.
+
+    Codes of 2 or 4 points are left whole, as their half would save
+    nothing: one row has no block, and two rows make a single one-row block,
+    which numpy runs as a matrix-vector product whose rounding can differ
+    from the GEMM's in the last bit.
+    """
+    size, n = points.shape
+    if size % 2 or size < 6:
+        return None
+    w = _key_weights(n)
+    key = points @ w
+    order = np.argsort(key)
+    ks = key[order]
+    if np.max(np.abs(ks + ks[::-1])) > 4.0 * n * 2.0**-53 * math.sqrt(float(w @ w)):
+        return None
+    if not _pairs_up(points, order):
+        order = np.lexsort(points.T[::-1])
+        if not _pairs_up(points, order):
+            return None
+    return order[: size // 2]
+
+
 def _row_blocks(size: int, start: int = 0):
     """Yield (i, j, width): rows i..j-1 of the Gram against its columns
     i..size-1, width = size - i, with j - i sized so the block holds about
@@ -208,22 +288,45 @@ def _row_blocks(size: int, start: int = 0):
         i = j
 
 
-def _gram_blocks(points: np.ndarray, start: int = 0):
+def _gram_blocks(rows: np.ndarray, mirrored: bool, start: int = 0):
     """Yield (i, block, lower) for each row block of ``_row_blocks`` from row
-    ``start``: block is the GEMM ``points[i:j] @ points[i:].T`` with its j - i
-    diagonal entries (flat stride width + 1) set to -2, below any inner
-    product, and lower masks the diagonal and the entries left of it, the
-    transposes of pairs above it, in the block's first j - i columns.
+    ``start``: block is the GEMM ``rows[i:j] @ rows[i:].T`` with its j - i
+    diagonal entries (flat stride width + 1) overwritten, and lower masks the
+    diagonal and the entries left of it, the transposes of pairs above it, in
+    the block's first j - i columns.  The diagonal is set to -2, below any
+    inner product, or, when the rows are the half H of an antipodal code
+    (``mirrored``), to 0, below any magnitude (see ``_block_max``).
 
     Every reduction reads the Gram through here, so a row block's products
     are the same floats whichever reduction reads them.
     """
-    blocks = list(_row_blocks(points.shape[0], start))
+    blocks = list(_row_blocks(rows.shape[0], start))
     tri = np.tri(max((j - i for i, j, _ in blocks), default=0), dtype=bool)
     for i, j, width in blocks:
-        block = points[i:j] @ points[i:].T
-        block.ravel()[:: width + 1] = -2.0
+        block = rows[i:j] @ rows[i:].T
+        block.ravel()[:: width + 1] = 0.0 if mirrored else -2.0
         yield i, block, tri[: j - i, : j - i]
+
+
+def _block_max(block: np.ndarray, mirrored: bool) -> float:
+    """The largest product a block of ``_gram_blocks`` stands for, read whole
+    with no mask: its maximum, or for H the largest |<x, y>|, as <x, -y> =
+    -<x, y> is a product of the code too."""
+    if mirrored:
+        return max(float(block.max()), -float(block.min()))
+    return float(block.max())
+
+
+def _streamed_rows(points: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
+    """The rows whose Gram the reductions stream, whether they are the half H
+    of an antipodal code (``_antipodal_half``), and the products the blocks
+    of H leave out: -<x, x> for x in H, those of the M/2 pairs {x, -x} (none
+    for a code streamed whole)."""
+    half = _antipodal_half(points)
+    if half is None:
+        return points, False, np.empty(0)
+    rows = points[half]
+    return rows, True, -np.einsum("ij,ij->i", rows, rows)
 
 
 def _to_grid_units(x: np.ndarray) -> np.ndarray:
@@ -236,58 +339,85 @@ def _to_grid_units(x: np.ndarray) -> np.ndarray:
     return np.rint(x, out=x)
 
 
-def _group(block: np.ndarray, lower: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The strict upper triangle of a block of ``_gram_blocks`` on the grid
-    ``_GRID``, as its distinct values, ascending and clipped to [-1, 1], and
-    their counts (see ``_runs``).  Overwrites the block.
+def _grid_runs(vals: np.ndarray, drop: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The flat array ``vals`` on the grid ``_GRID`` as its distinct values,
+    ascending and clipped to [-1, 1], and their counts (see ``_runs``), with
+    the ``drop`` largest left out.  Overwrites vals.
 
-    The entries under ``lower`` are set to +inf, so after the in-place sort
-    they are the block's last b (b + 1) / 2 entries and are dropped; the clip
-    touches only the ends of the sorted values.  Rounding (``_to_grid_units``)
-    comes before the sort, and the block stays in grid units until only its
-    distinct values are scaled back.
-    """
-    b = lower.shape[0]
+    Rounding (``_to_grid_units``) comes before the sort, and the values stay
+    in grid units until only the distinct ones are scaled back; the clip
+    touches only the ends of the sorted values."""
     one = 1.0 / _GRID
-    np.copyto(block[:, :b], np.inf, where=lower)
-    vals = _to_grid_units(block).ravel()
+    vals = _to_grid_units(vals)
     vals.sort()
-    vals = vals[: vals.size - b * (b + 1) // 2]
+    vals = vals[: vals.size - drop]
     vals[: np.searchsorted(vals, -one, "left")] = -one
     vals[np.searchsorted(vals, one, "right") :] = one
     values, counts = _runs(vals)
     return values * _GRID, counts
 
 
-def _gram_pass(points: np.ndarray) -> tuple[float, list, int]:
-    """Compute each row block once: take its maximum (see ``separation``)
-    and, while the budget lasts, group it (``_group``).  Returns the
-    separation, the grouped blocks before the first whose distinct values
-    would take their total past ``_BLOCK_ELEMS``, and the row that block
-    starts at (size - 1 when every block was kept).  Past the budget only
-    the maximum is taken, and ``_batches`` computes those blocks again."""
-    s, kept, total, resume = -1.0, [], 0, None
-    for i, block, lower in _gram_blocks(points):
-        s = max(s, float(block.max()))
-        if resume is None:
-            group = _group(block, lower)
-            total += group[0].size
+def _group(block: np.ndarray, lower: np.ndarray, mirrored: bool) -> list:
+    """The strict upper triangle of a block of ``_gram_blocks`` as groups of
+    distinct values and counts (``_grid_runs``).  Overwrites the block.
+
+    The entries under ``lower`` are set to +inf, so after the sort they are
+    the block's last b (b + 1) / 2 entries and are dropped.  A block of H
+    (``mirrored``) gives two groups: each of its values v with count c stands
+    for the pairs {x, y} and {-x, -y} of the code, (v, 2 c), and for {x, -y}
+    and {-x, y}, (-v, 2 c).  Rounding half to even and the clip are odd, so
+    the second group is the first negated and reversed.
+    """
+    b = lower.shape[0]
+    np.copyto(block[:, :b], np.inf, where=lower)
+    values, counts = _grid_runs(block.ravel(), b * (b + 1) // 2)
+    if not mirrored:
+        return [(values, counts)]
+    counts = 2.0 * counts
+    return [(values, counts), (-values[::-1], counts[::-1])]
+
+
+def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[list]]:
+    """Compute each row block once: take its maximum (``_block_max``) and,
+    while the budget lasts, group it (``_group``).  Returns the separation
+    and an iterator over the batches of groups to evaluate together.
+
+    The groups are kept while their total stays within ``_BLOCK_ELEMS``
+    values and form the first batch; each group of the block that takes the
+    total past the budget is a batch of its own.  Past that block only the
+    maximum is taken, and the iterator computes and groups those blocks again,
+    one group per batch, when it reaches them (``_regrouped``), so a batch
+    of several groups holds at most ``_BLOCK_ELEMS`` values and memory stays
+    O(M * B) whatever the number of distinct values.  An antipodal code streams the
+    Gram of its half H (``_streamed_rows``), and its M/2 pairs {x, -x} add
+    one group of the values -<x, x> to the first batch.
+    """
+    rows, mirrored, pairs = _streamed_rows(points)
+    s, total, resume = float(pairs.max(initial=-1.0)), 0, rows.shape[0] - 1
+    kept, crossing = [], []
+    if pairs.size:
+        kept.append(_grid_runs(pairs))
+        total = kept[0][0].size
+    for i, block, lower in _gram_blocks(rows, mirrored):
+        s = max(s, _block_max(block, mirrored))
+        if not crossing:
+            groups = _group(block, lower, mirrored)
+            total += sum(values.size for values, _ in groups)
             if total <= _BLOCK_ELEMS:
-                kept.append(group)
+                kept.extend(groups)
             else:
-                resume = i
-    return min(s, 1.0), kept, points.shape[0] - 1 if resume is None else resume
+                crossing = [[group] for group in groups]
+                resume = i + lower.shape[0]
+    batches = ([kept] if kept else []) + crossing
+    return min(s, 1.0), itertools.chain(batches, _regrouped(rows, mirrored, resume))
 
 
-def _batches(points: np.ndarray, kept: list, resume: int):
-    """Yield lists of grouped blocks to evaluate together: the kept ones as
-    one batch, then each block from row ``resume`` on, computed and grouped
-    again, alone.  Memory stays O(M * B) whatever the number of distinct
-    values."""
-    if kept:
-        yield kept
-    for _, block, lower in _gram_blocks(points, resume):
-        yield [_group(block, lower)]
+def _regrouped(rows: np.ndarray, mirrored: bool, start: int):
+    """Yield each group of each row block from row ``start`` on, computed
+    and grouped again, as a batch of its own."""
+    for _, block, lower in _gram_blocks(rows, mirrored, start):
+        for group in _group(block, lower, mirrored):
+            yield [group]
 
 
 def _pooled(batch: list) -> tuple[np.ndarray, np.ndarray]:
@@ -346,12 +476,19 @@ def separation(code: SphericalCode) -> float:
     Each row block of the Gram (``_gram_blocks``) is read whole, with no
     mask: its diagonal entries are -2, below any inner product, and the
     entries left of the diagonal are genuine pairs, the transposes of entries
-    above it.  ``verify_strip``, ``energy`` and ``moments`` take the same
-    maximum over the same blocks in the pass that groups them.
+    above it.  An antipodal code reads the blocks of its half H instead: the
+    largest |<x, y>| over distinct x, y in H, or the largest -<x, x> of a
+    pair {x, -x} where that is larger (``_streamed_rows``, ``_block_max``).
+    Negation is exact and commutes with every product and sum, so this is
+    the maximum over the whole code up to the GEMM's own rounding, which
+    can move with the shape of the product.  ``verify_strip``, ``energy``
+    and ``moments`` take the same maximum over the same blocks in the pass
+    that groups them.
     """
-    s = -1.0
-    for _, block, _ in _gram_blocks(code.points):
-        s = max(s, float(block.max()))
+    rows, mirrored, pairs = _streamed_rows(code.points)
+    s = float(pairs.max(initial=-1.0))
+    for _, block, _ in _gram_blocks(rows, mirrored):
+        s = max(s, _block_max(block, mirrored))
     return min(s, 1.0)
 
 
@@ -361,14 +498,15 @@ def energy(code: SphericalCode, pot: Potential) -> float:
     Coincident points are refused from the separation before h is evaluated.
     h is evaluated once per distinct inner product of each batch of grouped
     blocks, weighted by its count, after the products are rounded to the
-    grid 2**-53 (see ``_group`` and ``_batches``); the Gram is streamed once,
-    and again only past the budget, and the result equals
+    grid 2**-53 (see ``_gram_pass``); the Gram, or on an antipodal code the
+    Gram of its half, a quarter of the products, is streamed once, and again
+    only past the budget, and the result equals
     ``verify_strip(code, pot).energy`` bit for bit."""
-    s, kept, resume = _gram_pass(code.points)
+    s, batches = _gram_pass(code.points)
     if not pot.finite_at_one:
         _refuse_coincident(s)
     total = 0.0
-    for batch in _batches(code.points, kept, resume):
+    for batch in batches:
         values, counts = _pooled(batch)
         total += float(counts @ pot(values))
     return 2.0 * total
@@ -379,11 +517,12 @@ def moments(code: SphericalCode, i_max: int) -> np.ndarray:
     included, so the zeroth moment is M^2 and all are nonnegative).
 
     Like ``energy``, each P_i is evaluated once per distinct inner product
-    of each batch on the grid 2**-53; for i_max equal to the class's m the
-    result equals ``verify_strip``'s moments bit for bit."""
+    of each batch on the grid 2**-53, over the half of an antipodal code as
+    for ``energy``; for i_max equal to the class's m the result equals
+    ``verify_strip``'s moments bit for bit."""
     sums = np.zeros(_check_degree(i_max))
-    _, kept, resume = _gram_pass(code.points)
-    for batch in _batches(code.points, kept, resume):
+    _, batches = _gram_pass(code.points)
+    for batch in batches:
         _add_gegen_sums(code.dim, *_pooled(batch), sums)
     return _moments_from_sums(code.size, sums)
 
@@ -419,16 +558,27 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     the grid 2**-53, which moves a product of magnitude below 1/2 by at most
     2**-54 and no other, sorted and grouped into distinct values and counts.
     The groups are kept while their total stays within ``_BLOCK_ELEMS``
-    values; the blocks past that budget are computed and grouped again
-    after ``strip`` has run.  The energy and the moments are taken over the
-    kept groups as one batch and over each later block alone, weighted by
-    the counts, and node coverage over each group (see ``_nodes_cover``);
-    ``energy`` and ``moments`` reduce the same way, so they equal the
-    verdict's fields bit for bit.  A code with a repeated point raises
+    values; the block that passes that budget is kept too, and the blocks
+    after it are computed and grouped again after ``strip`` has run.  The
+    energy and the moments are taken over the kept groups as one batch and
+    over each later group alone, weighted by the counts, and node coverage
+    over each group (see ``_nodes_cover``); ``energy`` and ``moments``
+    reduce the same way, so they equal the verdict's fields bit for bit.
+
+    An antipodal code (M even and its rows paired as x, -x entry for entry,
+    detected exactly from the points by ``_antipodal_half``) streams the
+    Gram of one point of each pair, H, so the GEMM and the sort cover a
+    quarter of the products: each grouped value v of H with count c stands
+    for (v, 2 c) and (-v, 2 c), and the M/2 pairs {x, -x} add the values
+    -<x, x>.  IEEE negation commutes with every product, FMA and sum, and the
+    grid rounding and the clip are odd, so this is exact up to the GEMM's
+    own rounding; as that rounding can depend on the GEMM's shape, a
+    product, and with it the separation, can differ in its last bits from a
+    stream of the whole code.  A code with a repeated point raises
     InfiniteEnergyError for a kernel infinite at t = 1 and ValueError for
     any other kernel.
     """
-    s, kept, resume = _gram_pass(code.points)
+    s, batches = _gram_pass(code.points)
     if not pot.finite_at_one:
         _refuse_coincident(s)
     if s >= 1.0:
@@ -438,7 +588,7 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     es = strip(code.dim, code.size, s, pot)
     quad = es.uub_cert.quad
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True
-    for batch in _batches(code.points, kept, resume):
+    for batch in batches:
         values, counts = _pooled(batch)
         half_energy += float(counts @ pot(values))
         _add_gegen_sums(code.dim, values, counts, sums)

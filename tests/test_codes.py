@@ -16,6 +16,7 @@ from sphenergy.bounds import uub
 from sphenergy.codes import (
     COVER_TOL,
     SphericalCode,
+    StripVerdict,
     energy,
     ez_separation,
     generate,
@@ -112,9 +113,9 @@ def test_products_past_one_are_clipped_to_one():
     # group to exactly -1 (twice) and 1 (once).
     v = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-12)
     code = SphericalCode(np.array([v, v, -v]))
-    _, kept, resume = codes_module._gram_pass(code.points)
-    ((values, counts),) = kept
-    assert resume == code.size - 1
+    _, batches = codes_module._gram_pass(code.points)
+    # One batch of one group: nothing is streamed again.
+    (((values, counts),),) = list(batches)
     assert np.array_equal(values, [-1.0, 1.0]) and np.array_equal(counts, [2.0, 1.0])
     pot = make_potential("gauss", alpha=1.0)
     assert energy(code, pot) == 2.0 * float(counts @ pot(values))
@@ -152,7 +153,11 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 50)
     rng = np.random.RandomState(73)
     code = random_code(rng, 37, 10)
-    groups = [codes_module._group(block, lower) for _, block, lower in codes_module._gram_blocks(code.points)]
+    groups = [
+        group
+        for _, block, lower in codes_module._gram_blocks(code.points, False)
+        for group in codes_module._group(block, lower, False)
+    ]
     sizes = [counts.sum() for _, counts in groups]
     assert len(sizes) == 21 and sizes[0] == 36 and sizes[-1] == 1
     assert sum(sizes) == 37 * 36 // 2
@@ -160,12 +165,17 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
         assert np.all(values[1:] > values[:-1]) and np.all(counts >= 1)
         assert -1.0 <= values[0] and values[-1] <= 1.0
     # The products are all distinct, so the first block alone fits the
-    # budget; the blocks past it are computed and grouped again, to the bit.
-    _, kept, resume = codes_module._gram_pass(code.points)
-    assert len(kept) == 1 and resume == 1
-    again = [group for batch in codes_module._batches(code.points, kept, resume) for group in batch]
-    assert len(again) == 21
-    for (values, counts), (v2, c2) in zip(groups, again):
+    # budget and the second passes it: both are computed once, in the pass,
+    # and the 19 blocks after them are computed and grouped again, to the bit,
+    # one batch each.
+    calls = _count_gram_blocks(monkeypatch)
+    _, batches = codes_module._gram_pass(code.points)
+    starts = [i for i, _, _ in codes_module._row_blocks(code.size)]
+    assert calls == {(code.size, i): 1 for i in starts}
+    again = list(batches)
+    assert calls == {(code.size, i): 1 if i in starts[:2] else 2 for i in starts}
+    assert [len(batch) for batch in again] == [1] * 21
+    for (values, counts), ((v2, c2),) in zip(groups, again):
         assert np.array_equal(values, v2) and np.array_equal(counts, c2)
 
     gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
@@ -437,35 +447,52 @@ def _d8_shell(size, jitter=0.0):
     return SphericalCode(pts)
 
 
+def _count_gram_blocks(monkeypatch):
+    # Count the GEMMs of each row block, keyed by the number of rows streamed
+    # (M, or M/2 for the half of an antipodal code) and the block's first
+    # row, through the one generator that makes them.
+    calls = collections.Counter()
+    blocks = codes_module._gram_blocks
+
+    def counted(rows, *args):
+        for item in blocks(rows, *args):
+            calls[rows.shape[0], item[0]] += 1
+            yield item
+
+    monkeypatch.setattr(codes_module, "_gram_blocks", counted)
+    return calls
+
+
+def _grid_distinct(vals):
+    return np.unique(np.clip(np.rint(vals * 2.0**53), -(2.0**53), 2.0**53)).size
+
+
 def _blocks_past_budget(code):
-    # Row starts of the blocks whose distinct products, counted from each
-    # block's upper triangle on the grid and added up in order, first pass
-    # _BLOCK_ELEMS, and of every block after it.
-    starts, total = [], 0
-    for i, j, width in codes_module._row_blocks(code.size):
-        block = code.points[i:j] @ code.points[i:].T
+    # The rows the pass streams (one point of each pair {x, -x} for an
+    # antipodal code, else all of them) and the row starts of the block whose
+    # distinct products first take the total past _BLOCK_ELEMS, and of every
+    # block after it.  The total counts each block's upper triangle on the
+    # grid, twice for a half (v and -v), after the half's distinct -<x, x>.
+    half = codes_module._antipodal_half(code.points)
+    rows = code.points if half is None else code.points[half]
+    starts, total = [], 0 if half is None else _grid_distinct(-np.einsum("ij,ij->i", rows, rows))
+    for i, j, width in codes_module._row_blocks(rows.shape[0]):
+        block = rows[i:j] @ rows[i:].T
         upper = block[np.arange(j - i)[:, None] < np.arange(width)]
-        total += np.unique(np.clip(np.rint(upper * 2.0**53), -(2.0**53), 2.0**53)).size
+        total += (1 if half is None else 2) * _grid_distinct(upper)
         if starts or total > codes_module._BLOCK_ELEMS:
             starts.append(i)
-    return starts
+    return rows.shape[0], starts
 
 
 @pytest.mark.parametrize("block_elems", [7, 50, 2**16])
 def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatch, block_elems):
-    # Count the GEMMs of each row block through the one generator that makes
-    # them.  A block is computed once in the pass that takes the separation
-    # and groups it, and once more only if it lies past the budget.
+    # A block is computed once in the pass that takes the separation and
+    # groups it, and once more only if it lies past the block that takes
+    # the grouped total past the budget.  Antipodal codes stream only the
+    # blocks of their half.
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
-    calls = collections.Counter()
-    blocks = codes_module._gram_blocks
-
-    def counted(points, start=0):
-        for item in blocks(points, start):
-            calls[item[0]] += 1
-            yield item
-
-    monkeypatch.setattr(codes_module, "_gram_blocks", counted)
+    calls = _count_gram_blocks(monkeypatch)
     rotation = np.linalg.qr(np.random.RandomState(89).randn(8, 8))[0]
     cases = {
         "cross_polytope": (generate("cross_polytope", 6), "riesz:1"),
@@ -477,9 +504,10 @@ def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatc
         calls.clear()
         v = verify_strip(code, parse_potential(kernel, code.dim))
         assert v.inside
-        past[name] = _blocks_past_budget(code)
-        starts = [i for i, _, _ in codes_module._row_blocks(code.size)]
-        assert calls == {i: 2 if i in past[name] else 1 for i in starts}
+        rows, past[name] = _blocks_past_budget(code)
+        assert rows == (code.size if name == "jittered" else code.size // 2)
+        starts = [i for i, _, _ in codes_module._row_blocks(rows)]
+        assert calls == {(rows, i): 2 if i in past[name][1:] else 1 for i in starts}
     # A rotated E8 keeps about 13 distinct grid values per row block, so
     # one-row blocks of 7 or 50 products spend those budgets early.
     if block_elems == 2**16:
@@ -489,14 +517,16 @@ def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatc
 
 
 def test_verify_strip_memory_is_linear_in_the_size():
-    # 3000-point codes in R^8 that the bound pipeline certifies: one whose
-    # products repeat, and one whose products are all distinct, so that
-    # nearly every row block lies past the budget.  Its Gram matrix alone
-    # would take 8 M^2 bytes (72 MB); verify_strip must stay below a
+    # Codes in R^8 that the bound pipeline certifies: 3000 points whose
+    # products repeat, the same with products all distinct, so that nearly
+    # every row block lies past the budget, and the full 3136-point shell,
+    # which is antipodal and streams its half.  The Gram matrix alone would
+    # take 8 M^2 bytes (72 MB at M = 3000); verify_strip must stay below a
     # quarter of that.
     pot = make_potential("gauss", alpha=1.0)
-    for jitter, s, tol in ((0.0, 5.0 / 6.0, 1e-15), (1e-7, 0.83333365, 1e-8)):
-        code = _d8_shell(3000, jitter)
+    cases = ((3000, 0.0, 5.0 / 6.0, 1e-15), (3000, 1e-7, 0.83333365, 1e-8), (3136, 0.0, 5.0 / 6.0, 1e-15))
+    for size, jitter, s, tol in cases:
+        code = _d8_shell(size, jitter)
         tracemalloc.start()
         try:
             v = verify_strip(code, pot)
@@ -506,6 +536,152 @@ def test_verify_strip_memory_is_linear_in_the_size():
         assert v.separation == pytest.approx(s, abs=tol)
         assert v.inside and v.moments[0] == code.size**2
         assert peak < 8 * code.size**2 / 4
+
+
+def _outcome(code, pot):
+    # The verdict of verify_strip, or the type and text of what it raised.
+    try:
+        return verify_strip(code, pot)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def antipodal_codes(draw):
+    # A random half H of 1..30 points in R^2..R^8, some with a point repeated,
+    # stacked with -H and the rows shuffled; a kernel; and a block size from
+    # one-row blocks up to the module's own.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = rng.standard_normal((draw(st.integers(1, 30)), draw(st.integers(2, 8))))
+    half /= np.linalg.norm(half, axis=1)[:, None]
+    if half.shape[0] > 1 and draw(st.booleans()):
+        half[-1] = half[0]
+    pts = np.vstack([half, -half])[rng.permutation(2 * half.shape[0])]
+    kernel = draw(st.sampled_from(("newton", "riesz:1", "gauss:2", "log")))
+    return SphericalCode(pts), kernel, draw(st.sampled_from((7, 50, codes_module._BLOCK_ELEMS)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(antipodal_codes())
+def test_antipodal_codes_stream_their_half_and_match_the_dense_gram(case):
+    # Against a dense reference, the full Gram rounded to the grid, and
+    # against the same code streamed whole, as any other code is.
+    code, kernel, block_elems = case
+    size, pot = code.size, parse_potential(kernel, code.dim)
+    off = (code.points @ code.points.T)[np.triu_indices(size, k=1)]
+    values, counts = np.unique(np.clip(np.rint(off * 2.0**53), -(2.0**53), 2.0**53), return_counts=True)
+    values *= 2.0**-53
+    dense_s = min(max(-1.0, float(np.max(off))), 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+        halved = codes_module._antipodal_half(code.points) is not None
+        s, batches = codes_module._gram_pass(code.points)
+        batches = list(batches)
+        verdict = _outcome(code, pot)
+        if isinstance(verdict, StripVerdict):
+            assert separation(code) == verdict.separation == s
+            assert energy(code, pot) == verdict.energy
+            assert np.array_equal(moments(code, verdict.strip.uub_cert.quad.m), verdict.moments)
+        mp.setattr(codes_module, "_antipodal_half", lambda points: None)
+        whole_s = separation(code)
+        whole = _outcome(code, pot)
+    assert halved == (size >= 6)
+    assert abs(s - dense_s) <= 4 * np.spacing(abs(dense_s))
+    assert sum(c.sum() for batch in batches for _, c in batch) == size * (size - 1) // 2
+    # Each group ascends strictly, as node coverage needs.
+    assert all(np.all(v[1:] > v[:-1]) for batch in batches for v, _ in batch)
+    # Only a batch of one group may hold more than the budget's values.
+    assert all(len(batch) == 1 or sum(v.size for v, _ in batch) <= block_elems for batch in batches)
+    if isinstance(verdict, StripVerdict):
+        # Relative to the sum of |h|, as the log kernel changes sign.
+        h = pot(values)
+        assert abs(verdict.energy - 2.0 * float(counts @ h)) <= 2e-14 * float(counts @ np.abs(h))
+    # The GEMM's rounding can depend on its shape, so the two streams may
+    # differ in the separation's last bits; where they agree, the class and
+    # every verdict, or the refusal of a repeated pair or of the class, agree.
+    if s != whole_s:
+        return
+    if not isinstance(verdict, StripVerdict):
+        assert verdict == whole
+        return
+    fields = ("inside", "attains_uub", "attains_ulb", "nodes_cover_products")
+    assert [getattr(verdict, f) for f in fields] == [getattr(whole, f) for f in fields]
+
+
+def _moved_by_one_ulp(points):
+    pts = points.copy()
+    pts[0, 0] = np.nextafter(pts[0, 0], np.inf)
+    return pts
+
+
+def _is_half(points, half):
+    # Whether the rows half and their negatives are the rows of points.
+    both = np.vstack([points[half], -points[half]])
+    return both.shape == points.shape and np.array_equal(
+        both[np.lexsort(both.T)], points[np.lexsort(points.T)]
+    )
+
+
+def test_antipodal_detection_is_exact(monkeypatch):
+    # Detected codes stream only the blocks of their half; every other code
+    # streams the whole Gram, as before.  Counted through _gram_blocks.
+    calls = _count_gram_blocks(monkeypatch)
+    gauss = make_potential("gauss", alpha=1.0)
+    rotation = np.linalg.qr(np.random.RandomState(89).randn(8, 8))[0]
+    rng = np.random.RandomState(79)
+    repeated = random_code(rng, 30, 4)
+    repeated.points[17] = repeated.points[3]
+    v = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-12)
+    detected = (
+        generate("cross_polytope", 6),
+        SphericalCode(_e8_roots()),
+        SphericalCode(_e8_roots() @ rotation),
+        generate("icosahedron"),
+        generate("hexagon"),
+    )
+    others = (
+        SphericalCode(_moved_by_one_ulp(_e8_roots() @ rotation)),
+        SphericalCode(_moved_by_one_ulp(generate("cross_polytope", 6).points)),
+        SphericalCode(_e8_roots()[1:]),
+        random_code(rng, 37, 10),
+        random_code(rng, 12, 4),
+        random_code(rng, 2, 5),
+        repeated,
+        generate("simplex", 5),
+        generate("orthonormal", 4),
+        _late_off_node_code(),
+        _late_off_node_code(4),
+        _d8_shell(400),
+        _d8_shell(400, jitter=1e-7),
+        SphericalCode(np.array([v, v, -v])),
+    )
+    for code in detected + others:
+        calls.clear()
+        energy(code, gauss)
+        half = codes_module._antipodal_half(code.points)
+        rows = {rows for rows, _ in calls}
+        if any(code is d for d in detected):
+            assert rows == {code.size // 2} and _is_half(code.points, half)
+        else:
+            assert rows == {code.size} and half is None
+        assert len(calls) == len(list(codes_module._row_blocks(rows.pop())))
+
+
+def test_tied_keys_fall_back_to_the_lexicographic_pairing(monkeypatch):
+    # With weights 1..2 the unrotated E8 ties keys of distinct points, and
+    # sorting by the key pairs the wrong rows.
+    e8 = _e8_roots()
+    monkeypatch.setattr(codes_module, "_key_weights", lambda n: np.linspace(1.0, 2.0, n))
+    assert not codes_module._pairs_up(e8, np.argsort(e8 @ np.linspace(1.0, 2.0, 8)))
+    assert _is_half(e8, codes_module._antipodal_half(e8))
+    assert separation(SphericalCode(e8)) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_key_weights_are_square_roots_of_primes():
+    assert np.array_equal(codes_module._key_weights(6), np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]))
+    for n, last in ((2, 3), (5, 11), (6, 13), (1000, 7919)):
+        w = codes_module._key_weights(n)
+        assert w.size == n and w[-1] == math.sqrt(last)
 
 
 def test_energy_refuses_coincident_points_before_calling_the_kernel(monkeypatch):
