@@ -25,7 +25,7 @@ from .potentials import *
 # codes.__all__, in its order; the package test checks that they agree.
 _CODES_ALL = [
     "SphericalCode", "StripVerdict", "load_code", "generate", "energy", "separation",
-    "moments", "verify_strip", "ez_separation",
+    "moments", "verify_strip",
 ]
 
 __all__ = [

@@ -9,7 +9,7 @@ Exit codes: 0 success, 2 the class (n, M, s) is infeasible, 3 a
 certification check failed or the class lies beyond the last supported
 interval I_64, 4 bad input (including a ``table`` range outside 2..10).
 The certificate's JSON form and ``recheck_certificate`` live in ``bounds``.
-``codes`` is imported only by the calls that need it: verify and -s auto-ez.
+``codes`` is imported only by the calls that need it: verify.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     InfiniteEnergyError,
     NumericsError,
 )
+from .levenshtein import ez_separation
 from .potentials import parse_potential
 
 __all__ = [
@@ -125,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_separation(raw: str, n: int) -> float:
     if raw == "auto-ez":
-        from .codes import ez_separation
         return ez_separation(n)
     try:
         return float(raw)

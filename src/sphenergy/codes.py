@@ -14,13 +14,14 @@ change, reads each block whole with its diagonal overwritten instead of
 masking it to the upper triangle.  ``verify_strip``, ``energy`` and
 ``moments`` stream the Gram once (``_gram_pass``): the same GEMM gives each
 block's share of the separation and is then rounded to the grid 2**-53,
-sorted and grouped into distinct values and counts, which are kept while
-their total stays within ``_BLOCK_ELEMS``.  h and every P_i are evaluated
-once per kept value in one batch, the groups of the block that passes the
-budget in batches of their own, and the blocks after it are computed again
-and evaluated one group at a time, so the energy is twice a weighted sum of
-h and the moments are M + 2 sum P_i; designs and sharp codes have few
-distinct products and are streamed once.
+sorted and merged into one running histogram, its distinct values in
+ascending order with their counts summed, while the histogram and the
+block's own hold at most ``_BLOCK_ELEMS`` values together.  Designs and
+sharp codes have few distinct products, so they are streamed once and h and
+every P_i are evaluated once per distinct value, whatever M is.  Otherwise
+the block that passes the budget keeps its own histogram, and the blocks
+after it are computed again and evaluated one histogram each.  The energy
+is twice a weighted sum of h and the moments are M + 2 sum P_i.
 
 Antipodal codes, closed under x -> -x as most sharp and optimal codes are
 (cross polytopes, the icosahedron, E8, the 600-cell, Leech), stream a
@@ -30,12 +31,12 @@ are then those of H = points[a], M/2 rows.  A product v of x, y in H stands
 for the pairs {x, y} and {-x, -y} of the code and -v for {x, -y} and
 {-x, y}, and the M/2 pairs {x, -x} have the products -<x, x>.  IEEE
 negation is exact and commutes with every product, FMA and sum, and the
-grid rounding (half to even) and the clip to [-1, 1] are odd, so the groups
-of H with doubled counts and their mirror images are those of the whole
-code up to the GEMM's own rounding.  That rounding can depend on the shape
-of the product (a one-row block is a matrix-vector product), so a product,
-and with it the separation, can differ in its last bits from a stream of
-the whole code.  Every other code is streamed whole; no option chooses the
+grid rounding (half to even) and the clip to [-1, 1] are odd, so the
+histograms of H with doubled counts, merged with their mirror images, are
+those of the whole code up to the GEMM's own rounding.  That rounding can
+depend on the shape of the product (a one-row block is a matrix-vector
+product), so a product, and with it the separation, can differ in its last
+bits from a stream of the whole code.  Every other code is streamed whole; no option chooses the
 path.
 
 The grid 2**-53 is the spacing of doubles in [1/2, 1), so rounding is the
@@ -61,7 +62,6 @@ import numpy as np
 
 from .bounds import EnergyStrip, strip
 from .errors import InfiniteEnergyError
-from .levenshtein import illinois_root
 from .orthopoly import _check_degree, gegenbauer_terms
 from .potentials import Potential
 
@@ -74,7 +74,6 @@ __all__ = [
     "separation",
     "moments",
     "verify_strip",
-    "ez_separation",
 ]
 
 # Inner products per block of the Gram's upper triangle: 2**16 doubles
@@ -340,9 +339,9 @@ def _to_grid_units(x: np.ndarray) -> np.ndarray:
 
 
 def _grid_runs(vals: np.ndarray, drop: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The flat array ``vals`` on the grid ``_GRID`` as its distinct values,
-    ascending and clipped to [-1, 1], and their counts (see ``_runs``), with
-    the ``drop`` largest left out.  Overwrites vals.
+    """The flat array ``vals`` on the grid ``_GRID`` as a histogram: its
+    distinct values, ascending and clipped to [-1, 1], and their counts (see
+    ``_runs``), with the ``drop`` largest left out.  Overwrites vals.
 
     Rounding (``_to_grid_units``) comes before the sort, and the values stay
     in grid units until only the distinct ones are scaled back; the clip
@@ -353,79 +352,66 @@ def _grid_runs(vals: np.ndarray, drop: int = 0) -> tuple[np.ndarray, np.ndarray]
     vals = vals[: vals.size - drop]
     vals[: np.searchsorted(vals, -one, "left")] = -one
     vals[np.searchsorted(vals, one, "right") :] = one
-    values, counts = _runs(vals)
-    return values * _GRID, counts
+    values, at = _runs(vals)
+    return values * _GRID, np.diff(at).astype(float)
 
 
-def _group(block: np.ndarray, lower: np.ndarray, mirrored: bool) -> list:
-    """The strict upper triangle of a block of ``_gram_blocks`` as groups of
-    distinct values and counts (``_grid_runs``).  Overwrites the block.
+def _merge(hist: tuple, other: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One histogram of two: the distinct values of both, ascending, with
+    the counts of a value in both summed (``_runs``)."""
+    values, counts = (np.concatenate(pair) for pair in zip(hist, other))
+    order = np.argsort(values, kind="stable")
+    values, at = _runs(values[order])
+    return values, np.add.reduceat(counts[order], at[:-1])
+
+
+def _group(block: np.ndarray, lower: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The strict upper triangle of a block of ``_gram_blocks`` as a
+    histogram (``_grid_runs``).  Overwrites the block.
 
     The entries under ``lower`` are set to +inf, so after the sort they are
-    the block's last b (b + 1) / 2 entries and are dropped.  A block of H
-    (``mirrored``) gives two groups: each of its values v with count c stands
-    for the pairs {x, y} and {-x, -y} of the code, (v, 2 c), and for {x, -y}
-    and {-x, y}, (-v, 2 c).  Rounding half to even and the clip are odd, so
-    the second group is the first negated and reversed.
+    the block's last b (b + 1) / 2 entries and are dropped.  In a block of H
+    (``mirrored``) each value v with count c stands for the pairs {x, y} and
+    {-x, -y} of the code, (v, 2 c), and for {x, -y} and {-x, y}, (-v, 2 c);
+    rounding half to even and the clip are odd, so the two merge into the
+    block's histogram.
     """
     b = lower.shape[0]
     np.copyto(block[:, :b], np.inf, where=lower)
     values, counts = _grid_runs(block.ravel(), b * (b + 1) // 2)
     if not mirrored:
-        return [(values, counts)]
+        return values, counts
     counts = 2.0 * counts
-    return [(values, counts), (-values[::-1], counts[::-1])]
+    return _merge((values, counts), (-values[::-1], counts[::-1]))
 
 
-def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[list]]:
-    """Compute each row block once: take its maximum (``_block_max``) and,
-    while the budget lasts, group it (``_group``).  Returns the separation
-    and an iterator over the batches of groups to evaluate together.
+def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[tuple]]:
+    """Compute each row block once: take its maximum (``_block_max``) and
+    merge its histogram (``_group``) into one running histogram while the
+    two hold at most ``_BLOCK_ELEMS`` values together.  Returns the
+    separation and an iterator over the histograms to evaluate.
 
-    The groups are kept while their total stays within ``_BLOCK_ELEMS``
-    values and form the first batch; each group of the block that takes the
-    total past the budget is a batch of its own.  Past that block only the
-    maximum is taken, and the iterator computes and groups those blocks again,
-    one group per batch, when it reaches them (``_regrouped``), so a batch
-    of several groups holds at most ``_BLOCK_ELEMS`` values and memory stays
-    O(M * B) whatever the number of distinct values.  An antipodal code streams the
-    Gram of its half H (``_streamed_rows``), and its M/2 pairs {x, -x} add
-    one group of the values -<x, x> to the first batch.
+    An antipodal code streams the Gram of its half H (``_streamed_rows``),
+    and the values -<x, x> of its M/2 pairs {x, -x} seed the histogram.  The
+    first histogram yielded is the running one.  The block that would take
+    it past the budget is yielded next, its own histogram, and past that
+    block only maxima are taken: the iterator computes the later blocks
+    again and yields each block's own histogram, so memory stays O(M * B)
+    whatever the number of distinct values.
     """
     rows, mirrored, pairs = _streamed_rows(points)
-    s, total, resume = float(pairs.max(initial=-1.0)), 0, rows.shape[0] - 1
-    kept, crossing = [], []
-    if pairs.size:
-        kept.append(_grid_runs(pairs))
-        total = kept[0][0].size
+    s, hists, resume = float(pairs.max(initial=-1.0)), [_grid_runs(pairs)], rows.shape[0] - 1
     for i, block, lower in _gram_blocks(rows, mirrored):
         s = max(s, _block_max(block, mirrored))
-        if not crossing:
-            groups = _group(block, lower, mirrored)
-            total += sum(values.size for values, _ in groups)
-            if total <= _BLOCK_ELEMS:
-                kept.extend(groups)
+        if len(hists) == 1:
+            group = _group(block, lower, mirrored)
+            if hists[0][0].size + group[0].size <= _BLOCK_ELEMS:
+                hists[0] = _merge(hists[0], group) if hists[0][0].size else group
             else:
-                crossing = [[group] for group in groups]
+                hists.append(group)
                 resume = i + lower.shape[0]
-    batches = ([kept] if kept else []) + crossing
-    return min(s, 1.0), itertools.chain(batches, _regrouped(rows, mirrored, resume))
-
-
-def _regrouped(rows: np.ndarray, mirrored: bool, start: int):
-    """Yield each group of each row block from row ``start`` on, computed
-    and grouped again, as a batch of its own."""
-    for _, block, lower in _gram_blocks(rows, mirrored, start):
-        for group in _group(block, lower, mirrored):
-            yield [group]
-
-
-def _pooled(batch: list) -> tuple[np.ndarray, np.ndarray]:
-    """The values and counts of a batch as one pair of arrays."""
-    if len(batch) == 1:
-        return batch[0]
-    values, counts = zip(*batch)
-    return np.concatenate(values), np.concatenate(counts)
+    again = (_group(b, tri, mirrored) for _, b, tri in _gram_blocks(rows, mirrored, resume))
+    return min(s, 1.0), itertools.chain(hists, again)
 
 
 def _refuse_coincident(s: float) -> None:
@@ -443,14 +429,15 @@ def _add_gegen_sums(n: int, values: np.ndarray, counts: np.ndarray, sums: np.nda
 
 
 def _runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ascending ``vals`` and their counts (as floats).
-    A run of equal values starts at 0 and wherever vals[k] != vals[k - 1];
-    the edges mark those starts and the end of the last run."""
+    """The distinct values of ascending ``vals`` and the bounds of their
+    runs: the k-th value fills vals[at[k]:at[k + 1]].  A run of equal values
+    starts at 0 and wherever vals[k] != vals[k - 1]; the edges mark those
+    starts and the end of the last run."""
     edges = np.empty(vals.size + 1, dtype=bool)
     edges[0] = edges[-1] = True
     np.not_equal(vals[1:], vals[:-1], out=edges[1:-1])
     at = np.flatnonzero(edges)
-    return vals[at[:-1]], np.diff(at).astype(float)
+    return vals[at[:-1]], at
 
 
 def _moments_from_sums(size: int, sums: np.ndarray) -> np.ndarray:
@@ -496,18 +483,17 @@ def energy(code: SphericalCode, pot: Potential) -> float:
     """Sum of h over ordered pairs of distinct points.
 
     Coincident points are refused from the separation before h is evaluated.
-    h is evaluated once per distinct inner product of each batch of grouped
-    blocks, weighted by its count, after the products are rounded to the
-    grid 2**-53 (see ``_gram_pass``); the Gram, or on an antipodal code the
-    Gram of its half, a quarter of the products, is streamed once, and again
-    only past the budget, and the result equals
-    ``verify_strip(code, pot).energy`` bit for bit."""
-    s, batches = _gram_pass(code.points)
+    h is evaluated once per value of each histogram of ``_gram_pass``,
+    weighted by its count, after the products are rounded to the grid
+    2**-53; the Gram, or on an antipodal code the Gram of its half, a
+    quarter of the products, is streamed once when it has few distinct
+    products, and the result equals ``verify_strip(code, pot).energy`` bit
+    for bit."""
+    s, hists = _gram_pass(code.points)
     if not pot.finite_at_one:
         _refuse_coincident(s)
     total = 0.0
-    for batch in batches:
-        values, counts = _pooled(batch)
+    for values, counts in hists:
         total += float(counts @ pot(values))
     return 2.0 * total
 
@@ -516,14 +502,14 @@ def moments(code: SphericalCode, i_max: int) -> np.ndarray:
     """Gegenbauer moments sum_{x,y} P_i(<x,y>) for i = 0..i_max (diagonal
     included, so the zeroth moment is M^2 and all are nonnegative).
 
-    Like ``energy``, each P_i is evaluated once per distinct inner product
-    of each batch on the grid 2**-53, over the half of an antipodal code as
-    for ``energy``; for i_max equal to the class's m the result equals
+    Like ``energy``, each P_i is evaluated once per value of each histogram
+    on the grid 2**-53, over the half of an antipodal code as for
+    ``energy``; for i_max equal to the class's m the result equals
     ``verify_strip``'s moments bit for bit."""
     sums = np.zeros(_check_degree(i_max))
-    _, batches = _gram_pass(code.points)
-    for batch in batches:
-        _add_gegen_sums(code.dim, *_pooled(batch), sums)
+    _, hists = _gram_pass(code.points)
+    for values, counts in hists:
+        _add_gegen_sums(code.dim, values, counts, sums)
     return _moments_from_sums(code.size, sums)
 
 
@@ -556,14 +542,17 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     The Gram is streamed once (``_gram_pass``): each row block's GEMM gives
     its share of s(C), which fixes m and the nodes, and is then rounded to
     the grid 2**-53, which moves a product of magnitude below 1/2 by at most
-    2**-54 and no other, sorted and grouped into distinct values and counts.
-    The groups are kept while their total stays within ``_BLOCK_ELEMS``
-    values; the block that passes that budget is kept too, and the blocks
-    after it are computed and grouped again after ``strip`` has run.  The
-    energy and the moments are taken over the kept groups as one batch and
-    over each later group alone, weighted by the counts, and node coverage
-    over each group (see ``_nodes_cover``); ``energy`` and ``moments``
-    reduce the same way, so they equal the verdict's fields bit for bit.
+    2**-54 and no other, sorted and merged into one running histogram of
+    distinct values and counts.  The code is streamed once while that
+    histogram and each block's own hold at most ``_BLOCK_ELEMS`` values
+    together, as they always do for a code with at most half as many
+    distinct products, designs and sharp codes among them, whatever M is.
+    Otherwise the block that would pass the budget is evaluated on its own
+    histogram, and the blocks after it are computed again after ``strip``
+    has run, one histogram each.  The energy, the moments and node
+    coverage (see ``_nodes_cover``) are taken over each histogram, weighted
+    by the counts; ``energy`` and ``moments`` reduce the same way, so they
+    equal the verdict's fields bit for bit.
 
     An antipodal code (M even and its rows paired as x, -x entry for entry,
     detected exactly from the points by ``_antipodal_half``) streams the
@@ -574,25 +563,26 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     grid rounding and the clip are odd, so this is exact up to the GEMM's
     own rounding; as that rounding can depend on the GEMM's shape, a
     product, and with it the separation, can differ in its last bits from a
-    stream of the whole code.  A code with a repeated point raises
-    InfiniteEnergyError for a kernel infinite at t = 1 and ValueError for
-    any other kernel.
+    stream of the whole code.  A code with a repeated point, or any
+    separation within ``COINCIDENT_TOL`` of 1, raises InfiniteEnergyError
+    for a kernel infinite at t = 1 and ValueError for any other kernel,
+    before ``strip`` runs.
     """
-    s, batches = _gram_pass(code.points)
+    s, hists = _gram_pass(code.points)
     if not pot.finite_at_one:
         _refuse_coincident(s)
-    if s >= 1.0:
+    if s >= 1.0 - COINCIDENT_TOL:
         raise ValueError(
-            "the code has coincident points (separation 1), so no energy strip applies"
+            f"the code has coincident points (separation within {COINCIDENT_TOL:g} of 1), "
+            "so no energy strip applies"
         )
     es = strip(code.dim, code.size, s, pot)
     quad = es.uub_cert.quad
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True
-    for batch in batches:
-        values, counts = _pooled(batch)
+    for values, counts in hists:
         half_energy += float(counts @ pot(values))
         _add_gegen_sums(code.dim, values, counts, sums)
-        covered = covered and all(_nodes_cover(v, quad.nodes) for v, _ in batch)
+        covered = covered and _nodes_cover(values, quad.nodes)
     e = 2.0 * half_energy
     tol = STRIP_TOL * max(1.0, abs(es.uub), abs(es.ulb))
     inside = (es.ulb - tol <= e) and (e <= es.uub + tol)
@@ -609,17 +599,3 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
         moments=_moments_from_sums(code.size, sums),
     )
 
-
-def ez_separation(n: int) -> float:
-    """Separation of the (2n + 1)-point construction: the unique root in
-    (0, 1/n) of n (n-2)^2 X^3 - n^2 X^2 - n X + 1."""
-    if not isinstance(n, (int, np.integer)) or n < 3:
-        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
-    c3, c2, c1, c0 = n * (n - 2) ** 2, -(n * n), -n, 1.0
-
-    def f(x: float) -> float:
-        return ((c3 * x + c2) * x + c1) * x + c0
-
-    # f(0) = 1 > 0 and f(1/n) = (n - 2)^2 / n^2 - 1 < 0; tol 0 runs the
-    # bracket down to adjacent floats.
-    return illinois_root(f, 0.0, 1.0 / n, f(0.0), f(1.0 / n), 0.0)

@@ -56,6 +56,7 @@ __all__ = [
     "exactness_residual",
     "solve_cardinality",
     "illinois_root",
+    "ez_separation",
     "dgs_number",
 ]
 
@@ -366,6 +367,21 @@ def illinois_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -
                 fhi *= 0.5
             kept = 1
     return 0.5 * (lo + hi)
+
+
+def ez_separation(n: int) -> float:
+    """Separation of the (2n + 1)-point construction: the unique root in
+    (0, 1/n) of n (n-2)^2 X^3 - n^2 X^2 - n X + 1."""
+    if not isinstance(n, (int, np.integer)) or n < 3:
+        raise ValueError(f"dimension must be an integer >= 3, got {n!r}")
+    c3, c2, c1, c0 = n * (n - 2) ** 2, -(n * n), -n, 1.0
+
+    def f(x: float) -> float:
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    # f(0) = 1 > 0 and f(1/n) = (n - 2)^2 / n^2 - 1 < 0; tol 0 runs the
+    # bracket down to adjacent floats.
+    return illinois_root(f, 0.0, 1.0 / n, f(0.0), f(1.0 / n), 0.0)
 
 
 @lru_cache(maxsize=None)

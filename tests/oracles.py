@@ -11,7 +11,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from sphenergy.bounds import POSITIVITY_TOL, _feasibility_grid, hermite_interpolant, lambda_star
-from sphenergy.codes import ez_separation
+from sphenergy.levenshtein import ez_separation
 from sphenergy.orthopoly import (
     GegenPoly,
     _monic_recurrence,

@@ -34,11 +34,11 @@ from sphenergy.cli import main
 from sphenergy.codes import (
     SphericalCode,
     energy,
-    ez_separation,
     generate,
     moments,
 )
 from sphenergy.levenshtein import (
+    ez_separation,
     find_interval,
     interval_for,
     lev_poly_roots,

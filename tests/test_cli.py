@@ -367,3 +367,18 @@ def test_cli_calls_never_import_numpy_ma_and_only_verify_loads_codes():
     seen = json.loads(run_probe(FIXED_COST_PROBE))
     assert seen[:-1] == [[]] * 6
     assert "numpy.ma" not in seen[-1] and "sphenergy.codes" in seen[-1]
+
+
+AUTO_EZ_PROBE = """
+import contextlib, io, sys
+from sphenergy.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["bound", "-n", "5", "-M", "11", "-s", "auto-ez"]) == 0
+print("sphenergy.codes" in sys.modules)
+"""
+
+
+def test_auto_ez_separation_leaves_codes_unloaded():
+    # ez_separation lives beside illinois_root in levenshtein, which every
+    # bound call loads anyway.
+    assert run_probe(AUTO_EZ_PROBE).strip() == "False"

@@ -18,7 +18,6 @@ from sphenergy.codes import (
     SphericalCode,
     StripVerdict,
     energy,
-    ez_separation,
     generate,
     load_code,
     moments,
@@ -26,7 +25,7 @@ from sphenergy.codes import (
     verify_strip,
 )
 from sphenergy.errors import CertificationError, InfiniteEnergyError
-from sphenergy.levenshtein import quadrature
+from sphenergy.levenshtein import ez_separation, quadrature
 from sphenergy.orthopoly import gegenbauer_table
 from sphenergy.potentials import make_potential, parse_potential
 
@@ -113,9 +112,9 @@ def test_products_past_one_are_clipped_to_one():
     # group to exactly -1 (twice) and 1 (once).
     v = np.array([0.6, 0.8, 0.0]) * (1.0 + 1e-12)
     code = SphericalCode(np.array([v, v, -v]))
-    _, batches = codes_module._gram_pass(code.points)
-    # One batch of one group: nothing is streamed again.
-    (((values, counts),),) = list(batches)
+    _, hists = codes_module._gram_pass(code.points)
+    # One histogram: nothing is streamed again.
+    ((values, counts),) = list(hists)
     assert np.array_equal(values, [-1.0, 1.0]) and np.array_equal(counts, [2.0, 1.0])
     pot = make_potential("gauss", alpha=1.0)
     assert energy(code, pot) == 2.0 * float(counts @ pot(values))
@@ -153,29 +152,29 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 50)
     rng = np.random.RandomState(73)
     code = random_code(rng, 37, 10)
-    groups = [
-        group
+    own = [
+        codes_module._group(block, lower, False)
         for _, block, lower in codes_module._gram_blocks(code.points, False)
-        for group in codes_module._group(block, lower, False)
     ]
-    sizes = [counts.sum() for _, counts in groups]
+    sizes = [counts.sum() for _, counts in own]
     assert len(sizes) == 21 and sizes[0] == 36 and sizes[-1] == 1
     assert sum(sizes) == 37 * 36 // 2
-    for values, counts in groups:
+    for values, counts in own:
         assert np.all(values[1:] > values[:-1]) and np.all(counts >= 1)
         assert -1.0 <= values[0] and values[-1] <= 1.0
-    # The products are all distinct, so the first block alone fits the
-    # budget and the second passes it: both are computed once, in the pass,
-    # and the 19 blocks after them are computed and grouped again, to the bit,
-    # one batch each.
+    # The products are all distinct, so the first block's 36 values start
+    # the running histogram and the second block's 35 would take it past the
+    # budget: that block keeps its own histogram.  Both are computed once, in
+    # the pass, and the 19 blocks after them are computed again, to the bit,
+    # one histogram each.
     calls = _count_gram_blocks(monkeypatch)
-    _, batches = codes_module._gram_pass(code.points)
+    _, hists = codes_module._gram_pass(code.points)
     starts = [i for i, _, _ in codes_module._row_blocks(code.size)]
     assert calls == {(code.size, i): 1 for i in starts}
-    again = list(batches)
+    again = list(hists)
     assert calls == {(code.size, i): 1 if i in starts[:2] else 2 for i in starts}
-    assert [len(batch) for batch in again] == [1] * 21
-    for (values, counts), ((v2, c2),) in zip(groups, again):
+    assert len(again) == 21
+    for (values, counts), (v2, c2) in zip(own, again):
         assert np.array_equal(values, v2) and np.array_equal(counts, c2)
 
     gram = np.clip(code.points @ code.points.T, -1.0, 1.0)
@@ -239,11 +238,23 @@ def gram_blocks(draw):
 @given(gram_blocks())
 def test_runs_rebuild_the_sorted_block(block):
     vals = np.sort(block)
-    values, counts = codes_module._runs(vals)
-    assert np.all(values[1:] > values[:-1])
-    assert np.all(counts > 0) and counts.sum() == block.size
-    rebuilt = np.repeat(values, counts.astype(int))
+    values, at = codes_module._runs(vals)
+    counts = np.diff(at)
+    assert np.all(values[1:] > values[:-1]) and at[0] == 0 and at[-1] == block.size
+    assert np.all(counts > 0)
+    rebuilt = np.repeat(values, counts)
     assert np.array_equal(rebuilt.view(np.int64), vals.view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram_blocks(), gram_blocks())
+def test_merge_sums_the_counts_of_shared_values(first, second):
+    # Two histograms, each its block's distinct values and counts, merge into
+    # the histogram of both blocks together.
+    hists = [codes_module._grid_runs(block.copy()) for block in (first, second)]
+    values, counts = codes_module._merge(*hists)
+    expected = codes_module._grid_runs(np.concatenate((first, second)))
+    assert np.array_equal(values, expected[0]) and np.array_equal(counts, expected[1])
 
 
 def _e8_roots():
@@ -463,34 +474,40 @@ def _count_gram_blocks(monkeypatch):
     return calls
 
 
-def _grid_distinct(vals):
-    return np.unique(np.clip(np.rint(vals * 2.0**53), -(2.0**53), 2.0**53)).size
+def _grid_values(vals):
+    # The distinct values of vals on the grid 2**-53, in grid units.
+    return np.unique(np.clip(np.rint(vals * 2.0**53), -(2.0**53), 2.0**53))
 
 
 def _blocks_past_budget(code):
     # The rows the pass streams (one point of each pair {x, -x} for an
     # antipodal code, else all of them) and the row starts of the block whose
-    # distinct products first take the total past _BLOCK_ELEMS, and of every
-    # block after it.  The total counts each block's upper triangle on the
-    # grid, twice for a half (v and -v), after the half's distinct -<x, x>.
+    # distinct products, with the running histogram's, would pass
+    # _BLOCK_ELEMS, and of every block after it.  A block's distinct products
+    # are its upper triangle's on the grid, with their negatives for a half,
+    # and the running histogram starts from the half's distinct -<x, x>.
     half = codes_module._antipodal_half(code.points)
     rows = code.points if half is None else code.points[half]
-    starts, total = [], 0 if half is None else _grid_distinct(-np.einsum("ij,ij->i", rows, rows))
+    starts = []
+    running = np.empty(0) if half is None else _grid_values(-np.einsum("ij,ij->i", rows, rows))
     for i, j, width in codes_module._row_blocks(rows.shape[0]):
         block = rows[i:j] @ rows[i:].T
-        upper = block[np.arange(j - i)[:, None] < np.arange(width)]
-        total += (1 if half is None else 2) * _grid_distinct(upper)
-        if starts or total > codes_module._BLOCK_ELEMS:
+        own = _grid_values(block[np.arange(j - i)[:, None] < np.arange(width)])
+        if half is not None:
+            own = np.union1d(own, -own)
+        if starts or running.size + own.size > codes_module._BLOCK_ELEMS:
             starts.append(i)
+        else:
+            running = np.union1d(running, own)
     return rows.shape[0], starts
 
 
 @pytest.mark.parametrize("block_elems", [7, 50, 2**16])
 def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatch, block_elems):
     # A block is computed once in the pass that takes the separation and
-    # groups it, and once more only if it lies past the block that takes
-    # the grouped total past the budget.  Antipodal codes stream only the
-    # blocks of their half.
+    # merges its histogram into the running one, and once more only if it
+    # lies past the block whose histogram would take the running one past
+    # the budget.  Antipodal codes stream only the blocks of their half.
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
     calls = _count_gram_blocks(monkeypatch)
     rotation = np.linalg.qr(np.random.RandomState(89).randn(8, 8))[0]
@@ -508,12 +525,30 @@ def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatc
         assert rows == (code.size if name == "jittered" else code.size // 2)
         starts = [i for i, _, _ in codes_module._row_blocks(rows)]
         assert calls == {(rows, i): 2 if i in past[name][1:] else 1 for i in starts}
-    # A rotated E8 keeps about 13 distinct grid values per row block, so
-    # one-row blocks of 7 or 50 products spend those budgets early.
-    if block_elems == 2**16:
-        assert not past["cross_polytope"] and not past["e8"]
-    assert bool(past["cross_polytope"]) == (block_elems == 7)
+    # A rotated E8 keeps about 13 distinct grid values per row block and 30
+    # in all, so only a budget of 7 is passed, at its first block; the
+    # cross polytope's half has the values -1 and 0 only.
+    assert not past["cross_polytope"]
+    assert bool(past["e8"]) == (block_elems == 7)
     assert past["jittered"]
+
+
+def test_a_code_whose_merged_products_fit_the_budget_is_streamed_once(monkeypatch):
+    # The cross polytope in R^8 streams its half, an orthonormal basis, in 6
+    # row blocks at a budget of 7.  Each block holds the one product 0, which
+    # stands for 0 and -0, and the pairs {x, -x} add -1.  Counted block by
+    # block, 1 + 2 + 2 + 2 + 2 values pass the budget at the fourth block;
+    # merged, the code has the 2 values -1 and 0, so every block is computed
+    # once.
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 7)
+    calls = _count_gram_blocks(monkeypatch)
+    code = generate("cross_polytope", 8)
+    v = verify_strip(code, make_potential("riesz", alpha=1.0))
+    starts = [i for i, _, _ in codes_module._row_blocks(code.size // 2)]
+    assert len(starts) == 6 and calls == {(code.size // 2, i): 1 for i in starts}
+    assert v.inside and v.attains_uub and v.nodes_cover_products
+    ((values, counts),) = list(codes_module._gram_pass(code.points)[1])
+    assert np.array_equal(values, [-1.0, 0.0]) and np.array_equal(counts, [8.0, 112.0])
 
 
 def test_verify_strip_memory_is_linear_in_the_size():
@@ -574,9 +609,10 @@ def test_antipodal_codes_stream_their_half_and_match_the_dense_gram(case):
     dense_s = min(max(-1.0, float(np.max(off))), 1.0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
-        halved = codes_module._antipodal_half(code.points) is not None
-        s, batches = codes_module._gram_pass(code.points)
-        batches = list(batches)
+        rows, halved, seed = codes_module._streamed_rows(code.points)
+        s, hists = codes_module._gram_pass(code.points)
+        hists = list(hists)
+        own = [codes_module._group(b, lower, halved) for _, b, lower in codes_module._gram_blocks(rows, halved)]
         verdict = _outcome(code, pot)
         if isinstance(verdict, StripVerdict):
             assert separation(code) == verdict.separation == s
@@ -587,11 +623,18 @@ def test_antipodal_codes_stream_their_half_and_match_the_dense_gram(case):
         whole = _outcome(code, pot)
     assert halved == (size >= 6)
     assert abs(s - dense_s) <= 4 * np.spacing(abs(dense_s))
-    assert sum(c.sum() for batch in batches for _, c in batch) == size * (size - 1) // 2
-    # Each group ascends strictly, as node coverage needs.
-    assert all(np.all(v[1:] > v[:-1]) for batch in batches for v, _ in batch)
-    # Only a batch of one group may hold more than the budget's values.
-    assert all(len(batch) == 1 or sum(v.size for v, _ in batch) <= block_elems for batch in batches)
+    assert sum(c.sum() for _, c in hists) == size * (size - 1) // 2
+    # Each histogram ascends strictly, as node coverage needs.
+    assert all(np.all(v[1:] > v[:-1]) for v, _ in hists)
+    # The running histogram holds at most the budget's values, or the
+    # -<x, x> it starts from if they alone pass it; every later histogram is
+    # the own histogram of one of the last blocks, so only a single block's
+    # own may hold more.
+    assert hists[0][0].size <= max(block_elems, _grid_values(seed).size)
+    later = own[len(own) - len(hists) + 1 :]
+    assert len(later) == len(hists) - 1
+    for (v, c), (v2, c2) in zip(hists[1:], later):
+        assert np.array_equal(v, v2) and np.array_equal(c, c2)
     if isinstance(verdict, StripVerdict):
         # Relative to the sum of |h|, as the log kernel changes sign.
         h = pot(values)
@@ -702,6 +745,43 @@ def test_energy_refuses_coincident_points_before_calling_the_kernel(monkeypatch)
         energy(code, newton._replace(eval_fn=counted))
     assert calls == []
     assert energy(code, make_potential("gauss", alpha=1.0)) == pytest.approx(405.00722556110196, rel=1e-13)
+
+
+@st.composite
+def repeated_point_codes(draw):
+    # A random code of 2..30 points in R^2..R^8 whose last point repeats an
+    # earlier one, whole or stacked with its negatives (a half of 3 or more
+    # points is streamed as one), the rows shuffled; a kernel; and a block
+    # size from one-row blocks up to the module's own.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.standard_normal((draw(st.integers(2, 30)), draw(st.integers(2, 8))))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    pts[-1] = pts[draw(st.integers(0, pts.shape[0] - 2))]
+    if draw(st.booleans()):
+        pts = np.vstack([pts, -pts])
+    kernel = draw(st.sampled_from(("newton", "riesz:1", "gauss:2", "log")))
+    code = SphericalCode(pts[rng.permutation(pts.shape[0])])
+    return code, kernel, draw(st.sampled_from((7, 50, codes_module._BLOCK_ELEMS)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(repeated_point_codes())
+def test_a_repeated_point_is_refused_as_coincident_for_every_kernel(case):
+    # Whether the computed <x, x> of the repeated point rounds to 1 or just
+    # below it, the code is refused as coincident before strip runs, which
+    # would otherwise place a separation of 1 - 2**-52 beyond I_64.
+    code, kernel, block_elems = case
+    pot = parse_potential(kernel, code.dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
+        with pytest.raises(ValueError) as refusal:
+            verify_strip(code, pot)
+    if pot.finite_at_one:
+        assert type(refusal.value) is ValueError
+        assert str(refusal.value).startswith("the code has coincident points")
+    else:
+        assert type(refusal.value) is InfiniteEnergyError
+        assert str(refusal.value).startswith("coincident points make the energy diverge")
 
 
 def test_load_code_good_file(tmp_path):
