@@ -55,7 +55,7 @@ from .levenshtein import (
     quadrature,
     solve_cardinality,
 )
-from .orthopoly import MAX_DEGREE, GegenPoly, _newton_to_gegen, gegenbauer_table
+from .orthopoly import GegenPoly, _check_degree, _newton_to_gegen, gegenbauer_table
 from .potentials import Potential, parse_potential
 
 __all__ = [
@@ -119,8 +119,7 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     if any(z[i] == z[i + 2] for i in range(len(z) - 2)):  # z is sorted
         raise ValueError("node multiplicity above 2 is not supported")
     d = len(z)
-    if d - 1 > MAX_DEGREE:
-        raise ValueError(f"degree {d - 1} exceeds the supported maximum {MAX_DEGREE}")
+    _check_degree(d - 1)
     col = pot(np.array(z)).tolist()
     newton = [col[0]]
     for j in range(1, d):

@@ -7,7 +7,8 @@ byte-for-byte reproducible for identical flags (no timestamps).
 
 Exit codes: 0 success, 2 the class (n, M, s) is infeasible, 3 a
 certification check failed or the class lies beyond the last supported
-interval I_64, 4 bad input (including a ``table`` range outside 2..10).
+interval I_m, m = ``MAX_INTERVAL``, 4 bad input (including a ``table``
+range outside 2..10).
 The certificate's JSON form and ``recheck_certificate`` live in ``bounds``.
 ``codes`` is imported only by the calls that need it: verify.
 """

@@ -9,19 +9,22 @@ No Gram matrix is stored.  Every pairwise quantity is a reduction over the
 strict upper triangle of the Gram matrix, streamed in blocks of rows of
 about ``_BLOCK_ELEMS`` inner products each, so memory is O(M * B) rather
 than O(M^2).  Every reduction reads the row blocks from one generator
-(``_gram_blocks``).  The separation, a maximum that a mirrored pair cannot
-change, reads each block whole with its diagonal overwritten instead of
-masking it to the upper triangle.  ``verify_strip``, ``energy`` and
-``moments`` stream the Gram once (``_gram_pass``): the same GEMM gives each
+(``_gram_blocks``), so a product is the same float whichever reduction
+reads it.  The separation, a maximum that a mirrored pair cannot change,
+reads each block whole with its diagonal overwritten instead of masking it
+to the upper triangle.
+
+``verify_strip``, ``energy`` and ``moments`` stream the Gram once
+(``_gram_pass``) under a histogram budget.  The same GEMM gives each
 block's share of the separation and is then rounded to the grid 2**-53,
 sorted and merged into one running histogram, its distinct values in
 ascending order with their counts summed, while the histogram and the
 block's own hold at most ``_BLOCK_ELEMS`` values together.  Designs and
-sharp codes have few distinct products, so they are streamed once and h and
-every P_i are evaluated once per distinct value, whatever M is.  Otherwise
-the block that passes the budget keeps its own histogram, and the blocks
-after it are computed again and evaluated one histogram each.  The energy
-is twice a weighted sum of h and the moments are M + 2 sum P_i.
+sharp codes have few distinct products, so they are streamed once and h
+and every P_i are evaluated once per distinct value, whatever M is.
+Otherwise the block that passes the budget keeps its own histogram, and
+the blocks after it are computed again and evaluated one histogram each.
+The energy is twice a weighted sum of h and the moments are M + 2 sum P_i.
 
 Antipodal codes, closed under x -> -x as most sharp and optimal codes are
 (cross polytopes, the icosahedron, E8, the 600-cell, Leech), stream a
@@ -36,8 +39,8 @@ histograms of H with doubled counts, merged with their mirror images, are
 those of the whole code up to the GEMM's own rounding.  That rounding can
 depend on the shape of the product (a one-row block is a matrix-vector
 product), so a product, and with it the separation, can differ in its last
-bits from a stream of the whole code.  Every other code is streamed whole; no option chooses the
-path.
+bits from a stream of the whole code.  Every other code is streamed whole;
+no option chooses the path.
 
 The grid 2**-53 is the spacing of doubles in [1/2, 1), so rounding is the
 identity on |<x,y>| >= 1/2 (and on 0 and +-1) and moves any other product
@@ -370,11 +373,8 @@ def _group(block: np.ndarray, lower: np.ndarray, mirrored: bool) -> tuple[np.nda
     histogram (``_grid_runs``).  Overwrites the block.
 
     The entries under ``lower`` are set to +inf, so after the sort they are
-    the block's last b (b + 1) / 2 entries and are dropped.  In a block of H
-    (``mirrored``) each value v with count c stands for the pairs {x, y} and
-    {-x, -y} of the code, (v, 2 c), and for {x, -y} and {-x, y}, (-v, 2 c);
-    rounding half to even and the clip are odd, so the two merge into the
-    block's histogram.
+    the block's last b (b + 1) / 2 entries and are dropped.  A block of H
+    (``mirrored``) gives each value v with count c as (v, 2 c) and (-v, 2 c).
     """
     b = lower.shape[0]
     np.copyto(block[:, :b], np.inf, where=lower)
@@ -386,18 +386,14 @@ def _group(block: np.ndarray, lower: np.ndarray, mirrored: bool) -> tuple[np.nda
 
 
 def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[tuple]]:
-    """Compute each row block once: take its maximum (``_block_max``) and
-    merge its histogram (``_group``) into one running histogram while the
-    two hold at most ``_BLOCK_ELEMS`` values together.  Returns the
-    separation and an iterator over the histograms to evaluate.
+    """The separation and an iterator over the histograms to evaluate, by
+    the budget rule of the module docstring.
 
-    An antipodal code streams the Gram of its half H (``_streamed_rows``),
-    and the values -<x, x> of its M/2 pairs {x, -x} seed the histogram.  The
-    first histogram yielded is the running one.  The block that would take
-    it past the budget is yielded next, its own histogram, and past that
-    block only maxima are taken: the iterator computes the later blocks
-    again and yields each block's own histogram, so memory stays O(M * B)
-    whatever the number of distinct values.
+    Each row block's maximum (``_block_max``) is taken in this call.  The
+    first histogram yielded is the running one, seeded with the values
+    -<x, x> of an antipodal code's pairs {x, -x} (``_streamed_rows``); any
+    later one is a single block's, and the blocks past the one that crossed
+    the budget are computed again as the iterator is read.
     """
     rows, mirrored, pairs = _streamed_rows(points)
     s, hists, resume = float(pairs.max(initial=-1.0)), [_grid_runs(pairs)], rows.shape[0] - 1
@@ -414,12 +410,17 @@ def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[tuple]]:
     return min(s, 1.0), itertools.chain(hists, again)
 
 
-def _refuse_coincident(s: float) -> None:
-    """Raise for a separation within ``COINCIDENT_TOL`` of 1."""
-    if s >= 1.0 - COINCIDENT_TOL:
-        raise InfiniteEnergyError(
-            "coincident points make the energy diverge for this kernel"
-        )
+def _refuse_coincident(s: float, pot: Potential) -> None:
+    """Raise for a separation within ``COINCIDENT_TOL`` of 1: InfiniteEnergyError
+    for a kernel infinite at t = 1, ValueError for any other kernel."""
+    if s < 1.0 - COINCIDENT_TOL:
+        return
+    if not pot.finite_at_one:
+        raise InfiniteEnergyError("coincident points make the energy diverge for this kernel")
+    raise ValueError(
+        f"the code has coincident points (separation within {COINCIDENT_TOL:g} of 1), "
+        "so no energy strip applies"
+    )
 
 
 def _add_gegen_sums(n: int, values: np.ndarray, counts: np.ndarray, sums: np.ndarray) -> None:
@@ -466,11 +467,8 @@ def separation(code: SphericalCode) -> float:
     above it.  An antipodal code reads the blocks of its half H instead: the
     largest |<x, y>| over distinct x, y in H, or the largest -<x, x> of a
     pair {x, -x} where that is larger (``_streamed_rows``, ``_block_max``).
-    Negation is exact and commutes with every product and sum, so this is
-    the maximum over the whole code up to the GEMM's own rounding, which
-    can move with the shape of the product.  ``verify_strip``, ``energy``
-    and ``moments`` take the same maximum over the same blocks in the pass
-    that groups them.
+    ``verify_strip``, ``energy`` and ``moments`` take the same maximum over
+    the same blocks in the pass that groups them.
     """
     rows, mirrored, pairs = _streamed_rows(code.points)
     s = float(pairs.max(initial=-1.0))
@@ -482,16 +480,13 @@ def separation(code: SphericalCode) -> float:
 def energy(code: SphericalCode, pot: Potential) -> float:
     """Sum of h over ordered pairs of distinct points.
 
-    Coincident points are refused from the separation before h is evaluated.
-    h is evaluated once per value of each histogram of ``_gram_pass``,
-    weighted by its count, after the products are rounded to the grid
-    2**-53; the Gram, or on an antipodal code the Gram of its half, a
-    quarter of the products, is streamed once when it has few distinct
-    products, and the result equals ``verify_strip(code, pot).energy`` bit
-    for bit."""
+    For a kernel infinite at t = 1, coincident points raise
+    InfiniteEnergyError before h is evaluated.  h is evaluated once per
+    value of each histogram of ``_gram_pass``, weighted by its count, so the
+    result equals ``verify_strip(code, pot).energy`` bit for bit."""
     s, hists = _gram_pass(code.points)
     if not pot.finite_at_one:
-        _refuse_coincident(s)
+        _refuse_coincident(s, pot)
     total = 0.0
     for values, counts in hists:
         total += float(counts @ pot(values))
@@ -503,8 +498,7 @@ def moments(code: SphericalCode, i_max: int) -> np.ndarray:
     included, so the zeroth moment is M^2 and all are nonnegative).
 
     Like ``energy``, each P_i is evaluated once per value of each histogram
-    on the grid 2**-53, over the half of an antipodal code as for
-    ``energy``; for i_max equal to the class's m the result equals
+    of ``_gram_pass``; for i_max equal to the class's m the result equals
     ``verify_strip``'s moments bit for bit."""
     sums = np.zeros(_check_degree(i_max))
     _, hists = _gram_pass(code.points)
@@ -535,47 +529,18 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     slack of ``STRIP_TOL`` * max(1, |uub|, |ulb|) for ``inside`` and ``attains_*``.
 
     The attainment diagnostics report whether every off-diagonal inner
-    product sits on a quadrature node and include the moments up to m
-    (equality in the upper bound requires the moments paired with the
-    negative coefficients of f to vanish).
-
-    The Gram is streamed once (``_gram_pass``): each row block's GEMM gives
-    its share of s(C), which fixes m and the nodes, and is then rounded to
-    the grid 2**-53, which moves a product of magnitude below 1/2 by at most
-    2**-54 and no other, sorted and merged into one running histogram of
-    distinct values and counts.  The code is streamed once while that
-    histogram and each block's own hold at most ``_BLOCK_ELEMS`` values
-    together, as they always do for a code with at most half as many
-    distinct products, designs and sharp codes among them, whatever M is.
-    Otherwise the block that would pass the budget is evaluated on its own
-    histogram, and the blocks after it are computed again after ``strip``
-    has run, one histogram each.  The energy, the moments and node
-    coverage (see ``_nodes_cover``) are taken over each histogram, weighted
-    by the counts; ``energy`` and ``moments`` reduce the same way, so they
-    equal the verdict's fields bit for bit.
-
-    An antipodal code (M even and its rows paired as x, -x entry for entry,
-    detected exactly from the points by ``_antipodal_half``) streams the
-    Gram of one point of each pair, H, so the GEMM and the sort cover a
-    quarter of the products: each grouped value v of H with count c stands
-    for (v, 2 c) and (-v, 2 c), and the M/2 pairs {x, -x} add the values
-    -<x, x>.  IEEE negation commutes with every product, FMA and sum, and the
-    grid rounding and the clip are odd, so this is exact up to the GEMM's
-    own rounding; as that rounding can depend on the GEMM's shape, a
-    product, and with it the separation, can differ in its last bits from a
-    stream of the whole code.  A code with a repeated point, or any
-    separation within ``COINCIDENT_TOL`` of 1, raises InfiniteEnergyError
-    for a kernel infinite at t = 1 and ValueError for any other kernel,
-    before ``strip`` runs.
+    product sits on a quadrature node (``_nodes_cover``) and include the
+    moments up to m (equality in the upper bound requires the moments paired
+    with the negative coefficients of f to vanish).  The Gram is streamed
+    by ``_gram_pass``, whose separation fixes m and the nodes; ``energy``
+    and ``moments`` reduce the same histograms the same way, so they equal
+    the verdict's fields bit for bit.  A separation within
+    ``COINCIDENT_TOL`` of 1, which a repeated point gives, raises
+    InfiniteEnergyError for a kernel infinite at t = 1 and ValueError for
+    any other kernel, before ``strip`` runs.
     """
     s, hists = _gram_pass(code.points)
-    if not pot.finite_at_one:
-        _refuse_coincident(s)
-    if s >= 1.0 - COINCIDENT_TOL:
-        raise ValueError(
-            f"the code has coincident points (separation within {COINCIDENT_TOL:g} of 1), "
-            "so no energy strip applies"
-        )
+    _refuse_coincident(s, pot)
     es = strip(code.dim, code.size, s, pot)
     quad = es.uub_cert.quad
     half_energy, sums, covered = 0.0, np.zeros(quad.m), True

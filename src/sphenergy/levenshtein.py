@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import CertificationError, NumericsError
 from .orthopoly import (
+    MAX_DEGREE,
     GegenPoly,
     JacobiParams,
     _check_dim,
@@ -60,7 +61,8 @@ __all__ = [
     "dgs_number",
 ]
 
-MAX_INTERVAL = 64
+# The certificate on I_m is a polynomial of degree m: the interval cap is the degree cap.
+MAX_INTERVAL = MAX_DEGREE
 
 # Absolute slack used when deciding that s sits exactly on a shared
 # endpoint of two consecutive intervals.

@@ -14,9 +14,9 @@ not used anywhere.  Derivatives shift the dimension by two:
 
 Coefficient arithmetic (products of linear factors, divided differences,
 Newton-to-Gegenbauer resynthesis) runs on Python lists of floats: at most
-65 coefficients, where a loop over numpy scalars costs more in dispatch
-than in arithmetic.  The coefficients become an ndarray once, when a
-``GegenPoly`` is built.  Evaluation on grids and on blocks of inner
+MAX_DEGREE + 1 coefficients, where a loop over numpy scalars costs more in
+dispatch than in arithmetic.  The coefficients become an ndarray once, when
+a ``GegenPoly`` is built.  Evaluation on grids and on blocks of inner
 products runs on ndarrays, through the one recurrence ``gegenbauer_terms``,
 P_{i+1} = a_i (t P_i) - b_i P_{i-1}.  For an ndarray argument a step is
 four in-place passes.  ``gegenbauer_table`` has the recurrence write each
@@ -58,8 +58,9 @@ __all__ = [
     "product_to_gegen",
 ]
 
-# Double precision keeps the recurrences accurate in this range and the
-# bound pipeline needs small degrees only.
+# The one degree limit of the package: double precision keeps the
+# recurrences accurate in this range, and every table and cache here, and
+# ``levenshtein.MAX_INTERVAL``, is sized from it.
 MAX_DEGREE = 64
 
 # A coefficient counts toward ``GegenPoly.degree`` above this share of the scale.
@@ -105,8 +106,8 @@ def gegenbauer_terms(n: int, i_max: int, t, rows=None):
     """
     if i_max < 1:
         return
-    if i_max > MAX_DEGREE:
-        raise ValueError(f"degree {i_max} exceeds the supported maximum {MAX_DEGREE}")
+    if i_max > MAX_DEGREE:  # cheaper than the full guard on this hot path
+        _check_degree(i_max)
     ratios = _recurrence_ratios(n)[: i_max - 1]
     yield t
     if not isinstance(t, np.ndarray):
@@ -179,26 +180,25 @@ class JacobiParams(NamedTuple("JacobiParams", [("a", float), ("b", float)])):
         return super().__new__(cls, a, b)
 
 
-@lru_cache(maxsize=1024)
-def _monic_recurrence(a: float, b: float, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha_0..alpha_{i-1}, beta_1..beta_{i-1} and sqrt(beta) of the monic
-    Jacobi recurrence, i >= 1.
+@lru_cache(maxsize=None)
+def _monic_recurrence(a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """alpha_0..alpha_{MAX_DEGREE-1}, beta_1..beta_{MAX_DEGREE-1} and
+    sqrt(beta) of the monic Jacobi recurrence.
 
     pi_{j+1}(t) = (t - alpha_j) pi_j(t) - beta_j pi_{j-1}(t), where pi_j is
     P_j^{(a,b)} divided by its (positive) leading coefficient; sqrt(beta) is
-    the off-diagonal of the Jacobi matrix.  The arrays are cached, hence
-    read-only; 1024 entries of at most 3 x 64 doubles cover eight
-    dimensions at every degree up to MAX_DEGREE.
+    the off-diagonal of the Jacobi matrix.  Each entry depends on j alone, so
+    degree i reads the first i alphas and the first i - 1 betas.  The arrays
+    are cached, hence read-only.
     """
-    j = np.arange(i, dtype=float)
+    j = np.arange(MAX_DEGREE, dtype=float)
     s = 2 * j + a + b
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = (b * b - a * a) / (s * (s + 2))
         beta = 4 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1) * (s - 1))
     alpha[0] = (b - a) / (a + b + 2)
-    if i >= 2:
-        # j = 1 written with (1 + a + b) cancelled, which vanishes for a + b = -1.
-        beta[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    # j = 1 written with (1 + a + b) cancelled, which vanishes for a + b = -1.
+    beta[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
     beta = beta[1:].copy()
     root = np.sqrt(beta)
     for arr in (alpha, beta, root):
@@ -219,7 +219,8 @@ def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndar
     i = _check_degree(i)
     if i == 0:
         return np.empty(0)
-    alpha, beta, root = _monic_recurrence(p.a, p.b, i)
+    alpha, beta, root = _monic_recurrence(p.a, p.b)
+    alpha, beta, root = alpha[:i], beta[: i - 1], root[: i - 1]
     c = 0.0
     if fixed is not None:
         al, be = alpha.tolist(), beta.tolist()
@@ -260,8 +261,7 @@ class GegenPoly(NamedTuple("GegenPoly", [("dim", int), ("coeffs", np.ndarray)]))
         c = np.array(coeffs, dtype=float, ndmin=1)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-D sequence")
-        if c.size - 1 > MAX_DEGREE:
-            raise ValueError(f"degree {c.size - 1} exceeds the supported maximum {MAX_DEGREE}")
+        _check_degree(c.size - 1)
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
@@ -337,6 +337,5 @@ def product_to_gegen(n: int, roots) -> GegenPoly:
     multiplying the factors in the order given."""
     n = _check_dim(n)
     roots = [float(r) for r in roots]
-    if len(roots) > MAX_DEGREE:
-        raise ValueError(f"product degree {len(roots)} exceeds the supported maximum {MAX_DEGREE}")
+    _check_degree(len(roots))
     return _newton_to_gegen(n, roots[::-1], [0.0] * len(roots) + [1.0])

@@ -155,7 +155,8 @@ def jacobi_zeros_diag(p, i, fixed=None):
     """Eigenvalues of the Jacobi matrix of P_i^{(a,b)} (shifted to have
     ``fixed`` as an eigenvalue when given), built with np.diag and fancy
     indexing; i >= 1."""
-    alpha, beta, _ = _monic_recurrence(p.a, p.b, i)
+    alpha, beta, _ = _monic_recurrence(p.a, p.b)
+    alpha, beta = alpha[:i], beta[: i - 1]
     c = 0.0
     if fixed is not None:
         al, be = alpha.tolist(), beta.tolist()

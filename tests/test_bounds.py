@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import sphenergy.bounds
 import sphenergy.cli
+import sphenergy.levenshtein
 from oracles import lp_upper, node_sign_on_linspace, spare_node_bound
 from sphenergy.bounds import (
     _GRID_COSINES,
@@ -457,3 +458,26 @@ def test_a_class_refused_at_the_node_residual_builds_no_grid(monkeypatch):
     assert calls == []
     uub(5, 11, S_EZ, make_potential("newton", n=5))
     assert len(calls) == 1
+
+
+# (module, tolerance made stricter, n, M, s, exception, words of the refusal).
+# With the tolerance at -1.0 no computed margin can pass its gate; the weight
+# gate needs no edit, as the midpoint of I_64 at n = 24 has a negative weight.
+_GATES = [
+    (sphenergy.bounds, "POSITIVITY_TOL", 5, 11, S_EZ, CertificationError, "node polynomial is positive on [-1, s]"),
+    (sphenergy.bounds, "GAP_TOL", 5, 11, S_EZ, CertificationError, "feasibility failed"),
+    (sphenergy.bounds, "FORMS_TOL", 5, 11, S_EZ, CertificationError, "bound forms disagree"),
+    (sphenergy.bounds, "INVERSION_TOL", 5, 11, S_EZ, CertificationError, "strip is inverted"),
+    (sphenergy.levenshtein, "EXACTNESS_TOL", 5, 11, S_EZ, CertificationError, "quadrature exactness residual"),
+    (sphenergy.levenshtein, "LARGEST_NODE_TOL", 5, 11, S_EZ, NumericsError, "does not match separation"),
+    (None, None, 24, dgs_number(24, 64), 0.9311822325014847, CertificationError, "nonpositive quadrature weight"),
+]
+
+
+@pytest.mark.parametrize("module, tol, n, M, s, error, words", _GATES, ids=[g[1] or "weight" for g in _GATES])
+def test_every_gate_refuses_once_its_tolerance_is_stricter(monkeypatch, module, tol, n, M, s, error, words):
+    if tol is not None:
+        monkeypatch.setattr(module, tol, -1.0)
+    with pytest.raises(error) as refusal:
+        strip(n, M, s, make_potential("newton", n=n))
+    assert words in str(refusal.value)

@@ -9,7 +9,8 @@ from numpy.polynomial.chebyshev import poly2cheb
 from numpy.polynomial.polynomial import polyfromroots
 
 from oracles import gegen_coefficient_integral, gegenbauer_terms_inline, jacobi_zeros_diag, mul_linear_inline
-from sphenergy.bounds import _GRID_COSINES
+from sphenergy.bounds import _GRID_COSINES, hermite_interpolant
+from sphenergy.codes import generate, moments
 from sphenergy.orthopoly import (
     MAX_DEGREE,
     GegenPoly,
@@ -23,6 +24,7 @@ from sphenergy.orthopoly import (
     jacobi_zeros,
     product_to_gegen,
 )
+from sphenergy.potentials import make_potential
 
 
 def basis_poly(n, i):
@@ -131,11 +133,6 @@ def test_cached_dimension_constants_round_like_inline_arithmetic(n):
             assert bits(_mul_linear(n, coeffs, root)) == bits(mul_linear_inline(n, coeffs, root))
 
 
-def test_gegenbauer_terms_refuse_degrees_beyond_the_maximum():
-    with pytest.raises(ValueError, match="exceeds the supported maximum"):
-        list(gegenbauer_terms(3, MAX_DEGREE + 1, 0.5))
-
-
 @pytest.mark.parametrize("n", (2, 3, 5, 8, 24))
 def test_jacobi_matrix_by_strided_writes_matches_diag_construction(n):
     for p in (JacobiParams((n - 1) / 2.0, (n - 3) / 2.0), JacobiParams((n - 1) / 2.0, (n - 1) / 2.0)):
@@ -161,8 +158,8 @@ def test_recurrence_leaves_its_argument_unchanged():
 
 
 def test_cached_recurrence_and_cosine_arrays_are_read_only():
-    alpha, beta, root = _monic_recurrence(1.5, 0.5, 6)
-    assert alpha.shape == (6,) and beta.shape == root.shape == (5,)
+    alpha, beta, root = _monic_recurrence(1.5, 0.5)
+    assert alpha.shape == (MAX_DEGREE,) and beta.shape == root.shape == (MAX_DEGREE - 1,)
     assert not any(arr.flags.writeable for arr in (alpha, beta, root))
     assert not _GRID_COSINES.flags.writeable
 
@@ -342,8 +339,26 @@ def test_coefficient_integral_linear_term():
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
-def test_degree_cap():
-    with pytest.raises(ValueError):
-        product_to_gegen(4, np.zeros(65))
-    with pytest.raises(ValueError):
-        eval_gegenbauer(4, 65, 0.5)
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda d: list(gegenbauer_terms(3, d, 0.5)), id="gegenbauer_terms"),
+        pytest.param(lambda d: gegenbauer_table(3, d, np.linspace(-1.0, 1.0, 5)), id="gegenbauer_table"),
+        pytest.param(lambda d: eval_gegenbauer(4, d, 0.5), id="eval_gegenbauer"),
+        pytest.param(lambda d: jacobi_zeros(JacobiParams(1.0, 0.0), d), id="jacobi_zeros"),
+        pytest.param(lambda d: GegenPoly(3, np.ones(d + 1)), id="GegenPoly"),
+        pytest.param(lambda d: product_to_gegen(4, np.linspace(-1.0, 0.5, d)), id="product_to_gegen"),
+        # d + 1 distinct nodes give an interpolant of degree d.
+        pytest.param(
+            lambda d: hermite_interpolant(4, make_potential("newton", n=4), np.linspace(-1.0, 0.9, d + 1)),
+            id="hermite_interpolant",
+        ),
+        pytest.param(lambda d: moments(generate("icosahedron"), d), id="moments"),
+    ],
+)
+def test_every_degree_guard_shares_one_cap_and_one_text(build):
+    # MAX_DEGREE is the one degree limit, and _check_degree its one refusal.
+    build(MAX_DEGREE)
+    with pytest.raises(ValueError) as refusal:
+        build(MAX_DEGREE + 1)
+    assert str(refusal.value) == f"degree {MAX_DEGREE + 1} exceeds the supported maximum {MAX_DEGREE}"
