@@ -106,7 +106,8 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     """Hermite interpolant of the potential on a node multiset.
 
     Node multiplicity is at most 2 because the kernel supplies h' only: a
-    doubled node matches h' there.  Newton's divided differences supply the
+    doubled node matches h' there.  h and h' are read for the whole sorted
+    node list, one array call each.  Newton's divided differences supply the
     coefficients, and the Newton form is resynthesized directly over the
     Gegenbauer basis.  Both run on plain floats: the table is kept as one
     column, overwritten top-down, whose head is the next Newton coefficient.
@@ -120,12 +121,13 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
         raise ValueError("node multiplicity above 2 is not supported")
     d = len(z)
     _check_degree(d - 1)
-    col = pot(np.array(z)).tolist()
+    za = np.array(z)
+    col, slope = pot(za).tolist(), pot.deriv(za).tolist()
     newton = [col[0]]
     for j in range(1, d):
         for i in range(d - j):
             if z[i + j] == z[i]:
-                col[i] = pot.deriv(z[i])
+                col[i] = slope[i]
             else:
                 col[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
         newton.append(col[0])

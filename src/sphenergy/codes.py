@@ -6,9 +6,16 @@ ordered pairs including the diagonal, so the positive-definiteness of the
 basis makes every moment nonnegative.
 
 No Gram matrix is stored.  Every pairwise quantity is a reduction over the
-strict upper triangle of the Gram matrix, streamed in blocks of rows of
-about ``_BLOCK_ELEMS`` inner products each, so memory is O(M * B) rather
-than O(M^2).  Every reduction reads the row blocks from one generator
+strict upper triangle of the Gram matrix, streamed in blocks of about
+B = ``_BLOCK_ELEMS`` inner products each, so memory is O(B + M) rather
+than O(M^2).  The strip of rows i..j-1 against the columns i..M-1, of
+width w = M - i, takes B // w rows (at least one) and is one block, unless
+that is fewer than L = isqrt(B) // 4 rows (64 at the default budget): a
+row wider than B // L products then gets a strip of L rows, split into
+tiles of B // L columns, each a block.  So a wide row is not a one-row
+block, which numpy runs as a matrix-vector product at a fraction of the
+GEMM's speed per product, and every code of at most B // L rows streams
+one block per strip.  Every reduction reads the blocks from one generator
 (``_gram_blocks``), so a product is the same float whichever reduction
 reads it.  The separation, a maximum that a mirrored pair cannot change,
 reads each block whole with its diagonal overwritten instead of masking it
@@ -275,39 +282,48 @@ def _antipodal_half(points: np.ndarray) -> np.ndarray | None:
     return order[: size // 2]
 
 
-def _row_blocks(size: int, start: int = 0):
-    """Yield (i, j, width): rows i..j-1 of the Gram against its columns
-    i..size-1, width = size - i, with j - i sized so the block holds about
-    ``_BLOCK_ELEMS`` products (at least one row).  From start = 0 the blocks
-    cover the strict upper triangle once; row size - 1 has no column past it.
-    A start where a block begins yields the same blocks from there on.
+def _row_blocks(size: int):
+    """Yield (i, j, lo, hi): rows i..j-1 of the Gram against its columns
+    lo..hi-1, the tiles of the strips of rows i..j-1 against columns
+    i..size-1 by the rule of the module docstring.  The tiles cover the
+    strict upper triangle once; row size - 1 has no column past it.  A
+    strip's first tile starts at lo = i and holds its diagonal.
     """
-    i = start
+    least = math.isqrt(_BLOCK_ELEMS) // 4
+    i = 0
     while i < size - 1:
         width = size - i
-        j = min(size - 1, i + max(1, _BLOCK_ELEMS // width))
-        yield i, j, width
+        rows, tile = max(1, _BLOCK_ELEMS // width), width
+        if rows < least:
+            rows, tile = least, _BLOCK_ELEMS // least
+        j = min(size - 1, i + rows)
+        for lo in range(i, size, tile):
+            yield i, j, lo, min(size, lo + tile)
         i = j
 
 
 def _gram_blocks(rows: np.ndarray, mirrored: bool, start: int = 0):
-    """Yield (i, block, lower) for each row block of ``_row_blocks`` from row
-    ``start``: block is the GEMM ``rows[i:j] @ rows[i:].T`` with its j - i
-    diagonal entries (flat stride width + 1) overwritten, and lower masks the
-    diagonal and the entries left of it, the transposes of pairs above it, in
-    the block's first j - i columns.  The diagonal is set to -2, below any
-    inner product, or, when the rows are the half H of an antipodal code
-    (``mirrored``), to 0, below any magnitude (see ``_block_max``).
+    """Yield (i, block, lower) for each tile of ``_row_blocks`` from the
+    start-th on: block is the GEMM ``rows[i:j] @ rows[lo:hi].T``.  In a
+    strip's first tile its j - i diagonal entries (flat stride hi - lo + 1)
+    are overwritten, and lower masks the diagonal and the entries left of
+    it, the transposes of pairs above it, in the tile's first j - i columns;
+    every later tile lies above the diagonal, and its lower has no column.
+    The diagonal is set to -2, below any inner product, or, when the rows
+    are the half H of an antipodal code (``mirrored``), to 0, below any
+    magnitude (see ``_block_max``).
 
-    Every reduction reads the Gram through here, so a row block's products
-    are the same floats whichever reduction reads them.
+    Every reduction reads the Gram through here, so a tile's products are
+    the same floats whichever reduction reads them.
     """
-    blocks = list(_row_blocks(rows.shape[0], start))
-    tri = np.tri(max((j - i for i, j, _ in blocks), default=0), dtype=bool)
-    for i, j, width in blocks:
-        block = rows[i:j] @ rows[i:].T
-        block.ravel()[:: width + 1] = 0.0 if mirrored else -2.0
-        yield i, block, tri[: j - i, : j - i]
+    tiles = list(_row_blocks(rows.shape[0]))[start:]
+    tri = np.tri(max((j - i for i, j, _, _ in tiles), default=0), dtype=bool)
+    for i, j, lo, hi in tiles:
+        block = rows[i:j] @ rows[lo:hi].T
+        b = j - i if lo == i else 0
+        if b:
+            block.ravel()[:: hi - lo + 1] = 0.0 if mirrored else -2.0
+        yield i, block, tri[: j - i, :b]
 
 
 def _block_max(block: np.ndarray, mirrored: bool) -> float:
@@ -372,11 +388,12 @@ def _group(block: np.ndarray, lower: np.ndarray, mirrored: bool) -> tuple[np.nda
     """The strict upper triangle of a block of ``_gram_blocks`` as a
     histogram (``_grid_runs``).  Overwrites the block.
 
-    The entries under ``lower`` are set to +inf, so after the sort they are
-    the block's last b (b + 1) / 2 entries and are dropped.  A block of H
+    The entries under ``lower``, b x b in a strip's first tile and none in
+    a later one, are set to +inf, so after the sort they are the block's
+    last b (b + 1) / 2 entries and are dropped.  A block of H
     (``mirrored``) gives each value v with count c as (v, 2 c) and (-v, 2 c).
     """
-    b = lower.shape[0]
+    b = lower.shape[1]
     np.copyto(block[:, :b], np.inf, where=lower)
     values, counts = _grid_runs(block.ravel(), b * (b + 1) // 2)
     if not mirrored:
@@ -389,15 +406,16 @@ def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[tuple]]:
     """The separation and an iterator over the histograms to evaluate, by
     the budget rule of the module docstring.
 
-    Each row block's maximum (``_block_max``) is taken in this call.  The
-    first histogram yielded is the running one, seeded with the values
-    -<x, x> of an antipodal code's pairs {x, -x} (``_streamed_rows``); any
-    later one is a single block's, and the blocks past the one that crossed
-    the budget are computed again as the iterator is read.
+    Each block's maximum (``_block_max``) is taken in this call.  The first
+    histogram yielded is the running one, seeded with the values -<x, x> of
+    an antipodal code's pairs {x, -x} (``_streamed_rows``); any later one is
+    a single block's, and the blocks past the one that crossed the budget,
+    which may end in the middle of a strip, are computed again from the
+    next block's index as the iterator is read.
     """
     rows, mirrored, pairs = _streamed_rows(points)
-    s, hists, resume = float(pairs.max(initial=-1.0)), [_grid_runs(pairs)], rows.shape[0] - 1
-    for i, block, lower in _gram_blocks(rows, mirrored):
+    s, hists, resume = float(pairs.max(initial=-1.0)), [_grid_runs(pairs)], 0
+    for k, (_, block, lower) in enumerate(_gram_blocks(rows, mirrored), 1):
         s = max(s, _block_max(block, mirrored))
         if len(hists) == 1:
             group = _group(block, lower, mirrored)
@@ -405,7 +423,7 @@ def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[tuple]]:
                 hists[0] = _merge(hists[0], group) if hists[0][0].size else group
             else:
                 hists.append(group)
-                resume = i + lower.shape[0]
+            resume = k
     again = (_group(b, tri, mirrored) for _, b, tri in _gram_blocks(rows, mirrored, resume))
     return min(s, 1.0), itertools.chain(hists, again)
 

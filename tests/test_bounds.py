@@ -41,7 +41,7 @@ from sphenergy.levenshtein import (
     levenshtein_poly,
     quadrature,
 )
-from sphenergy.orthopoly import gegenbauer_table
+from sphenergy.orthopoly import _newton_to_gegen, gegenbauer_table
 from sphenergy.potentials import make_potential, parse_potential
 
 S_EZ = 0.13285354259858992
@@ -84,6 +84,26 @@ def test_hermite_interpolation_conditions():
             if t in seen:
                 assert g.deriv(t) == pytest.approx(pot.deriv(t), rel=1e-7)
             seen.add(t)
+
+
+def test_hermite_reads_each_slope_from_the_node_array():
+    # At a doubled node the divided difference is h' there, the entry of
+    # pot.deriv on the sorted node array to the bit, as an exact recheck
+    # reads it.  The table is rebuilt here from the two arrays.
+    rng = np.random.RandomState(59)
+    for spec in ("newton", "riesz:2.5", "gauss:1.7", "log"):
+        for _ in range(10):
+            n, s = int(rng.randint(3, 25)), float(rng.uniform(-0.2, 0.6))
+            pot = parse_potential(spec, n)
+            z = sorted(levenshtein_poly(n, find_interval(n, s), s).multiset)
+            col, slope = pot(np.array(z)).tolist(), pot.deriv(np.array(z)).tolist()
+            newton = [col[0]]
+            for j in range(1, len(z)):
+                for i in range(len(z) - j):
+                    col[i] = slope[i] if z[i + j] == z[i] else (col[i + 1] - col[i]) / (z[i + j] - z[i])
+                newton.append(col[0])
+            g = hermite_interpolant(n, pot, z[::-1])
+            assert np.array_equal(g.coeffs, _newton_to_gegen(n, z, newton).coeffs), (spec, n, s)
 
 
 def test_hermite_rejects_high_multiplicity():

@@ -1,7 +1,9 @@
 """Code containers, named constructions, energies, and strip verification."""
 
 import collections
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,7 +171,7 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     # one histogram each.
     calls = _count_gram_blocks(monkeypatch)
     _, hists = codes_module._gram_pass(code.points)
-    starts = [i for i, _, _ in codes_module._row_blocks(code.size)]
+    starts = [i for i, *_ in codes_module._row_blocks(code.size)]
     assert calls == {(code.size, i): 1 for i in starts}
     again = list(hists)
     assert calls == {(code.size, i): 1 if i in starts[:2] else 2 for i in starts}
@@ -435,9 +437,9 @@ def test_separation_is_the_maximum_of_the_masked_blocks(monkeypatch, block_elems
     repeated.points[17] = repeated.points[3]
     for code in (pair, antipodal, repeated, random_code(rng, 37, 10), generate("cross_polytope", 6)):
         masked = -1.0
-        for i, j, width in codes_module._row_blocks(code.size):
-            block = code.points[i:j] @ code.points[i:].T
-            upper = np.arange(j - i)[:, None] < np.arange(width)
+        for i, j, lo, hi in codes_module._row_blocks(code.size):
+            block = code.points[i:j] @ code.points[lo:hi].T
+            upper = np.arange(i, j)[:, None] < np.arange(lo, hi)
             masked = max(masked, float(np.max(block[upper])))
         assert separation(code) == min(masked, 1.0)
     assert separation(antipodal) == -1.0
@@ -490,9 +492,9 @@ def _blocks_past_budget(code):
     rows = code.points if half is None else code.points[half]
     starts = []
     running = np.empty(0) if half is None else _grid_values(-np.einsum("ij,ij->i", rows, rows))
-    for i, j, width in codes_module._row_blocks(rows.shape[0]):
-        block = rows[i:j] @ rows[i:].T
-        own = _grid_values(block[np.arange(j - i)[:, None] < np.arange(width)])
+    for i, j, lo, hi in codes_module._row_blocks(rows.shape[0]):
+        block = rows[i:j] @ rows[lo:hi].T
+        own = _grid_values(block[np.arange(i, j)[:, None] < np.arange(lo, hi)])
         if half is not None:
             own = np.union1d(own, -own)
         if starts or running.size + own.size > codes_module._BLOCK_ELEMS:
@@ -523,7 +525,7 @@ def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatc
         assert v.inside
         rows, past[name] = _blocks_past_budget(code)
         assert rows == (code.size if name == "jittered" else code.size // 2)
-        starts = [i for i, _, _ in codes_module._row_blocks(rows)]
+        starts = [i for i, *_ in codes_module._row_blocks(rows)]
         assert calls == {(rows, i): 2 if i in past[name][1:] else 1 for i in starts}
     # A rotated E8 keeps about 13 distinct grid values per row block and 30
     # in all, so only a budget of 7 is passed, at its first block; the
@@ -544,11 +546,86 @@ def test_a_code_whose_merged_products_fit_the_budget_is_streamed_once(monkeypatc
     calls = _count_gram_blocks(monkeypatch)
     code = generate("cross_polytope", 8)
     v = verify_strip(code, make_potential("riesz", alpha=1.0))
-    starts = [i for i, _, _ in codes_module._row_blocks(code.size // 2)]
+    starts = [i for i, *_ in codes_module._row_blocks(code.size // 2)]
     assert len(starts) == 6 and calls == {(code.size // 2, i): 1 for i in starts}
     assert v.inside and v.attains_uub and v.nodes_cover_products
     ((values, counts),) = list(codes_module._gram_pass(code.points)[1])
     assert np.array_equal(values, [-1.0, 0.0]) and np.array_equal(counts, [8.0, 112.0])
+
+
+def test_wide_rows_stream_in_tiles_of_several_rows(monkeypatch):
+    # At a budget of 2**10 a strip takes at least isqrt(2**10) // 4 = 8 rows,
+    # so a row wider than 128 products is split into 8 x 128 tiles.  Codes
+    # of 300-400 points: whole D8 shells, the second with products all
+    # distinct, and an antipodal one, 150 shell vectors and their
+    # negatives, whose half of 150 rows is tiled too.
+    monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 2**10)
+    pot = make_potential("gauss", alpha=1.0)
+    shell = _d8_shell(3136).points
+    codes = {
+        "whole": _d8_shell(400),
+        "distinct": _d8_shell(400, jitter=1e-7),
+        "antipodal": SphericalCode(np.vstack([shell[:150], -shell[:150]])),
+    }
+    for name, code in codes.items():
+        rows, halved, _ = codes_module._streamed_rows(code.points)
+        size = rows.shape[0]
+        assert halved == (name == "antipodal") and size > 128
+        tiles = list(codes_module._row_blocks(size))
+        assert all(j - i >= 8 and hi - lo <= 128 for i, j, lo, hi in tiles if size - i > 128)
+        # Every strict-upper pair is in exactly one tile.
+        seen = np.zeros((size, size), dtype=int)
+        for i, j, lo, hi in tiles:
+            seen[i:j, lo:hi] += np.arange(i, j)[:, None] < np.arange(lo, hi)
+        assert np.array_equal(seen, np.triu(np.ones((size, size), dtype=int), 1))
+
+        s, hists = codes_module._gram_pass(code.points)
+        hists = list(hists)
+        own = [codes_module._group(b, lower, halved) for _, b, lower in codes_module._gram_blocks(rows, halved)]
+        assert len(own) == len(tiles)
+        # Against the dense Gram: the separation, and every product.
+        off = (code.points @ code.points.T)[np.triu_indices(code.size, k=1)]
+        assert abs(s - float(np.max(off))) <= 4 * np.spacing(float(np.max(off)))
+        streamed = np.sort(np.concatenate([np.repeat(v, c.astype(int)) for v, c in hists]))
+        dense = np.sort(np.clip(np.rint(off * 2.0**53), -(2.0**53), 2.0**53)) * 2.0**-53
+        assert np.max(np.abs(streamed - dense)) <= 2 * code.dim * 2.0**-53
+        # Past the budget: the block that crossed it keeps its own histogram,
+        # and the blocks after it are computed again from the next tile's
+        # index, one histogram each.  With all products distinct the second
+        # tile of the first strip crosses it.
+        later = own[len(own) - len(hists) + 1 :]
+        for (v, c), (v2, c2) in zip(hists[1:], later):
+            assert np.array_equal(v, v2) and np.array_equal(c, c2)
+        if name == "distinct":
+            crossing = tiles[len(tiles) - len(hists) + 1]
+            assert crossing == (0, 8, 128, 256)
+        else:
+            assert len(hists) == 1
+
+        verdict = verify_strip(code, pot)
+        h = pot(dense)
+        assert abs(verdict.energy - 2.0 * float(np.sum(h))) <= 2e-14 * float(np.sum(np.abs(h)))
+        assert separation(code) == verdict.separation == s
+        assert energy(code, pot) == verdict.energy
+        assert np.array_equal(moments(code, verdict.strip.uub_cert.quad.m), verdict.moments)
+        assert verdict.inside
+
+
+def test_leech_builder_gives_golay_words_and_minimal_vectors():
+    # tools/leech.py builds Leech from the extended Golay code; its weights
+    # are 0, 8, 12, 16 and 24 with multiplicities 1/759/2576/759/1.  Every
+    # 97th minimal vector, scaled by sqrt(8), has norm 32 and products in
+    # {0, +-8, +-16, +-32} with the others.
+    spec = importlib.util.spec_from_file_location("leech", Path(__file__).parent.parent / "tools" / "leech.py")
+    leech = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(leech)
+    weights = collections.Counter(leech.golay_codewords().sum(axis=1).tolist())
+    assert weights == {0: 1, 8: 759, 12: 2576, 16: 759, 24: 1}
+    vectors = leech.leech_minimal_vectors()
+    assert vectors.shape == (196560, 24)
+    part = vectors[::97]
+    assert np.all(np.einsum("ij,ij->i", part, part) == 32)
+    assert set(np.unique(part @ part.T).tolist()) <= {0, 8, -8, 16, -16, 32, -32}
 
 
 def test_verify_strip_memory_is_linear_in_the_size():
