@@ -1,26 +1,24 @@
 """Levenshtein intervals, bound values, node polynomials, and 1/N quadrature.
 
 For each dimension n the half-open range [-1, 1) splits into closed
-intervals I_1, I_2, ... whose endpoints are greatest zeros of adjacent
-Jacobi polynomials:
-
-    I_{2k-1} = [t_{k-1}^{1,1}, t_k^{1,0}],   I_{2k} = [t_k^{1,0}, t_k^{1,1}],
-
-with t_0^{1,1} = -1 and t_i^{a,b} the greatest zero of
-P_i^{(a + (n-3)/2, b + (n-3)/2)}.  A separation s picks the interval index
-m = 2k - 1 + eps, the maximal-cardinality value L_m(n, s), and a quadrature
+intervals I_m = [hi_{m-1}, hi_m], m = 1, 2, ..., where hi_0 = -1 and, for
+m = 2k - 1 + eps, hi_m is the greatest zero of the node polynomial's
+Jacobi polynomial Q_k = P_k^{((n-1)/2, eps + (n-3)/2)}: the separation at
+which the Gauss-Radau shift below vanishes.  A separation s picks the
+interval index m, the maximal-cardinality value L_m(n, s), and a quadrature
 
     f_0 = f(1) / L_m(n, s) + sum_i rho_i f(alpha_i)
 
 exact for polynomials of degree at most m.  The nodes alpha_i are the roots
-of (t + 1)^eps (Q_k(t) Q_{k-1}(s) - Q_k(s) Q_{k-1}(t)) with
-Q_i = P_i^{((n-1)/2, eps + (n-3)/2)}; the largest node is s itself.
+of (t + 1)^eps (Q_k(t) Q_{k-1}(s) - Q_k(s) Q_{k-1}(t)), with Q_{k-1} from
+the same Jacobi pair; the largest node is s itself.
 
 What depends on the interval alone is built once per (n, m) and cached:
-the endpoints of I_m, and L_m(n, .) with its binomial factor and constant
-term, which ``lev_value``, ``quadrature`` and the root search of
-``solve_cardinality`` all call.  The factors are the same expressions, so
-every value is bitwise what inline arithmetic gives.
+the right end hi_m, one eigensolve that I_m and I_{m+1} share, and
+L_m(n, .) with its binomial factor and constant term, which ``lev_value``,
+``quadrature`` and the root search of ``solve_cardinality`` all call.  The
+factors are the same expressions, so every value is bitwise what inline
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -95,14 +93,19 @@ class IntervalIndex(NamedTuple):
     tie_with: int | None = None
 
 
+def _node_params(n: int, eps: int) -> JacobiParams:
+    """Exponents of Q_i = P_i^{((n-1)/2, eps + (n-3)/2)}."""
+    return JacobiParams((n - 1) / 2.0, eps + (n - 3) / 2.0)
+
+
 @lru_cache(maxsize=None)
-def _interval_endpoints(n: int, m: int) -> tuple[float, float]:
-    k = (m + 1) // 2
-    inner = JacobiParams((n - 1) / 2.0, (n - 3) / 2.0)  # exponents of t^{1,0}
-    outer = JacobiParams((n - 1) / 2.0, (n - 1) / 2.0)  # exponents of t^{1,1}
-    if m % 2 == 1:
-        return greatest_zero(outer, k - 1), greatest_zero(inner, k)
-    return greatest_zero(inner, k), greatest_zero(outer, k)
+def _right_end(n: int, m: int) -> float:
+    """Right end of I_m: the greatest zero of Q_k, m = 2k - 1 + eps; -1 at m = 0."""
+    return greatest_zero(_node_params(n, (m + 1) % 2), (m + 1) // 2)
+
+
+def _interval(n: int, m: int, tie_with: int | None = None) -> IntervalIndex:
+    return IntervalIndex(m, (m + 1) // 2, (m + 1) % 2, _right_end(n, m - 1), _right_end(n, m), tie_with)
 
 
 def interval_for(n: int, m: int) -> IntervalIndex:
@@ -110,8 +113,7 @@ def interval_for(n: int, m: int) -> IntervalIndex:
     n = _check_dim(n)
     if not isinstance(m, (int, np.integer)) or not 1 <= m <= MAX_INTERVAL:
         raise ValueError(f"interval index must be in 1..{MAX_INTERVAL}, got {m!r}")
-    lo, hi = _interval_endpoints(n, int(m))
-    return IntervalIndex(int(m), (m + 1) // 2, (m + 1) % 2, lo, hi)
+    return _interval(n, int(m))
 
 
 def find_interval(n: int, s: float) -> IntervalIndex:
@@ -127,12 +129,11 @@ def find_interval(n: int, s: float) -> IntervalIndex:
     if not -1.0 <= s < 1.0:
         raise ValueError(f"separation must lie in [-1, 1), got {s!r}")
     for m in range(1, MAX_INTERVAL + 1):
-        lo, hi = _interval_endpoints(n, m)
+        hi = _right_end(n, m)
         if s <= hi + TIE_TOL:
-            tie = m + 1 if abs(s - hi) <= TIE_TOL else None
-            return IntervalIndex(m, (m + 1) // 2, (m + 1) % 2, lo, hi, tie)
+            return _interval(n, m, m + 1 if abs(s - hi) <= TIE_TOL else None)
     raise CertificationError(
-        f"separation {s!r} lies beyond I_{MAX_INTERVAL} = [{lo!r}, {hi!r}], "
+        f"separation {s!r} lies beyond I_{MAX_INTERVAL} = [{_right_end(n, m - 1)!r}, {hi!r}], "
         f"the last supported interval for n = {n}"
     )
 
@@ -178,10 +179,6 @@ def dgs_number(n: int, m: int) -> float:
     if m % 2 == 1:
         return 2.0 * math.comb(n + k - 2, n - 1)
     return float(math.comb(n + k - 1, n - 1) + math.comb(n + k - 2, n - 1))
-
-
-def _node_params(n: int, eps: int) -> JacobiParams:
-    return JacobiParams((n - 1) / 2.0, eps + (n - 3) / 2.0)
 
 
 def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:

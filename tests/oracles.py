@@ -5,6 +5,7 @@ computes itself; the library never calls them.
 """
 
 import math
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -113,6 +114,55 @@ def lp_upper(cert):
     )
     assert res.status == 0, res.message
     return GegenPoly(n, res.x), M * float(res.fun)
+
+
+def exact_uub(cert):
+    """f and the two bound forms of ``cert``'s class in exact rational
+    arithmetic, on the certificate's own floats as exact dyadic rationals:
+    the node multiset, h and h' there as ``pot(array)`` and
+    ``pot.deriv(array)`` give them, L, the quadrature weights and h at the
+    nodes.  Divided differences, the linearization recurrence of
+    ``orthopoly._mul_linear`` with integer factors for both g and the node
+    polynomial l, lambda = max g_i / l_i over 1..deg g (0 when that is not
+    positive), f = g - lambda l, then M (f_0 M - f(1)) and
+    M (M / L - 1) f(1) + M^2 sum_i rho_i h(alpha_i).  Returns the
+    coefficients of f and the two forms, as Fractions.
+    """
+    n, M, pot = cert.dim, Fraction(cert.M), cert.potential
+    z = sorted(cert.lev.multiset)
+    zq = [Fraction(t) for t in z]
+    col = [Fraction(v) for v in pot(np.array(z)).tolist()]
+    slope = [Fraction(v) for v in pot.deriv(np.array(z)).tolist()]
+    newton = [col[0]]
+    for j in range(1, len(z)):
+        for i in range(len(z) - j):
+            col[i] = slope[i] if z[i + j] == z[i] else (col[i + 1] - col[i]) / (zq[i + j] - zq[i])
+        newton.append(col[0])
+
+    def mul_linear(c, root):
+        out = [Fraction(0)] * (len(c) + 1)
+        out[1] += c[0]
+        for i in range(1, len(c)):
+            out[i + 1] += c[i] * Fraction(i + n - 2, 2 * i + n - 2)
+            out[i - 1] += c[i] * Fraction(i, 2 * i + n - 2)
+        for i, ci in enumerate(c):
+            out[i] -= ci * root
+        return out
+
+    g = [newton[-1]]
+    for j in range(len(newton) - 2, -1, -1):
+        g = mul_linear(g, zq[j])
+        g[0] += newton[j]
+    lev = [Fraction(1)]
+    for root in zq:
+        lev = mul_linear(lev, root)
+    deg = max((i for i, gi in enumerate(g) if gi), default=0)
+    lam = max([Fraction(0)] + [g[i] / lev[i] for i in range(1, deg + 1)])
+    f = [gi - lam * li for gi, li in zip(g + [Fraction(0)] * (len(lev) - len(g)), lev)]
+    f_one = sum(f)
+    h_nodes = pot(cert.quad.nodes).tolist()
+    quad_sum = sum(Fraction(w) * Fraction(v) for w, v in zip(cert.quad.weights.tolist(), h_nodes))
+    return f, M * (f[0] * M - f_one), M * (M / Fraction(cert.quad.N) - 1) * f_one + M * M * quad_sum
 
 
 def node_sign_on_linspace(lev):

@@ -6,6 +6,7 @@ configurations whose energies are known exactly.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import sphenergy.bounds
 import sphenergy.cli
 import sphenergy.levenshtein
-from oracles import lp_upper, node_sign_on_linspace, spare_node_bound
+from oracles import exact_uub, lp_upper, node_sign_on_linspace, spare_node_bound
 from sphenergy.bounds import (
     _GRID_COSINES,
     COEFF_TOL,
@@ -312,6 +313,30 @@ def test_lp_oracle_equals_uub_at_sharp_classes(n, M, s):
         cert = uub(n, M, s, parse_potential(spec, n))
         _, value = lp_upper(cert)
         assert value == pytest.approx(cert.uub_value, rel=1e-12, abs=0.0), spec
+
+
+# The flagship, the icosahedron, and the kissing table's classes at both ends
+# of each range (E8 among them), Newton kernel.
+EXACT_ANCHORS = [(5, 11, S_EZ), (3, 12, 1 / math.sqrt(5))] + [
+    (n, M, 0.5)
+    for n, M in [(2, 6), (3, 12), (4, 24), (5, 40), (5, 44), (6, 72), (6, 78), (7, 126),
+                 (7, 134), (8, 240), (9, 306), (9, 364), (10, 500), (10, 554)]
+]
+
+
+def rel_dev(value, exact):
+    return abs(float((Fraction(value) - exact) / exact))
+
+
+@pytest.mark.parametrize("n, M, s", EXACT_ANCHORS)
+def test_uub_agrees_with_exact_arithmetic_at_the_anchors(n, M, s):
+    # Measured: within 6e-16 relative on every anchor, for f and both forms.
+    cert = uub(n, M, s, make_potential("newton", n=n))
+    f, value, quad_form = exact_uub(cert)
+    assert rel_dev(cert.uub_value, value) <= 1e-14
+    assert rel_dev(cert.quadrature_form, quad_form) <= 1e-14
+    scale = max(abs(c) for c in f)
+    assert max(abs(Fraction(a) - b) for a, b in zip(cert.f.coeffs.tolist(), f, strict=True)) <= 1e-14 * scale
 
 
 def test_uub_is_not_the_degree_m_lp_optimum():

@@ -2,9 +2,11 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ import pytest
 import sphenergy
 from sphenergy.bounds import COEFF_TOL, GAP_TOL, NODE_TOL, recheck_certificate
 from sphenergy.cli import main
-from sphenergy.levenshtein import EXACTNESS_TOL
+from sphenergy.levenshtein import EXACTNESS_TOL, interval_for
 
 SCHEMA_KEYS = {
     "meta",
@@ -191,6 +193,33 @@ def test_verify_random_code_beyond_the_last_interval(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--code", str(path))
     assert code == 3
     assert "beyond I_64" in err
+
+
+def test_verify_thirty_random_codes_records_every_exit(capsys, tmp_path):
+    # Unit-normalized Gaussian codes, n = 2..8 and M = 3..59: each exit with
+    # its cause up to the first number, as tests/test_golden.py pins refusals.
+    rng = np.random.default_rng(13)
+    tally = Counter()
+    for i in range(30):
+        n, M = int(rng.integers(2, 9)), int(rng.integers(3, 60))
+        pts = rng.standard_normal((M, n))
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+        path = tmp_path / f"code{i}.txt"
+        path.write_text("\n".join(" ".join(repr(x) for x in row) for row in pts.tolist()))
+        code, _, err = run(capsys, "verify", "--code", str(path))
+        cause = re.split(r"[-+]?[.]?[0-9]", err)[0].rstrip()
+        tally[code, cause] += 1
+        if cause == "certification failure: separation":
+            iv = interval_for(n, 64)
+            assert err.endswith(
+                f" lies beyond I_64 = [{iv.lo!r}, {iv.hi!r}], the last supported interval for n = {n}\n"
+            )
+    assert tally == {
+        (0, ""): 5,
+        (3, "certification failure: interpolation residual"): 17,
+        (3, "certification failure: node polynomial has nonpositive Gegenbauer coefficients: ["): 2,
+        (3, "certification failure: separation"): 6,
+    }
 
 
 def test_table_reference_row(capsys):

@@ -1,12 +1,17 @@
 """Interval classification, Levenshtein function, node polynomial, quadrature."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sphenergy
 from oracles import lev_value_inline
 from sphenergy.bounds import SHARP_TOL
 from sphenergy.errors import CertificationError
@@ -67,6 +72,38 @@ def test_find_interval_beyond_the_last_interval():
     with pytest.raises(CertificationError, match=r"beyond I_64 = \[.*\], the last supported"):
         find_interval(5, 0.9895)
     assert find_interval(5, hi).m == 64
+
+
+EIGENSOLVE_PROBE = """
+import json, numpy.linalg
+calls = 0
+eigvalsh = numpy.linalg.eigvalsh
+def counted(*args, **kwargs):
+    global calls
+    calls += 1
+    return eigvalsh(*args, **kwargs)
+numpy.linalg.eigvalsh = counted
+from sphenergy.levenshtein import find_interval, interval_for
+out = []
+for n, s in ((5, 0.92), (24, 0.93)):
+    before = calls
+    m = find_interval(n, s).m
+    cold = calls - before
+    interval_for(n, m)
+    find_interval(n, s)
+    out.append([m, cold, calls - before - cold])
+print(json.dumps(out))
+"""
+
+
+def test_a_cold_lookup_in_i_m_makes_m_eigensolves():
+    # The right end of I_m is one eigensolve, shared with I_{m+1} as its left
+    # end and cached: the walk to I_m solves hi_1 .. hi_m once each.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", EIGENSOLVE_PROBE], env=env, capture_output=True, text=True)
+    out.check_returncode()
+    assert json.loads(out.stdout) == [[21, 21, 0], [63, 63, 0]]
 
 
 def test_lev_value_reference_points():
