@@ -437,7 +437,7 @@ class TestFunctionReport(NamedTuple):
     R_j vanishes for 1 <= j <= m by exactness.  Nonnegativity of every
     R_j with j >= 2k + eps certifies that no higher interval index can
     improve the bound at this separation; the verdict covers the computed
-    range only.
+    range only, and a range that ends below ``threshold`` settles nothing.
     """
 
     dim: int
@@ -465,6 +465,6 @@ def test_functions(n: int, s: float, j_max: int) -> TestFunctionReport:
         m=rule.m,
         threshold=threshold,
         values=values,
-        optimal_in_range=not bad,
+        optimal_in_range=not bad and j_max >= threshold,
         first_negative=bad[0] if bad else None,
     )

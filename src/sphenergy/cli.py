@@ -10,7 +10,6 @@ certification check failed or the class lies beyond the last supported
 interval I_m, m = ``MAX_INTERVAL``, 4 bad input (including a ``table``
 range outside 2..10).
 The certificate's JSON form and ``recheck_certificate`` live in ``bounds``.
-``codes`` is imported only by the calls that need it: verify.
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from .bounds import (
     test_functions,
     uub,
 )
+from .codes import generate, load_code, verify_strip
 from .errors import (
     CertificationError,
     InfeasibleClassError,
@@ -183,7 +183,6 @@ def cmd_strip(args) -> int:
 
 
 def _parse_generate(spec: str):
-    from .codes import generate
     name, sep, arg = spec.partition(":")
     if not sep:
         return generate(name)
@@ -195,7 +194,6 @@ def _parse_generate(spec: str):
 
 
 def cmd_verify(args) -> int:
-    from .codes import load_code, verify_strip
     code = load_code(args.code) if args.code else _parse_generate(args.generate)
     pot = parse_potential(args.potential, code.dim)
     verdict = verify_strip(code, pot)
@@ -293,6 +291,8 @@ def cmd_testfn(args) -> int:
         print(f"R_{j} = {_fmt(v)}")
     if report.optimal_in_range:
         print(f"verdict: optimal in range (R_j >= 0 for {report.threshold} <= j <= {args.jmax})")
+    elif report.first_negative is None:
+        print(f"verdict: not settled (the sign test starts above --jmax {args.jmax})")
     else:
         print(f"verdict: not settled (R_{report.first_negative} < 0)")
     return 0

@@ -142,7 +142,7 @@ def load_code(path) -> SphericalCode:
     unit length are renormalized; anything farther off is rejected.
     """
     rows: list[list[float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
             if not text:

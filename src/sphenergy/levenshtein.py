@@ -181,6 +181,12 @@ def dgs_number(n: int, m: int) -> float:
     return float(math.comb(n + k - 1, n - 1) + math.comb(n + k - 2, n - 1))
 
 
+def _nonpositive(values: np.ndarray, noun: str) -> str:
+    """One line for a refusal: how many of ``values`` are <= 0, the smallest and its index."""
+    i = int(np.argmin(values))
+    return f"{int((values <= 0.0).sum())} of {values.size} {noun} <= 0, worst {values[i]:.3e} at index {i}"
+
+
 def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
     """Distinct quadrature nodes alpha_0 < ... < alpha_{k-1+eps} = s.
 
@@ -208,7 +214,9 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
         )
     out = np.concatenate(([-1.0], roots)) if eps == 1 else roots
     if (out[1:] <= out[:-1]).any():
-        raise NumericsError(f"nodes are not strictly increasing: {out}")
+        raise NumericsError(
+            f"nodes are not strictly increasing: {_nonpositive(np.diff(out), 'gaps')}"
+        )
     return out
 
 
@@ -254,7 +262,7 @@ def levenshtein_poly(
     coeffs = poly.coeffs
     if (coeffs <= 0.0).any():
         raise CertificationError(
-            f"node polynomial has nonpositive Gegenbauer coefficients: {coeffs}"
+            f"node polynomial has nonpositive Gegenbauer coefficients: {_nonpositive(coeffs, 'coefficients')}"
         )
     return LevenshteinPoly(n, float(s), interval, multiset, poly)
 
@@ -308,7 +316,7 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     weights = np.linalg.solve(table[:q], target)
     if (weights <= 0.0).any():
         raise CertificationError(
-            f"nonpositive quadrature weight for (n={n}, s={s}): {weights}"
+            f"nonpositive quadrature weight for (n={n}, s={s}): {_nonpositive(weights, 'weights')}"
         )
     residual = exactness_residual(table, weights, N)
     if residual > EXACTNESS_TOL:

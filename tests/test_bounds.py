@@ -516,13 +516,17 @@ _GATES = [
     (sphenergy.levenshtein, "EXACTNESS_TOL", 5, 11, S_EZ, CertificationError, "quadrature exactness residual"),
     (sphenergy.levenshtein, "LARGEST_NODE_TOL", 5, 11, S_EZ, NumericsError, "does not match separation"),
     (None, None, 24, dgs_number(24, 64), 0.9311822325014847, CertificationError, "nonpositive quadrature weight"),
+    (None, None, 3, 2, 0.99, CertificationError, "nonpositive Gegenbauer coefficients"),
 ]
 
 
-@pytest.mark.parametrize("module, tol, n, M, s, error, words", _GATES, ids=[g[1] or "weight" for g in _GATES])
+# A gate with no tolerance is named by the last word of its refusal.
+@pytest.mark.parametrize("module, tol, n, M, s, error, words", _GATES,
+                         ids=[g[1] or g[6].split()[-1] for g in _GATES])
 def test_every_gate_refuses_once_its_tolerance_is_stricter(monkeypatch, module, tol, n, M, s, error, words):
     if tol is not None:
         monkeypatch.setattr(module, tol, -1.0)
     with pytest.raises(error) as refusal:
         strip(n, M, s, make_potential("newton", n=n))
     assert words in str(refusal.value)
+    assert "\n" not in str(refusal.value)

@@ -217,7 +217,7 @@ def test_verify_thirty_random_codes_records_every_exit(capsys, tmp_path):
     assert tally == {
         (0, ""): 5,
         (3, "certification failure: interpolation residual"): 17,
-        (3, "certification failure: node polynomial has nonpositive Gegenbauer coefficients: ["): 2,
+        (3, "certification failure: node polynomial has nonpositive Gegenbauer coefficients:"): 2,
         (3, "certification failure: separation"): 6,
     }
 
@@ -254,6 +254,15 @@ def test_testfn_text_and_json(capsys):
     assert len(doc["values"]) == 6
     assert doc["optimal_in_range"] is True
     assert doc["first_negative"] is None
+
+
+def test_testfn_below_the_sign_test_settles_nothing(capsys):
+    # m = 5 at s = 1/2, so the sign test starts at j = 6 > --jmax
+    code, out, _ = run(capsys, "testfn", "-n", "5", "-s", "0.5", "--jmax", "2")
+    assert code == 0
+    assert out.endswith("verdict: not settled (the sign test starts above --jmax 2)\n")
+    doc, _ = run_json(capsys, "testfn", "-n", "5", "-s", "0.5", "--jmax", "2", "--format", "json")
+    assert (doc["threshold"], doc["optimal_in_range"], doc["first_negative"]) == (6, False, None)
 
 
 @pytest.mark.parametrize(
@@ -331,20 +340,6 @@ def test_version_flag(capsys):
     assert "sphenergy" in capsys.readouterr().out
 
 
-IMPORT_PROBE = """
-import contextlib, io, sys
-from sphenergy.cli import main
-for argv in (["bound", "-n", "5", "-M", "11", "-s", "auto-ez"],
-             ["strip", "-n", "8", "-M", "240", "-s", "0.5", "--format", "json"],
-             ["table", "--nmin", "2", "--nmax", "4"],
-             ["verify", "--generate", "simplex:4"],
-             ["testfn", "-n", "5", "-s", "0.5", "--jmax", "8"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
-"""
-
-
 def run_python(*args: str) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this sphenergy, run with ``args``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
@@ -359,11 +354,6 @@ def run_probe(code: str) -> str:
     return out.stdout
 
 
-def test_cli_bound_strip_table_never_import_scipy():
-    # importing scipy costs about as much as the rest of a CLI call
-    assert run_probe(IMPORT_PROBE).strip() == "[]"
-
-
 def test_python_dash_m_runs_the_cli():
     version = run_python("-m", "sphenergy.cli", "--version")
     assert (version.returncode, version.stdout) == (0, f"sphenergy {sphenergy.__version__}\n")
@@ -372,42 +362,44 @@ def test_python_dash_m_runs_the_cli():
     assert infeasible.stderr.startswith("infeasible:")
 
 
-FIXED_COST_PROBE = """
+IMPORT_PROBE = """
 import contextlib, io, json, sys
-from sphenergy.cli import main
-WATCHED = ("numpy.ma", "sphenergy.codes", "dataclasses")
-seen = [[m for m in WATCHED if m in sys.modules]]
-for argv in (["bound", "-n", "8", "-M", "240", "-s", "0.5"],
+from sphenergy import cli
+WATCHED = ("scipy", "numpy.ma", "dataclasses")
+used = []
+for name in ("generate", "load_code", "verify_strip"):
+    def wrapped(*a, _f=getattr(cli, name), **k):
+        used.append(_f.__name__)
+        return _f(*a, **k)
+    setattr(cli, name, wrapped)
+seen = [[[m for m in WATCHED if m in sys.modules], []]]
+for argv in (["bound", "-n", "5", "-M", "11", "-s", "auto-ez"],
              ["bound", "-n", "5", "-M", "11", "-s", "0.1328", "--format", "json"],
-             ["strip", "-n", "10", "-M", "554", "-s", "0.5"],
+             ["strip", "-n", "8", "-M", "240", "-s", "0.5", "--format", "json"],
              ["table"],
              ["testfn", "-n", "5", "-s", "0.1328", "--jmax", "8"],
              ["verify", "--generate", "simplex:4"]):
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == 0, argv
-    seen.append([m for m in WATCHED if m in sys.modules])
+        assert cli.main(argv) == 0, argv
+    seen.append([[m for m in WATCHED if m in sys.modules], sorted(set(used))])
+    used.clear()
 print(json.dumps(seen))
 """
 
 
-def test_cli_calls_never_import_numpy_ma_and_only_verify_loads_codes():
-    # numpy.ma (which np.unique imports), codes and dataclasses are imports
-    # these commands do not need; together they cost a call 10-40 ms.
-    seen = json.loads(run_probe(FIXED_COST_PROBE))
-    assert seen[:-1] == [[]] * 6
-    assert "numpy.ma" not in seen[-1] and "sphenergy.codes" in seen[-1]
+@pytest.fixture(scope="module")
+def import_probe():
+    """Per command: the watched modules loaded so far, the codes functions it called."""
+    return json.loads(run_probe(IMPORT_PROBE))
 
 
-AUTO_EZ_PROBE = """
-import contextlib, io, sys
-from sphenergy.cli import main
-with contextlib.redirect_stdout(io.StringIO()):
-    assert main(["bound", "-n", "5", "-M", "11", "-s", "auto-ez"]) == 0
-print("sphenergy.codes" in sys.modules)
-"""
+def test_cli_bound_strip_table_never_import_scipy(import_probe):
+    # importing scipy costs about as much as the rest of a CLI call
+    assert [mods for mods, _ in import_probe if "scipy" in mods] == []
 
 
-def test_auto_ez_separation_leaves_codes_unloaded():
-    # ez_separation lives beside illinois_root in levenshtein, which every
-    # bound call loads anyway.
-    assert run_probe(AUTO_EZ_PROBE).strip() == "False"
+def test_cli_calls_never_import_numpy_ma_and_only_verify_loads_codes(import_probe):
+    # numpy.ma (which np.unique imports) and dataclasses cost a call 10-40 ms;
+    # of the commands, only verify reads a code
+    assert [mods for mods, _ in import_probe] == [[]] * 7
+    assert [used for _, used in import_probe] == [[]] * 6 + [["generate", "verify_strip"]]

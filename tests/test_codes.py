@@ -877,6 +877,13 @@ def test_load_code_good_file(tmp_path):
     assert separation(code) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_load_code_skips_a_utf8_byte_order_mark(tmp_path):
+    # as spreadsheet "CSV UTF-8" exports begin
+    path = tmp_path / "bom.txt"
+    path.write_bytes("1 0 0\n0 1 0\n".encode("utf-8-sig"))
+    assert load_code(path).points.tolist() == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+
+
 def test_load_code_renormalizes_near_unit_rows(tmp_path):
     path = tmp_path / "near.txt"
     eps = 1e-10

@@ -24,8 +24,22 @@ def test_package_exports_each_module_list_once():
     assert sphenergy.__all__ == expected
     assert len(set(expected)) == len(expected)
     for mod in MODULES:
+        assert vars(sphenergy)[mod.__name__.rpartition(".")[2]] is mod
         for name in mod.__all__:
-            assert getattr(sphenergy, name) is vars(mod)[name], name
+            # a plain binding of the package, not one looked up on use
+            assert vars(sphenergy)[name] is vars(mod)[name], name
+
+
+def test_star_import_and_dir_list_every_codes_name():
+    # every module's names, codes' among them
+    star = {}
+    exec("from sphenergy import *", star)
+    listed = dir(sphenergy)
+    for mod in MODULES:
+        for name in mod.__all__:
+            assert star[name] is vars(mod)[name], name
+            assert name in listed, name
+    assert "codes" in listed
 
 
 def test_test_only_names_and_keywords_are_not_public():
@@ -55,24 +69,7 @@ def test_test_only_names_and_keywords_are_not_public():
     assert "deriv_p_fn" not in inspect.signature(potentials.make_potential).parameters
 
 
-def test_codes_loads_on_first_use_only():
-    # dir() lists codes' names without importing it; the first name used does.
-    probe = ("import sys, sphenergy; dir(sphenergy); print('sphenergy.codes' in sys.modules, "
-             "sphenergy.verify_strip is sys.modules['sphenergy.codes'].verify_strip)")
-    assert run_python("-c", probe).stdout.split() == ["False", "True"]
-
-
-def test_star_import_and_dir_list_every_codes_name():
-    star = {}
-    exec("from sphenergy import *", star)
-    listed = dir(sphenergy)
-    for name in codes.__all__:
-        assert star[name] is vars(codes)[name], name
-        assert name in listed, name
-    assert "codes" in listed
-
-
 def test_imports_raise_no_warning():
     # -W error turns any warning raised while importing into a failure.
-    out = run_python("-W", "error", "-c", "import sphenergy, sphenergy.codes, sphenergy.cli")
+    out = run_python("-W", "error", "-c", "import sphenergy.cli")
     assert (out.returncode, out.stderr) == (0, "")
