@@ -15,9 +15,12 @@ f_i <= 0 for i >= 1 (checked coefficientwise); then
     E_h(C) <= M (f_0 M - f(1)) = M (M / L_m(n,s) - 1) f(1)
               + M^2 sum_i rho_i h(alpha_i)
 
-for every code C of M points with separation at most s.  The lower bound
-evaluates the quadrature at the separation r solving L(n, r) = M; when
-M = L_m(n, s) the two bounds collapse and the certificate is sharp.
+for every code C of M points with separation at most s.  ``uub`` reports
+the right-hand (quadrature) form, which does not multiply the rounding
+error of f_0 by M^2, and checks it against the left-hand (value) form.
+The lower bound evaluates the quadrature at the separation r solving
+L(n, r) = M; when M = L_m(n, s) the two bounds collapse and the
+certificate is sharp.
 
 ``uub`` runs its gates from the cheapest up, so a refused class stops
 before the costlier work:
@@ -189,7 +192,7 @@ class BoundCertificate(NamedTuple):
     degenerate: bool
     f: GegenPoly
     uub_value: float
-    quadrature_form: float
+    value_form: float
     feasibility: FeasibilityReport
 
 
@@ -231,10 +234,11 @@ def _check_feasibility(f: GegenPoly, pot: Potential, grid: np.ndarray, table: np
 
 
 def _bound_forms(f: GegenPoly, M: float, L: float, weights, h_vals) -> tuple[float, float]:
+    # The quadrature form, which is the bound reported, and the value form.
     f_one = f.at_one()
-    value = M * (float(f.coeffs[0]) * M - f_one)
+    value_form = M * (float(f.coeffs[0]) * M - f_one)
     quad_form = M * (M / L - 1.0) * f_one + M * M * float(np.dot(weights, h_vals))
-    return value, quad_form
+    return quad_form, value_form
 
 
 def _agree(value: float, other: float) -> bool:
@@ -281,10 +285,10 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
             f"min gap {feas.min_gap:.3e} on {feas.grid_size} points"
         )
 
-    value, quad_form = _bound_forms(f, M, L, quad.weights, h_vals)
-    if not _agree(value, quad_form):
+    value, value_form = _bound_forms(f, M, L, quad.weights, h_vals)
+    if not _agree(value, value_form):
         raise CertificationError(
-            f"bound forms disagree: {value!r} vs {quad_form!r}"
+            f"bound forms disagree: {value!r} vs {value_form!r}"
         )
     return BoundCertificate(
         dim=n,
@@ -299,7 +303,7 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
         degenerate=degenerate,
         f=f,
         uub_value=value,
-        quadrature_form=quad_form,
+        value_form=value_form,
         feasibility=feas,
     )
 
@@ -338,7 +342,7 @@ def strip(n: int, M: float, s: float, pot: Potential) -> EnergyStrip:
     return EnergyStrip(low, cert.uub_value, sharp, rule, cert)
 
 
-DOC_META = {"tool": "sphenergy", "version": __version__, "schema": 1}
+DOC_META = {"tool": "sphenergy", "version": __version__, "schema": 2}
 
 
 def certificate_to_dict(cert: BoundCertificate) -> dict:
@@ -379,7 +383,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         "feasibility": cert.feasibility._asdict(),
         "bounds": {
             "uub": cert.uub_value,
-            "uub_quadrature_form": cert.quadrature_form,
+            "uub_value_form": cert.value_form,
         },
     }
 
@@ -412,7 +416,7 @@ def recheck_certificate(doc: dict) -> dict:
     table = gegenbauer_table(n, max(m, f.coeffs.size - 1), nodes)
     node_res, h_vals = _node_residual(f, table, pot, nodes)
     feas = _check_feasibility(f, pot, *_grid_table(n, s, nodes, f.coeffs.size - 1))
-    value, quad_form = _bound_forms(f, M, L, weights, h_vals)
+    value, value_form = _bound_forms(f, M, L, weights, h_vals)
     residual = exactness_residual(table[: m + 1], weights, L)
     stored = float(doc["bounds"]["uub"])
     report = {
@@ -422,7 +426,7 @@ def recheck_certificate(doc: dict) -> dict:
         "grid_size": feas.grid_size,
         "bound_recomputed": value,
         "bound_stored": stored,
-        "forms_agree": _agree(value, quad_form),
+        "forms_agree": _agree(value, value_form),
         "matches_stored": _agree(value, stored),
         "quadrature_residual": residual,
     }

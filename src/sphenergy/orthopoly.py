@@ -27,16 +27,17 @@ them.  A table at a
 handful of points (the quadrature nodes) is cheaper on plain floats, one
 point at a time, which rounds exactly like the ndarray path.
 
-What depends on the dimension alone is built once per dimension and
-cached: the recurrence ratios a_i, b_i, and the integer factors of the
-linearization as floats.  The cached values are the same expressions, so
-every result is bitwise what inline arithmetic gives.
+The three-term relation is tabulated once per dimension (``_three_term``):
+its integer factors as floats, and the ratios a_i, b_i derived from them.
+Each entry is the correctly rounded value of the same integer expression,
+so every result is bitwise what inline arithmetic gives.
 
 Zeros of Jacobi polynomials P_i^{(a,b)} supply the interval endpoints
 and quadrature nodes.  They are the eigenvalues of the symmetric
 tridiagonal Jacobi matrix built from the monic three-term recurrence
 (Golub and Welsch, Math. Comp. 23, 1969), computed by one dense
-symmetric eigensolve.
+symmetric eigensolve.  The matrix is built once per pair (a, b) and
+degree, and kept read-only (``_jacobi_matrix``).
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ __all__ = [
 ]
 
 # The one degree limit of the package: double precision keeps the
-# recurrences accurate in this range, and every table and cache here, and
-# ``levenshtein.MAX_INTERVAL``, is sized from it.
+# recurrences accurate in this range, and the three-term table here, and
+# ``levenshtein.MAX_INTERVAL``, are sized from it.
 MAX_DEGREE = 64
 
 # A coefficient counts toward ``GegenPoly.degree`` above this share of the scale.
@@ -82,9 +83,18 @@ def _check_degree(i) -> int:
 
 
 @lru_cache(maxsize=None)
-def _recurrence_ratios(n: int) -> tuple[tuple[float, float], ...]:
-    """(a_i, b_i) of ``gegenbauer_terms`` for i = 1 .. MAX_DEGREE - 1."""
-    return tuple(((2 * i + n - 2) / (i + n - 2), i / (i + n - 2)) for i in range(1, MAX_DEGREE))
+def _three_term(n: int) -> tuple[tuple[float, ...], ...]:
+    """The three-term relation t P_i = (u_i P_{i+1} + w_i P_{i-1}) / d_i of dimension n.
+
+    u_i = i + n - 2, w_i = i and d_i = 2i + n - 2 as floats for i = 0 .. MAX_DEGREE,
+    and the ratios (a_i, b_i) = (d_i / u_i, w_i / u_i) of ``gegenbauer_terms`` for
+    i = 1 .. MAX_DEGREE - 1.  Small integers convert exactly, so every float
+    quotient here, and ``ci * u_i / d_i`` in ``_mul_linear``, rounds as with the ints.
+    """
+    i = range(MAX_DEGREE + 1)
+    ups, downs, ds = (tuple(float(j + n - 2) for j in i), tuple(map(float, i)),
+                      tuple(float(2 * j + n - 2) for j in i))
+    return ups, downs, ds, tuple((ds[j] / ups[j], downs[j] / ups[j]) for j in range(1, MAX_DEGREE))
 
 
 def gegenbauer_terms(n: int, i_max: int, t, rows=None):
@@ -108,7 +118,7 @@ def gegenbauer_terms(n: int, i_max: int, t, rows=None):
         return
     if i_max > MAX_DEGREE:  # cheaper than the full guard on this hot path
         _check_degree(i_max)
-    ratios = _recurrence_ratios(n)[: i_max - 1]
+    ratios = _three_term(n)[-1][: i_max - 1]
     yield t
     if not isinstance(t, np.ndarray):
         prev, cur = 1.0, t
@@ -181,29 +191,27 @@ class JacobiParams(NamedTuple("JacobiParams", [("a", float), ("b", float)])):
 
 
 @lru_cache(maxsize=None)
-def _monic_recurrence(a: float, b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """alpha_0..alpha_{MAX_DEGREE-1}, beta_1..beta_{MAX_DEGREE-1} and
-    sqrt(beta) of the monic Jacobi recurrence.
+def _jacobi_matrix(a: float, b: float, i: int) -> tuple[np.ndarray, tuple[float, ...], tuple[float, ...]]:
+    """The i x i Jacobi matrix of P_i^{(a,b)}, read-only, with the
+    alpha_0..alpha_{i-1} and beta_1..beta_{i-1} of its monic recurrence.
 
     pi_{j+1}(t) = (t - alpha_j) pi_j(t) - beta_j pi_{j-1}(t), where pi_j is
-    P_j^{(a,b)} divided by its (positive) leading coefficient; sqrt(beta) is
-    the off-diagonal of the Jacobi matrix.  Each entry depends on j alone, so
-    degree i reads the first i alphas and the first i - 1 betas.  The arrays
-    are cached, hence read-only.
+    P_j^{(a,b)} divided by its (positive) leading coefficient.  The matrix
+    has the alphas on its diagonal and sqrt(beta) on both off-diagonals; i >= 1.
     """
-    j = np.arange(MAX_DEGREE, dtype=float)
-    s = 2 * j + a + b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = (b * b - a * a) / (s * (s + 2))
-        beta = 4 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1) * (s - 1))
-    alpha[0] = (b - a) / (a + b + 2)
-    # j = 1 written with (1 + a + b) cancelled, which vanishes for a + b = -1.
-    beta[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
-    beta = beta[1:].copy()
-    root = np.sqrt(beta)
-    for arr in (alpha, beta, root):
-        arr.setflags(write=False)
-    return alpha, beta, root
+    s = [2 * j + a + b for j in range(i)]
+    alpha = tuple((b - a) / (a + b + 2) if j == 0 else (b * b - a * a) / (s[j] * (s[j] + 2)) for j in range(i))
+    # beta_1 is written with (1 + a + b) cancelled, which vanishes for a + b = -1.
+    beta = tuple(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)) if j == 1 else
+                 4 * j * (j + a) * (j + b) * (j + a + b) / (s[j] * s[j] * (s[j] + 1) * (s[j] - 1)) for j in range(1, i))
+    # In the flat view of the i x i matrix the diagonal has stride i + 1 from
+    # 0, and the two off-diagonals the same stride from 1 and from i.
+    T = np.zeros((i, i))
+    flat = T.ravel()
+    flat[:: i + 1] = alpha
+    flat[1 :: i + 1] = flat[i :: i + 1] = np.sqrt(beta)
+    T.setflags(write=False)
+    return T, alpha, beta
 
 
 def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndarray:
@@ -219,22 +227,13 @@ def jacobi_zeros(p: JacobiParams, i: int, fixed: float | None = None) -> np.ndar
     i = _check_degree(i)
     if i == 0:
         return np.empty(0)
-    alpha, beta, root = _monic_recurrence(p.a, p.b)
-    alpha, beta, root = alpha[:i], beta[: i - 1], root[: i - 1]
-    c = 0.0
+    T, alpha, beta = _jacobi_matrix(p.a, p.b, i)
     if fixed is not None:
-        al, be = alpha.tolist(), beta.tolist()
-        c = fixed - al[0]
+        c = fixed - alpha[0]
         for j in range(1, i):
-            c = fixed - al[j] - be[j - 1] / c
-    # In the flat view of the i x i matrix the diagonal has stride i + 1 from
-    # 0, and the two off-diagonals the same stride from 1 and from i.
-    T = np.zeros((i, i))
-    flat = T.ravel()
-    flat[:: i + 1] = alpha
-    flat[1 :: i + 1] = root
-    flat[i :: i + 1] = root
-    T[-1, -1] += c
+            c = fixed - alpha[j] - beta[j - 1] / c
+        T = T.copy()
+        T[-1, -1] += c
     return np.linalg.eigvalsh(T)
 
 
@@ -290,14 +289,6 @@ class GegenPoly(NamedTuple("GegenPoly", [("dim", int), ("coeffs", np.ndarray)]))
         return float(self.coeffs.sum())
 
 
-@lru_cache(maxsize=None)
-def _linear_factors(n: int) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-    """i + n - 2, i and 2i + n - 2 as floats, each indexed by i = 0 .. MAX_DEGREE.
-    Small integers convert exactly, so ``ci * up / d`` rounds as with the ints."""
-    i = range(MAX_DEGREE + 1)
-    return tuple(float(j + n - 2) for j in i), tuple(float(j) for j in i), tuple(float(2 * j + n - 2) for j in i)
-
-
 def _mul_linear(n: int, coeffs: list[float], root: float) -> list[float]:
     """Coefficients of (t - root) * f, staying in the Gegenbauer basis.
 
@@ -307,7 +298,7 @@ def _mul_linear(n: int, coeffs: list[float], root: float) -> list[float]:
     exactly 1, which n = 2 (2i + n - 2 = 0) needs spelled out.
     """
     out = [0.0] * (len(coeffs) + 1)
-    ups, downs, ds = _linear_factors(n)
+    ups, downs, ds, _ = _three_term(n)
     for i, ci in enumerate(coeffs):
         if ci == 0.0:
             continue

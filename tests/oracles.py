@@ -4,6 +4,7 @@ Each one computes, by a slower or independent road, a quantity the library
 computes itself; the library never calls them.
 """
 
+import decimal
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -15,7 +16,6 @@ from sphenergy.bounds import POSITIVITY_TOL, _feasibility_grid, hermite_interpol
 from sphenergy.levenshtein import ez_separation
 from sphenergy.orthopoly import (
     GegenPoly,
-    _monic_recurrence,
     eval_gegenbauer,
     gegenbauer_table,
     gegenbauer_terms,
@@ -165,6 +165,21 @@ def exact_uub(cert):
     return f, M * (f[0] * M - f_one), M * (M / Fraction(cert.quad.N) - 1) * f_one + M * M * quad_sum
 
 
+def exact_ulb(M, rule, pot):
+    """M^2 sum_i rho_i h(alpha_i) in exact rational arithmetic on the rule's
+    own floats: its weights, and h at its nodes as ``pot(array)`` gives it."""
+    h_nodes = pot(rule.nodes).tolist()
+    return Fraction(M) ** 2 * sum(Fraction(w) * Fraction(v) for w, v in zip(rule.weights.tolist(), h_nodes))
+
+
+def decimal_string(q, digits=30):
+    """The Fraction q rounded to ``digits`` significant digits, as a decimal
+    string in scientific notation (trailing zeros kept)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        return f"{decimal.Decimal(q.numerator) / q.denominator:.{digits - 1}e}"
+
+
 def node_sign_on_linspace(lev):
     """Whether the node polynomial stays <= 0 on 257 equispaced points of
     [-1, s], up to ``POSITIVITY_TOL`` * max(1, max |value|): the same bound
@@ -201,12 +216,25 @@ def mul_linear_inline(n, coeffs, root):
     return out
 
 
+def jacobi_recurrence(a, b, i):
+    """alpha_0..alpha_{i-1} and beta_1..beta_{i-1} of the monic Jacobi
+    recurrence from their closed forms, as arrays over j = 0 .. i - 1."""
+    j = np.arange(i, dtype=float)
+    s = 2 * j + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (b * b - a * a) / (s * (s + 2))
+        beta = 4 * j * (j + a) * (j + b) * (j + a + b) / (s * s * (s + 1) * (s - 1))
+    alpha[0] = (b - a) / (a + b + 2)
+    if i > 1:  # (1 + a + b) cancelled, as it vanishes for a + b = -1
+        beta[1] = 4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b))
+    return alpha, beta[1:]
+
+
 def jacobi_zeros_diag(p, i, fixed=None):
     """Eigenvalues of the Jacobi matrix of P_i^{(a,b)} (shifted to have
     ``fixed`` as an eigenvalue when given), built with np.diag and fancy
-    indexing; i >= 1."""
-    alpha, beta, _ = _monic_recurrence(p.a, p.b)
-    alpha, beta = alpha[:i], beta[: i - 1]
+    indexing from ``jacobi_recurrence``; i >= 1."""
+    alpha, beta = jacobi_recurrence(p.a, p.b, i)
     c = 0.0
     if fixed is not None:
         al, be = alpha.tolist(), beta.tolist()

@@ -184,7 +184,7 @@ def test_uub_forms_agree():
         L = lev_value(n, iv, s)
         M = int(L) if L >= 3 else 2
         cert = uub(n, M, s, make_potential("riesz", alpha=1.0))
-        assert cert.quadrature_form == pytest.approx(cert.uub_value, rel=1e-10)
+        assert cert.value_form == pytest.approx(cert.uub_value, rel=1e-10)
 
 
 def test_uub_polynomial_touches_kernel_at_nodes():
@@ -332,9 +332,9 @@ def rel_dev(value, exact):
 def test_uub_agrees_with_exact_arithmetic_at_the_anchors(n, M, s):
     # Measured: within 6e-16 relative on every anchor, for f and both forms.
     cert = uub(n, M, s, make_potential("newton", n=n))
-    f, value, quad_form = exact_uub(cert)
-    assert rel_dev(cert.uub_value, value) <= 1e-14
-    assert rel_dev(cert.quadrature_form, quad_form) <= 1e-14
+    f, value_form, quad_form = exact_uub(cert)
+    assert rel_dev(cert.uub_value, quad_form) <= 1e-14
+    assert rel_dev(cert.value_form, value_form) <= 1e-14
     scale = max(abs(c) for c in f)
     assert max(abs(Fraction(a) - b) for a, b in zip(cert.f.coeffs.tolist(), f, strict=True)) <= 1e-14 * scale
 
@@ -497,9 +497,11 @@ def test_a_class_refused_at_the_node_residual_builds_no_grid(monkeypatch):
     calls = []
     real = sphenergy.bounds._feasibility_grid
     monkeypatch.setattr(sphenergy.bounds, "_feasibility_grid", lambda *a: calls.append(a) or real(*a))
-    iv = interval_for(24, 14)
+    # The midpoint of I_30 at n = 24 refuses at the node residual (1.7e-2),
+    # and still does when the Newton forms take the nodes in Leja order.
+    iv = interval_for(24, 30)
     with pytest.raises(CertificationError, match="interpolation residual"):
-        uub(24, dgs_number(24, 14), 0.5 * (iv.lo + iv.hi), make_potential("newton", n=24))
+        uub(24, dgs_number(24, 30), 0.5 * (iv.lo + iv.hi), make_potential("newton", n=24))
     assert calls == []
     uub(5, 11, S_EZ, make_potential("newton", n=5))
     assert len(calls) == 1
@@ -518,6 +520,19 @@ _GATES = [
     (None, None, 24, dgs_number(24, 64), 0.9311822325014847, CertificationError, "nonpositive quadrature weight"),
     (None, None, 3, 2, 0.99, CertificationError, "nonpositive Gegenbauer coefficients"),
 ]
+
+
+def test_the_coefficient_gate_refuses_a_perturbed_root_set():
+    # The gate tripped directly, whatever class refuses there: the nodes of
+    # the midpoint of I_3 at n = 5 pass, and the same nodes moved up by 0.5
+    # give two nonpositive coefficients.
+    iv = interval_for(5, 3)
+    s = 0.5 * (iv.lo + iv.hi)
+    roots = lev_poly_roots(5, iv, s)
+    assert (levenshtein_poly(5, iv, s, roots).gegen.coeffs > 0.0).all()
+    with pytest.raises(CertificationError, match="nonpositive Gegenbauer coefficients: 2 of 4") as refusal:
+        levenshtein_poly(5, iv, s, roots + 0.5)
+    assert "\n" not in str(refusal.value)
 
 
 # A gate with no tolerance is named by the last word of its refusal.

@@ -58,7 +58,7 @@ def test_bound_json_document(capsys):
     assert doc["lambda"]["argmax"] == 1
     assert doc["feasibility"]["passed"] is True
     assert doc["bounds"]["uub"] == pytest.approx(41.90201357470821, rel=1e-10)
-    assert doc["bounds"]["uub_quadrature_form"] == pytest.approx(
+    assert doc["bounds"]["uub_value_form"] == pytest.approx(
         doc["bounds"]["uub"], rel=1e-10
     )
 

@@ -6,17 +6,26 @@ floats, and that ``verify`` on the icosahedron and ``testfn`` at (5, s_ez)
 printed before the unused Jacobi evaluator was removed.  Ints, strings,
 bools and nulls must match exactly; floats within 1e-12 * max(1, |old|, |new|).
 
+A certified bound is pinned by its exact value instead: the exact value of
+the bound on the certificate's own floats (``oracles.exact_uub`` and
+``oracles.exact_ulb``), to 30 significant digits.  The computed bound must
+lie within ``EXACT_TOL`` of it, relative, and no further from it than the
+stored float, unless it lies within ``EXACT_FLOOR`` of it: below that, two
+evaluations of one bound differ by rounding alone and are not ranked.  So
+a change that makes a bound more accurate passes, and one that makes it
+less accurate fails.  The golden documents keep the command's keys, so
+their exact values live in ``exact_bounds.json``, keyed by document and
+by the path that ``mismatches`` prints.
+
 ``refusals.json`` pins which classes ``strip`` certifies and which it
 refuses: ``uub``'s node-residual gate decides borderline classes by
-roundoff, so a change of arithmetic shows there first.  It holds what
-``refusal_entry`` returned for every class of ``REFUSAL_CLASSES`` before the
-quadrature kept its node table.  A change that moves classes on purpose
-rewrites it, in its committed format, with
+roundoff, so a change of arithmetic shows there first.  A certified class
+stores ``uub`` and ``ulb`` with their exact values beside them, as
+``uub_exact`` and ``ulb_exact``; a refused one stores its gate's words.
+A change that moves classes on purpose rewrites it, in its committed
+format, and rewrites ``exact_bounds.json`` too, with
 
     PYTHONPATH=src python tests/test_golden.py --write-refusals
-
-Each certified value there is also checked against ``oracles.exact_uub``,
-exact rational arithmetic on the certificate's own floats.
 """
 
 import json
@@ -24,18 +33,20 @@ import math
 import os
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from oracles import exact_uub
-from sphenergy.bounds import strip, uub
+from oracles import decimal_string, exact_ulb, exact_uub
+from sphenergy.bounds import strip
 from sphenergy.cli import main
 from sphenergy.errors import CertificationError, NumericsError
 from sphenergy.levenshtein import dgs_number, interval_for
 from sphenergy.potentials import parse_potential
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+EXACT_BOUNDS = "exact_bounds.json"
 
 ANCHORS = [
     ("5", "11", "auto-ez"),
@@ -55,9 +66,33 @@ CASES = [
 ]
 
 
-def mismatches(old, new, path="$"):
-    """Paths at which new differs from old beyond the golden tolerance."""
+# EXACT_TOL is the agreement with exact arithmetic that the pinned classes
+# were held to before their exact values were stored.  EXACT_FLOOR lies
+# above the largest error of a reported bound that is further from exact
+# than the other form of the same class: 5.4e-14 over the pinned classes.
+EXACT_TOL = 1e-10
+EXACT_FLOOR = 1e-13
+
+
+def exact_mismatches(stored, got, exact, path):
+    """The pinned-bound rule for one float: within ``EXACT_TOL`` of its exact
+    value, and no further from it than the stored float or ``EXACT_FLOOR``."""
+    e = Fraction(Decimal(exact))
+    err = abs(Fraction(got) - e) / abs(e)
+    if err > EXACT_TOL:
+        return [f"{path}: {got!r} is {float(err):.2e} from exact {exact}"]
+    if err > max(Fraction(EXACT_FLOOR), abs(Fraction(stored) - e) / abs(e)):
+        return [f"{path}: {got!r} is further from exact {exact} than the stored {stored!r}"]
+    return []
+
+
+def mismatches(old, new, path="$", exact=None):
+    """Paths at which new differs from old beyond the golden tolerance; a
+    float whose path is a key of ``exact`` is held to ``exact_mismatches``."""
+    exact = exact or {}
     if isinstance(old, float) and isinstance(new, float):
+        if path in exact:
+            return exact_mismatches(old, new, exact[path], path)
         tol = 1e-12 * max(1.0, abs(old), abs(new))
         return [] if math.isclose(old, new, rel_tol=0.0, abs_tol=tol) else [f"{path}: {old!r} -> {new!r}"]
     if type(old) is not type(new):
@@ -65,11 +100,11 @@ def mismatches(old, new, path="$"):
     if isinstance(old, dict):
         if list(old) != list(new):
             return [f"{path}: keys {list(old)} -> {list(new)}"]
-        return [m for key in old for m in mismatches(old[key], new[key], f"{path}.{key}")]
+        return [m for key in old for m in mismatches(old[key], new[key], f"{path}.{key}", exact)]
     if isinstance(old, list):
         if len(old) != len(new):
             return [f"{path}: length {len(old)} -> {len(new)}"]
-        return [m for i, (a, b) in enumerate(zip(old, new)) for m in mismatches(a, b, f"{path}[{i}]")]
+        return [m for i, (a, b) in enumerate(zip(old, new)) for m in mismatches(a, b, f"{path}[{i}]", exact)]
     return [] if old == new else [f"{path}: {old!r} -> {new!r}"]
 
 
@@ -78,14 +113,60 @@ def test_mismatches_applies_the_tolerance():
     assert mismatches({"a": [1, 2.0]}, {"a": [1, 2.0 + 1e-11]})
     assert mismatches({"a": 1}, {"a": 1.0})
     assert mismatches({"a": True}, {"a": False})
+    # A pinned float may move toward its exact value, or anywhere within the
+    # floor of it, but not further away, and never beyond EXACT_TOL.
+    exact = {"$.b": decimal_string(Fraction(3))}
+    assert mismatches({"b": 3.0 + 1e-11}, {"b": 3.0 - 1e-12}, exact=exact) == []
+    assert mismatches({"b": 3.0}, {"b": 3.0 + 1e-13}, exact=exact) == []
+    assert mismatches({"b": 3.0 + 1e-12}, {"b": 3.0 + 2e-12}, exact=exact)
+    assert mismatches({"b": 3.0 + 1e-12}, {"b": 3.0 - 2e-12}, exact=exact)
+    assert mismatches({"b": 3.0 + 1e-9}, {"b": 3.0 + 1e-9}, exact=exact)
+
+
+def load(name):
+    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def exact_strings(es):
+    """Exact values of a strip's two ends on its own floats, as 30-digit
+    strings: for uub, M (f_0 M - f(1)) with f built exactly from the nodes
+    and the kernel's values there, the bound that f gives."""
+    cert = es.uub_cert
+    return {
+        "uub": decimal_string(exact_uub(cert)[1]),
+        "ulb": decimal_string(exact_ulb(cert.M, es.ulb_rule, cert.potential)),
+    }
+
+
+def golden_exact_table():
+    """Exact values of the bounds that the golden documents store, keyed by
+    document and path: each ``bounds`` value of a certificate, and each
+    ``uub_*`` and ``ulb_*`` value of the table."""
+    out = {}
+    for name, _ in CASES:
+        doc = load(name)
+        if "bounds" in doc:
+            args = doc["inputs"]
+            pot = parse_potential(args["potential"], args["n"])
+            ex = exact_strings(strip(args["n"], args["M"], args["s"], pot))
+            out[name] = {f"$.bounds.{key}": ex[key[:3]] for key, v in doc["bounds"].items() if isinstance(v, float)}
+        elif "rows" in doc:
+            out[name] = {}
+            for i, row in enumerate(doc["rows"]):
+                pot = parse_potential(doc["potential"], row["n"])
+                for end in ("lo", "hi"):
+                    ex = exact_strings(strip(row["n"], row[f"M_{end}"], 0.5, pot))
+                    out[name].update({f"$.rows[{i}].{key}_{end}": ex[key] for key in ("uub", "ulb")})
+    return out
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
 def test_output_matches_golden(capsys, name, argv):
-    with open(os.path.join(DATA, name), encoding="utf-8") as fh:
-        golden = json.load(fh)
+    golden = load(name)
     assert main(argv) == 0
-    assert mismatches(golden, json.loads(capsys.readouterr().out)) == []
+    exact = load(EXACT_BOUNDS).get(name)
+    assert mismatches(golden, json.loads(capsys.readouterr().out), exact=exact) == []
 
 
 # Each class sits at the midpoint of I_m with M = D(n, m); m = 1..20 reaches
@@ -95,44 +176,76 @@ REFUSAL_CLASSES = [
 ]
 
 
-def refusal_entry(n, m, kernel):
-    """The strip's two ends, or the refusing gate's message up to its first number."""
+def refusal_entry(n, m, kernel, exact=False):
+    """The strip's two ends, each followed by its exact value when ``exact``
+    is set, or the refusing gate's message up to its first number."""
     iv = interval_for(n, m)
     try:
         es = strip(n, dgs_number(n, m), 0.5 * (iv.lo + iv.hi), parse_potential(kernel, n))
     except (CertificationError, NumericsError) as exc:
         return {"refused": f"{type(exc).__name__}: {re.split(r'[-+]?[.]?[0-9]', str(exc))[0].rstrip()}"}
-    return {"uub": es.uub, "ulb": es.ulb}
+    if not exact:
+        return {"uub": es.uub, "ulb": es.ulb}
+    ex = exact_strings(es)
+    return {"uub": es.uub, "uub_exact": ex["uub"], "ulb": es.ulb, "ulb_exact": ex["ulb"]}
 
 
-def refusal_table():
-    return {f"{n} {m} {kernel}": refusal_entry(n, m, kernel) for n, m, kernel in REFUSAL_CLASSES}
+def refusal_table(exact=False):
+    return {f"{n} {m} {kernel}": refusal_entry(n, m, kernel, exact) for n, m, kernel in REFUSAL_CLASSES}
 
 
 def test_certified_and_refused_classes_match_golden():
-    with open(os.path.join(DATA, "refusals.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)
+    golden = load("refusals.json")
     got = refusal_table()
     assert list(got) == list(golden)
-    assert mismatches(golden, got) == []
+    exact = {f"$.{cls}.{key[:3]}": entry.pop(key)
+             for cls, entry in golden.items() for key in list(entry) if key.endswith("_exact")}
+    assert mismatches(golden, got, exact=exact) == []
 
 
 def test_pinned_certified_classes_agree_with_exact_arithmetic():
-    # Measured: uub is further than 1e-14 relative from exact arithmetic on
-    # its own floats at 39 of these classes, up to -4.6e-11 at "3 20 gauss:2".
-    with open(os.path.join(DATA, "refusals.json"), encoding="utf-8") as fh:
-        golden = json.load(fh)
-    for n, m, kernel in REFUSAL_CLASSES:
-        if "uub" in golden[f"{n} {m} {kernel}"]:
-            iv = interval_for(n, m)
-            cert = uub(n, dgs_number(n, m), 0.5 * (iv.lo + iv.hi), parse_potential(kernel, n))
-            _, value, _ = exact_uub(cert)
-            assert abs(float((Fraction(cert.uub_value) - value) / value)) <= 1e-10, (n, m, kernel)
+    # The stored exact values are what the oracles give on today's floats.
+    golden = load("refusals.json")
+    for (cls, entry), (n, m, kernel) in zip(golden.items(), REFUSAL_CLASSES, strict=True):
+        if "uub" in entry:
+            got = refusal_entry(n, m, kernel, exact=True)
+            assert [got.get(key) for key in ("uub_exact", "ulb_exact")] == [entry["uub_exact"], entry["ulb_exact"]], cls
+    assert load(EXACT_BOUNDS) == golden_exact_table()
+
+
+def leaves(doc, path="$"):
+    """(path, value) of every leaf of ``doc``, with paths as ``mismatches`` prints them."""
+    if isinstance(doc, dict):
+        return [leaf for key, v in doc.items() for leaf in leaves(v, f"{path}.{key}")]
+    if isinstance(doc, list):
+        return [leaf for i, v in enumerate(doc) for leaf in leaves(v, f"{path}[{i}]")]
+    return [(path, doc)]
+
+
+def test_every_pinned_bound_has_its_exact_value():
+    # A regeneration that drops an exact value, or a sidecar path that its
+    # document lacks, fails here.
+    def digits(text):
+        return len(Decimal(text).as_tuple().digits)
+
+    for cls, entry in load("refusals.json").items():
+        if "refused" not in entry:
+            assert list(entry) == ["uub", "uub_exact", "ulb", "ulb_exact"], cls
+            assert digits(entry["uub_exact"]) >= 30 and digits(entry["ulb_exact"]) >= 30, cls
+    sidecar = load(EXACT_BOUNDS)
+    pinned = re.compile(r"[$][.](bounds[.]\w+|rows\[\d+\][.]u[lu]b_(lo|hi))")
+    for name, _ in CASES:
+        paths = {p for p, v in leaves(load(name)) if isinstance(v, float) and pinned.fullmatch(p)}
+        texts = sidecar.pop(name, {})
+        assert set(texts) == paths, name
+        assert all(digits(text) >= 30 for text in texts.values()), name
+    assert sidecar == {}
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write-refusals"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write-refusals")
-    with open(os.path.join(DATA, "refusals.json"), "w", encoding="utf-8") as fh:
-        json.dump(refusal_table(), fh, indent=1)
-        fh.write("\n")
+    for name, table in (("refusals.json", refusal_table(exact=True)), (EXACT_BOUNDS, golden_exact_table())):
+        with open(os.path.join(DATA, name), "w", encoding="utf-8") as fh:
+            json.dump(table, fh, indent=1)
+            fh.write("\n")

@@ -8,15 +8,22 @@ import scipy.special as sps
 from numpy.polynomial.chebyshev import poly2cheb
 from numpy.polynomial.polynomial import polyfromroots
 
-from oracles import gegen_coefficient_integral, gegenbauer_terms_inline, jacobi_zeros_diag, mul_linear_inline
+from oracles import (
+    gegen_coefficient_integral,
+    gegenbauer_terms_inline,
+    jacobi_recurrence,
+    jacobi_zeros_diag,
+    mul_linear_inline,
+)
 from sphenergy.bounds import _GRID_COSINES, hermite_interpolant
 from sphenergy.codes import generate, moments
 from sphenergy.orthopoly import (
     MAX_DEGREE,
     GegenPoly,
     JacobiParams,
-    _monic_recurrence,
+    _jacobi_matrix,
     _mul_linear,
+    _three_term,
     eval_gegenbauer,
     gegenbauer_table,
     gegenbauer_terms,
@@ -158,10 +165,26 @@ def test_recurrence_leaves_its_argument_unchanged():
 
 
 def test_cached_recurrence_and_cosine_arrays_are_read_only():
-    alpha, beta, root = _monic_recurrence(1.5, 0.5)
-    assert alpha.shape == (MAX_DEGREE,) and beta.shape == root.shape == (MAX_DEGREE - 1,)
-    assert not any(arr.flags.writeable for arr in (alpha, beta, root))
+    for n in (2, 3, 5, 24):
+        for p in (JacobiParams((n - 1) / 2.0, (n - 3) / 2.0), JacobiParams((n - 1) / 2.0, (n - 1) / 2.0)):
+            for i in (1, 2, 32):
+                T, alpha, beta = _jacobi_matrix(p.a, p.b, i)
+                assert not T.flags.writeable and T.shape == (i, i)
+                assert np.array_equal(T, T.T) and not np.triu(T, 2).any()
+                ref_alpha, ref_beta = jacobi_recurrence(p.a, p.b, i)
+                assert bits(alpha) == bits(ref_alpha) and bits(beta) == bits(ref_beta)
+                assert bits(np.diag(T)) == bits(ref_alpha)
+                assert bits(np.diag(T, 1)) == bits(np.sqrt(ref_beta))
     assert not _GRID_COSINES.flags.writeable
+
+
+def test_three_term_ratios_are_the_integer_quotients():
+    for n in range(2, 25):
+        ups, downs, ds, ratios = _three_term(n)
+        ints = [(i + n - 2, i, 2 * i + n - 2) for i in range(MAX_DEGREE + 1)]
+        assert list(zip(ups, downs, ds)) == ints
+        quotients = [((2 * i + n - 2) / (i + n - 2), i / (i + n - 2)) for i in range(1, MAX_DEGREE)]
+        assert bits(ratios) == bits(quotients)
 
 
 def test_gegenbauer_derivative_by_dimension_shift_matches_jacobi_route():
