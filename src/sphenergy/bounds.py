@@ -6,7 +6,8 @@ comes from the polynomial
     f(t) = -lambda * f_m(t) + g_T(t),
 
 where f_m is the monic Levenshtein node polynomial at (n, s), g_T is the
-Hermite interpolant of the potential h on the node multiset T, and lambda
+Hermite interpolant of the potential h on the node multiset T (the
+quadrature's ``multiset``, in its order), and lambda
 is the smallest multiplier that drives every Gegenbauer coefficient f_i,
 i >= 1, to be nonpositive.  Feasibility demands f >= h on [-1, s]
 (automatic for absolutely monotone h, checked on a dense grid) and
@@ -51,7 +52,6 @@ from . import __version__
 from .errors import CertificationError, InfeasibleClassError
 from .levenshtein import (
     EXACTNESS_TOL,
-    LevenshteinPoly,
     QuadratureRule,
     exactness_residual,
     levenshtein_poly,
@@ -109,19 +109,20 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     """Hermite interpolant of the potential on a node multiset.
 
     Node multiplicity is at most 2 because the kernel supplies h' only: a
-    doubled node matches h' there.  h and h' are read for the whole sorted
-    node list, one array call each.  Newton's divided differences supply the
+    doubled node matches h' there, and its two copies must be adjacent.
+    The nodes are taken in the order given, h and h' read for the whole
+    list, one array call each.  Newton's divided differences supply the
     coefficients, and the Newton form is resynthesized directly over the
     Gegenbauer basis.  Both run on plain floats: the table is kept as one
     column, overwritten top-down, whose head is the next Newton coefficient.
+    The table meets every pair of positions once, so it refuses the first
+    equal pair that is not a pair of neighbours.
     """
-    z = sorted(float(t) for t in nodes)
+    z = [float(t) for t in nodes]
     if not z:
         raise ValueError("node multiset must be nonempty")
-    if z[-1] >= 1.0 or z[0] < -1.0:
+    if max(z) >= 1.0 or min(z) < -1.0:
         raise ValueError("interpolation nodes must lie in [-1, 1)")
-    if any(z[i] == z[i + 2] for i in range(len(z) - 2)):  # z is sorted
-        raise ValueError("node multiplicity above 2 is not supported")
     d = len(z)
     _check_degree(d - 1)
     za = np.array(z)
@@ -129,10 +130,13 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     newton = [col[0]]
     for j in range(1, d):
         for i in range(d - j):
-            if z[i + j] == z[i]:
+            if z[i + j] != z[i]:
+                col[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
+            elif j == 1:
                 col[i] = slope[i]
             else:
-                col[i] = (col[i + 1] - col[i]) / (z[i + j] - z[i])
+                raise ValueError("node multiplicity above 2 is not supported" if z.count(z[i]) > 2
+                                 else "the two copies of a doubled node must be adjacent")
         newton.append(col[0])
     return _newton_to_gegen(n, z, newton)
 
@@ -143,7 +147,7 @@ class LambdaChoice(NamedTuple):
     degenerate: bool
 
 
-def lambda_star(g: GegenPoly, lev: LevenshteinPoly) -> LambdaChoice:
+def lambda_star(g: GegenPoly, lev: GegenPoly) -> LambdaChoice:
     """Smallest multiplier making every interior coefficient of f nonpositive.
 
     lambda = max over 1 <= i <= deg(g) of g_i / l_i, where l_i > 0 are the
@@ -152,7 +156,7 @@ def lambda_star(g: GegenPoly, lev: LevenshteinPoly) -> LambdaChoice:
     coefficients are all nonpositive already, yields the degenerate choice
     lambda = 0 (f = g_T is feasible on its own).
     """
-    lcoef = lev.gegen.coeffs
+    lcoef = lev.coeffs
     if g.dim != lev.dim:
         raise ValueError("interpolant and node polynomial live in different dimensions")
     dg = g.degree
@@ -185,7 +189,7 @@ class BoundCertificate(NamedTuple):
     s: float
     potential: Potential
     quad: QuadratureRule
-    lev: LevenshteinPoly
+    lev: GegenPoly
     interpolant: GegenPoly
     lam: float
     lam_argmax: int
@@ -260,12 +264,12 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
         raise InfeasibleClassError(
             f"no code class: M = {M!r} exceeds L_{quad.m}({n}, {s:g}) = {L!r}"
         )
-    lev = levenshtein_poly(n, quad.interval, quad.s, quad.nodes)
-    g = hermite_interpolant(n, pot, lev.multiset)
+    lev = levenshtein_poly(quad)
+    g = hermite_interpolant(n, pot, quad.multiset)
     lam, arg, degenerate = lambda_star(g, lev)
     coeffs = np.zeros(quad.m + 1)
     coeffs[: g.coeffs.size] = g.coeffs
-    coeffs -= lam * lev.gegen.coeffs
+    coeffs -= lam * lev.coeffs
     f = GegenPoly(n, coeffs)
 
     node_res, h_vals = _node_residual(f, quad.table, pot, quad.nodes)
@@ -273,7 +277,7 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
         raise CertificationError(f"interpolation residual {node_res:.3e} at the nodes")
 
     grid, table = _grid_table(n, quad.s, quad.nodes, quad.m)
-    lev_vals = lev.gegen.coeffs @ table
+    lev_vals = lev.coeffs @ table
     lev_max = float(lev_vals.max())
     # Below POSITIVITY_TOL the scale max(1, max |lev|) cannot change the verdict.
     if lev_max > POSITIVITY_TOL and lev_max > POSITIVITY_TOL * max(1.0, float(abs(lev_vals).max())):
@@ -368,7 +372,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
             "residual": quad.residual,
         },
         "interpolant": {
-            "nodes": list(cert.lev.multiset),
+            "nodes": list(quad.multiset),
             "gegenbauer": cert.interpolant.coeffs.tolist(),
         },
         "lambda": {
@@ -378,7 +382,7 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         },
         "coefficients": {
             "f": cert.f.coeffs.tolist(),
-            "levenshtein": cert.lev.gegen.coeffs.tolist(),
+            "levenshtein": cert.lev.coeffs.tolist(),
         },
         "feasibility": cert.feasibility._asdict(),
         "bounds": {

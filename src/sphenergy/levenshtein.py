@@ -45,7 +45,6 @@ from .orthopoly import (
 __all__ = [
     "IntervalIndex",
     "QuadratureRule",
-    "LevenshteinPoly",
     "find_interval",
     "interval_for",
     "lev_value",
@@ -220,53 +219,6 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
     return out
 
 
-class LevenshteinPoly(NamedTuple):
-    """The monic node polynomial with its interpolation multiset.
-
-    ``multiset`` lists the Hermite nodes with repetition: every interior
-    node twice, the endpoints -1 (when present) and s once, for a total of
-    m entries.  ``gegen`` expands prod_{t_j in multiset} (t - t_j) over the
-    Gegenbauer basis; all of its coefficients are strictly positive.  That
-    it is <= 0 on [-1, s] is checked by ``bounds.uub``, on the grid it
-    checks f >= h on.
-    """
-
-    dim: int
-    s: float
-    interval: IntervalIndex
-    multiset: tuple[float, ...]
-    gegen: GegenPoly
-
-
-def _node_multiset(interval: IntervalIndex, roots: np.ndarray) -> tuple[float, ...]:
-    if interval.eps == 0:
-        doubled = [r for r in roots[:-1] for _ in range(2)]
-    else:
-        doubled = [roots[0]] + [r for r in roots[1:-1] for _ in range(2)]
-    return tuple(doubled + [float(roots[-1])])
-
-
-def levenshtein_poly(
-    n: int, interval: IntervalIndex, s: float, roots: np.ndarray | None = None
-) -> LevenshteinPoly:
-    """Build the node polynomial for (n, m, s) and certify that every
-    Gegenbauer coefficient is positive."""
-    if roots is None:
-        roots = lev_poly_roots(n, interval, s)
-    multiset = _node_multiset(interval, roots)
-    if len(multiset) != interval.m:
-        raise NumericsError(
-            f"node multiset has {len(multiset)} entries, expected m = {interval.m}"
-        )
-    poly = product_to_gegen(n, multiset)
-    coeffs = poly.coeffs
-    if (coeffs <= 0.0).any():
-        raise CertificationError(
-            f"node polynomial has nonpositive Gegenbauer coefficients: {_nonpositive(coeffs, 'coefficients')}"
-        )
-    return LevenshteinPoly(n, float(s), interval, multiset, poly)
-
-
 class QuadratureRule(NamedTuple):
     """1/N quadrature: f_0 = f(1)/N + sum rho_i f(alpha_i), exact to degree m.
 
@@ -288,6 +240,32 @@ class QuadratureRule(NamedTuple):
     @property
     def m(self) -> int:
         return self.interval.m
+
+    @property
+    def multiset(self) -> tuple[float, ...]:
+        """The Hermite nodes with repetition, in the order that every Newton
+        form reads them: -1 once when it is a node (eps = 1), every interior
+        node twice, s once; m entries in all."""
+        eps, nodes = self.interval.eps, self.nodes.tolist()
+        return (*nodes[:eps], *(t for t in nodes[eps:-1] for _ in range(2)), nodes[-1])
+
+
+def levenshtein_poly(rule: QuadratureRule) -> GegenPoly:
+    """The monic node polynomial prod_{t_j in rule.multiset} (t - t_j) over
+    the Gegenbauer basis, certified to have every coefficient positive.
+
+    That it is <= 0 on [-1, s] is checked by ``bounds.uub``, on the grid it
+    checks f >= h on.
+    """
+    multiset = rule.multiset
+    if len(multiset) != rule.m:
+        raise NumericsError(f"node multiset has {len(multiset)} entries, expected m = {rule.m}")
+    poly = product_to_gegen(rule.dim, multiset)
+    if (poly.coeffs <= 0.0).any():
+        raise CertificationError(
+            f"node polynomial has nonpositive Gegenbauer coefficients: {_nonpositive(poly.coeffs, 'coefficients')}"
+        )
+    return poly
 
 
 def quadrature(n: int, s: float) -> QuadratureRule:

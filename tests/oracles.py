@@ -83,9 +83,11 @@ def spare_node_bound(cert):
     is ``cert.uub_value`` up to rounding.
     """
     spare = -1.0 if cert.quad.interval.eps == 0 else cert.s
-    g = hermite_interpolant(cert.dim, cert.potential, [*cert.lev.multiset, spare])
+    z = list(cert.quad.multiset)
+    z.insert(z.index(spare) if spare in z else len(z), spare)  # beside its copy
+    g = hermite_interpolant(cert.dim, cert.potential, z)
     lam = lambda_star(g, cert.lev).value
-    f = GegenPoly(cert.dim, g.coeffs - lam * cert.lev.gegen.coeffs)
+    f = GegenPoly(cert.dim, g.coeffs - lam * cert.lev.coeffs)
     return g, cert.M * (float(f.coeffs[0]) * cert.M - f.at_one())
 
 
@@ -119,17 +121,17 @@ def lp_upper(cert):
 def exact_uub(cert):
     """f and the two bound forms of ``cert``'s class in exact rational
     arithmetic, on the certificate's own floats as exact dyadic rationals:
-    the node multiset, h and h' there as ``pot(array)`` and
-    ``pot.deriv(array)`` give them, L, the quadrature weights and h at the
-    nodes.  Divided differences, the linearization recurrence of
-    ``orthopoly._mul_linear`` with integer factors for both g and the node
-    polynomial l, lambda = max g_i / l_i over 1..deg g (0 when that is not
-    positive), f = g - lambda l, then M (f_0 M - f(1)) and
+    the node multiset in the quadrature's order, h and h' there as
+    ``pot(array)`` and ``pot.deriv(array)`` give them, L, the quadrature
+    weights and h at the nodes.  Divided differences, the linearization
+    recurrence of ``orthopoly._mul_linear`` with integer factors for both g
+    and the node polynomial l, lambda = max g_i / l_i over 1..deg g (0 when
+    that is not positive), f = g - lambda l, then M (f_0 M - f(1)) and
     M (M / L - 1) f(1) + M^2 sum_i rho_i h(alpha_i).  Returns the
     coefficients of f and the two forms, as Fractions.
     """
     n, M, pot = cert.dim, Fraction(cert.M), cert.potential
-    z = sorted(cert.lev.multiset)
+    z = cert.quad.multiset
     zq = [Fraction(t) for t in z]
     col = [Fraction(v) for v in pot(np.array(z)).tolist()]
     slope = [Fraction(v) for v in pot.deriv(np.array(z)).tolist()]
@@ -180,11 +182,11 @@ def decimal_string(q, digits=30):
         return f"{decimal.Decimal(q.numerator) / q.denominator:.{digits - 1}e}"
 
 
-def node_sign_on_linspace(lev):
-    """Whether the node polynomial stays <= 0 on 257 equispaced points of
-    [-1, s], up to ``POSITIVITY_TOL`` * max(1, max |value|): the same bound
-    that ``uub`` applies on its Chebyshev feasibility grid."""
-    vals = lev.gegen(np.linspace(-1.0, lev.s, 257))
+def node_sign_on_linspace(lev, s):
+    """Whether the node polynomial ``lev`` stays <= 0 on 257 equispaced points
+    of [-1, s], up to ``POSITIVITY_TOL`` * max(1, max |value|): the same
+    bound that ``uub`` applies on its Chebyshev feasibility grid."""
+    vals = lev(np.linspace(-1.0, s, 257))
     return float(np.max(vals)) <= POSITIVITY_TOL * max(1.0, float(np.max(np.abs(vals))))
 
 

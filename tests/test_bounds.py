@@ -5,6 +5,7 @@ samples, and bound values against independently derived closed forms for
 configurations whose energies are known exactly.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -65,8 +66,7 @@ def test_hermite_two_simple_nodes_is_the_secant():
 
 def test_hermite_matches_polyfit_oracle():
     pot = make_potential("newton", n=5)
-    lp = levenshtein_poly(5, find_interval(5, S_EZ), S_EZ)
-    g = hermite_interpolant(5, pot, lp.multiset)
+    g = hermite_interpolant(5, pot, quadrature(5, S_EZ).multiset)
     mono = monomial_coeffs(5, g)
     assert mono == pytest.approx([0.37128, 0.46931, 0.23835], abs=1e-4)
 
@@ -77,40 +77,66 @@ def test_hermite_interpolation_conditions():
         n = int(rng.randint(3, 9))
         s = float(rng.uniform(-0.2, 0.6))
         pot = make_potential("riesz", alpha=float(rng.uniform(0.5, 4.0)))
-        lp = levenshtein_poly(n, find_interval(n, s), s)
-        g = hermite_interpolant(n, pot, lp.multiset)
+        multiset = quadrature(n, s).multiset
+        g = hermite_interpolant(n, pot, multiset)
         seen = set()
-        for t in lp.multiset:
+        for t in multiset:
             assert g(t) == pytest.approx(pot(t), rel=1e-9)
             if t in seen:
                 assert g.deriv(t) == pytest.approx(pot.deriv(t), rel=1e-7)
             seen.add(t)
 
 
+def newton_form(n, pot, z):
+    """The Hermite interpolant of ``pot`` on the node list z, built in z's
+    order: divided differences with h and h' read from the node array."""
+    col, slope = pot(np.array(z)).tolist(), pot.deriv(np.array(z)).tolist()
+    newton = [col[0]]
+    for j in range(1, len(z)):
+        for i in range(len(z) - j):
+            col[i] = slope[i] if z[i + j] == z[i] else (col[i + 1] - col[i]) / (z[i + j] - z[i])
+        newton.append(col[0])
+    return _newton_to_gegen(n, list(z), newton)
+
+
 def test_hermite_reads_each_slope_from_the_node_array():
     # At a doubled node the divided difference is h' there, the entry of
-    # pot.deriv on the sorted node array to the bit, as an exact recheck
-    # reads it.  The table is rebuilt here from the two arrays.
+    # pot.deriv on the node array to the bit, as an exact recheck reads it.
+    # The table is rebuilt here in the quadrature's order.
     rng = np.random.RandomState(59)
     for spec in ("newton", "riesz:2.5", "gauss:1.7", "log"):
         for _ in range(10):
             n, s = int(rng.randint(3, 25)), float(rng.uniform(-0.2, 0.6))
             pot = parse_potential(spec, n)
-            z = sorted(levenshtein_poly(n, find_interval(n, s), s).multiset)
-            col, slope = pot(np.array(z)).tolist(), pot.deriv(np.array(z)).tolist()
-            newton = [col[0]]
-            for j in range(1, len(z)):
-                for i in range(len(z) - j):
-                    col[i] = slope[i] if z[i + j] == z[i] else (col[i + 1] - col[i]) / (z[i + j] - z[i])
-                newton.append(col[0])
-            g = hermite_interpolant(n, pot, z[::-1])
-            assert np.array_equal(g.coeffs, _newton_to_gegen(n, z, newton).coeffs), (spec, n, s)
+            z = quadrature(n, s).multiset
+            g = hermite_interpolant(n, pot, z)
+            assert np.array_equal(g.coeffs, newton_form(n, pot, z).coeffs), (spec, n, s)
+
+
+def test_hermite_interpolates_in_the_order_given():
+    # Copies adjacent, order otherwise free: the Newton form is built on the
+    # nodes as given, bit for bit.  Copies apart are refused.
+    rng = np.random.RandomState(61)
+    for spec in ("newton", "riesz:2.5", "gauss:1.7", "log"):
+        for _ in range(10):
+            n, s = int(rng.randint(3, 25)), float(rng.uniform(-0.2, 0.6))
+            pot = parse_potential(spec, n)
+            z = quadrature(n, s).multiset
+            runs = [list(group) for _, group in itertools.groupby(z)]
+            z = [t for i in rng.permutation(len(runs)) for t in runs[i]]
+            g = hermite_interpolant(n, pot, z)
+            assert np.array_equal(g.coeffs, newton_form(n, pot, z).coeffs), (spec, n, s)
+    pot = make_potential("newton", n=4)
+    for z in ((0.0, 0.5, 0.0), (-0.5, 0.0, 0.5, -0.5, 0.5)):
+        with pytest.raises(ValueError, match="must be adjacent"):
+            hermite_interpolant(4, pot, z)
 
 
 def test_hermite_rejects_high_multiplicity():
     pot = make_potential("log")
-    with pytest.raises(ValueError):
-        hermite_interpolant(4, pot, (0.0, 0.0, 0.0))
+    for z in ((0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="multiplicity above 2"):
+            hermite_interpolant(4, pot, z)
 
 
 def test_hermite_rejects_degrees_beyond_the_maximum():
@@ -125,9 +151,9 @@ def test_lambda_star_linear_case():
     # T = {-1, 0}: ell_1 = 1 in the Gegenbauer expansion of t(t+1), so the
     # only candidate ratio is g_1 itself
     pot = make_potential("newton", n=5)
-    lp = levenshtein_poly(5, find_interval(5, 0.0), 0.0)
-    g = hermite_interpolant(5, pot, lp.multiset)
-    choice = lambda_star(g, lp)
+    rule = quadrature(5, 0.0)
+    g = hermite_interpolant(5, pot, rule.multiset)
+    choice = lambda_star(g, levenshtein_poly(rule))
     assert choice.argmax == 1
     assert not choice.degenerate
     assert choice.value == pytest.approx(pot(0.0) - pot(-1.0), abs=1e-13)
@@ -135,18 +161,18 @@ def test_lambda_star_linear_case():
 
 def test_lambda_star_ez_case():
     pot = make_potential("newton", n=5)
-    lp = levenshtein_poly(5, find_interval(5, S_EZ), S_EZ)
-    g = hermite_interpolant(5, pot, lp.multiset)
-    choice = lambda_star(g, lp)
+    rule = quadrature(5, S_EZ)
+    g = hermite_interpolant(5, pot, rule.multiset)
+    choice = lambda_star(g, levenshtein_poly(rule))
     assert choice.argmax == 1
     assert choice.value == pytest.approx(0.661, abs=5e-3)
 
 
 def test_lambda_star_degenerate_for_constant_kernel():
     pot = make_potential("custom", eval_fn=lambda t: 1.0, deriv_fn=lambda t: 0.0)
-    lp = levenshtein_poly(5, find_interval(5, 0.0), 0.0)
-    g = hermite_interpolant(5, pot, lp.multiset)
-    choice = lambda_star(g, lp)
+    rule = quadrature(5, 0.0)
+    g = hermite_interpolant(5, pot, rule.multiset)
+    choice = lambda_star(g, levenshtein_poly(rule))
     assert choice.degenerate
     assert choice.value == 0.0
 
@@ -190,7 +216,7 @@ def test_uub_forms_agree():
 def test_uub_polynomial_touches_kernel_at_nodes():
     cert = uub(5, 11, S_EZ, make_potential("newton", n=5))
     pot = cert.potential
-    for t in cert.lev.multiset:
+    for t in cert.quad.multiset:
         assert cert.f(t) == pytest.approx(pot(t), rel=1e-9)
     # and majorizes it everywhere else on [-1, s]
     grid = np.linspace(-1.0, S_EZ, 1500)
@@ -230,7 +256,7 @@ def test_uub_extra_node_changes_nothing():
         assert value == pytest.approx(base.uub_value, rel=1e-9)
         # the spare node raises the interpolation degree by one but the
         # bound value is untouched
-        m = base.lev.interval.m
+        m = base.quad.m
         assert base.interpolant.degree == m - 1
         assert refined.degree == m
 
@@ -361,7 +387,7 @@ def test_uub_grows_with_lambda_when_class_is_slack():
     cert = uub(n, 11, s, pot)
     L = cert.quad.N
     M = 11.0
-    lev1 = cert.lev.gegen.at_one()
+    lev1 = cert.lev.at_one()
     g1 = cert.interpolant.at_one()
     base = M * (M / L - 1.0) * (g1 - cert.lam * lev1)
     for bump in (0.05, 0.2, 1.0):
@@ -459,7 +485,7 @@ def test_quadrature_table_serves_every_evaluation_at_the_nodes_bitwise(case):
     assert table.view(np.int64).tolist() == gegenbauer_table(n, quad.m, quad.nodes).view(np.int64).tolist()
     polys = []
     try:  # either may refuse the class
-        polys.append(levenshtein_poly(n, quad.interval, quad.s, quad.nodes).gegen)
+        polys.append(levenshtein_poly(quad))
         polys.append(uub(n, quad.N, quad.s, make_potential("newton", n=n)).f)
     except (CertificationError, NumericsError):
         pass
@@ -488,7 +514,7 @@ def test_certified_classes_pass_the_equispaced_node_sign_check(case):
         cert = uub(n, dgs_number(n, m), s, pot)
     except (CertificationError, NumericsError, InfeasibleClassError):
         return
-    assert node_sign_on_linspace(cert.lev)
+    assert node_sign_on_linspace(cert.lev, cert.s)
     grid = _feasibility_grid(cert.s, cert.quad.nodes)
     assert cert.feasibility.min_gap == float(np.min(cert.f(grid) - pot(grid)))
 
@@ -527,11 +553,10 @@ def test_the_coefficient_gate_refuses_a_perturbed_root_set():
     # the midpoint of I_3 at n = 5 pass, and the same nodes moved up by 0.5
     # give two nonpositive coefficients.
     iv = interval_for(5, 3)
-    s = 0.5 * (iv.lo + iv.hi)
-    roots = lev_poly_roots(5, iv, s)
-    assert (levenshtein_poly(5, iv, s, roots).gegen.coeffs > 0.0).all()
+    rule = quadrature(5, 0.5 * (iv.lo + iv.hi))
+    assert (levenshtein_poly(rule).coeffs > 0.0).all()
     with pytest.raises(CertificationError, match="nonpositive Gegenbauer coefficients: 2 of 4") as refusal:
-        levenshtein_poly(5, iv, s, roots + 0.5)
+        levenshtein_poly(rule._replace(nodes=rule.nodes + 0.5))
     assert "\n" not in str(refusal.value)
 
 

@@ -26,13 +26,25 @@ A change that moves classes on purpose rewrites it, in its committed
 format, and rewrites ``exact_bounds.json`` too, with
 
     PYTHONPATH=src python tests/test_golden.py --write-refusals
+
+A change that must leave every output as it was is checked with
+
+    PYTHONPATH=src python tests/test_golden.py --fingerprint > after.txt
+
+run once on each tree: the two files must not ``diff``.  One line per case
+gives ``strip`` on every class-sweep class of seeds 1-3 and on every
+``REFUSAL_CLASSES`` class, then stdout, stderr and the exit code of every
+command in ``CASES``; the last line is a sha256 of the lines above it.
 """
 
+import hashlib
+import io
 import json
 import math
 import os
 import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 
@@ -242,10 +254,46 @@ def test_every_pinned_bound_has_its_exact_value():
     assert sidecar == {}
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write-refusals"]:
-        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write-refusals")
+def fingerprint_lines():
+    """The lines that ``--fingerprint`` prints, without the closing sha256."""
+    sys.path.insert(0, os.path.join(os.path.dirname(DATA), os.pardir, "bench"))
+    import gen
+
+    classes = [(c.n, c.M, c.s, c.kernel) for seed in (1, 2, 3) for c in gen.sweep_classes(seed)]
+    for n, m, kernel in REFUSAL_CLASSES:
+        iv = interval_for(n, m)
+        classes.append((n, dgs_number(n, m), 0.5 * (iv.lo + iv.hi), kernel))
+    for n, M, s, kernel in classes:
+        try:
+            es = strip(n, M, s, parse_potential(kernel, n))
+            verdict = f"{es.ulb!r} {es.uub!r} {es.sharp!r}"
+        except (CertificationError, NumericsError) as exc:
+            verdict = f"{type(exc).__name__}: {exc}"
+        yield f"strip {n} {M!r} {s!r} {kernel}: {verdict}"
+    for _, argv in CASES:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        yield f"{' '.join(argv)}: exit {code} stdout {out.getvalue()!r} stderr {err.getvalue()!r}"
+
+
+def write_refusals():
     for name, table in (("refusals.json", refusal_table(exact=True)), (EXACT_BOUNDS, golden_exact_table())):
         with open(os.path.join(DATA, name), "w", encoding="utf-8") as fh:
             json.dump(table, fh, indent=1)
             fh.write("\n")
+
+
+def fingerprint():
+    digest = hashlib.sha256()
+    for line in fingerprint_lines():
+        print(line)
+        digest.update(line.encode("utf-8") + b"\n")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    modes = {"--write-refusals": write_refusals, "--fingerprint": fingerprint}
+    if len(sys.argv) != 2 or sys.argv[1] not in modes:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write-refusals | --fingerprint")
+    modes[sys.argv[1]]()

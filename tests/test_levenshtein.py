@@ -196,23 +196,27 @@ def test_lev_poly_roots_ordered_and_topped_by_s():
 
 def test_levenshtein_poly_invariants():
     for n, s in [(4, 0.5), (5, 0.13285354259858992), (6, 0.3), (3, 0.45)]:
-        lp = levenshtein_poly(n, find_interval(n, s), s)
-        assert len(lp.multiset) == lp.interval.m
-        assert all(c > 0 for c in lp.gegen.coeffs)
+        rule = quadrature(n, s)
+        lp = levenshtein_poly(rule)
+        assert len(rule.multiset) == rule.m == lp.degree
+        assert all(c > 0 for c in lp.coeffs)
         grid = np.linspace(-1.0, s, 400)
-        assert np.max(lp.gegen(grid)) <= 1e-9 * max(1.0, abs(lp.gegen.at_one()))
+        assert np.max(lp(grid)) <= 1e-9 * max(1.0, abs(lp.at_one()))
 
 
 def test_levenshtein_poly_antipodal_case():
     # s = 1/sqrt(5), n = 3 sits on the shared endpoint of I_4 and I_5; the
     # odd-side construction pushes its lowest interior node onto -1 exactly,
-    # recovering the icosahedron inner-product set {-1, -1/sqrt(5), 1/sqrt(5)}
+    # recovering the icosahedron inner-product set {-1, -1/sqrt(5), 1/sqrt(5)}.
+    # quadrature takes the tie's smaller index, so I_5's nodes go in by hand.
     s = 1 / math.sqrt(5)
     assert find_interval(3, s).tie_with == 5
-    lp = levenshtein_poly(3, interval_for(3, 5), s)
-    assert lp.multiset.count(-1.0) == 2
-    assert lp.multiset[2] == pytest.approx(-s, abs=1e-12)
-    assert lev_value(3, lp.interval, s) == pytest.approx(12.0, abs=1e-9)
+    iv = interval_for(3, 5)
+    rule = quadrature(3, s)._replace(interval=iv, nodes=lev_poly_roots(3, iv, s))
+    assert sorted(rule.multiset) == pytest.approx([-1.0, -1.0, -s, -s, s], abs=1e-12)
+    assert rule.multiset.count(-1.0) == 2
+    assert (levenshtein_poly(rule).coeffs > 0.0).all()
+    assert lev_value(3, iv, s) == pytest.approx(12.0, abs=1e-9)
 
 
 def test_quadrature_orthonormal_case_is_exact():
