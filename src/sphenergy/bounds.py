@@ -111,12 +111,13 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     Node multiplicity is at most 2 because the kernel supplies h' only: a
     doubled node matches h' there, and its two copies must be adjacent.
     The nodes are taken in the order given, h and h' read for the whole
-    list, one array call each.  Newton's divided differences supply the
-    coefficients, and the Newton form is resynthesized directly over the
-    Gegenbauer basis.  Both run on plain floats: the table is kept as one
-    column, overwritten top-down, whose head is the next Newton coefficient.
-    The table meets every pair of positions once, so it refuses the first
-    equal pair that is not a pair of neighbours.
+    list, one array call each; a value of either that is not finite in
+    binary64 raises CertificationError.  Newton's divided differences
+    supply the coefficients, and the Newton form is resynthesized directly
+    over the Gegenbauer basis.  Both run on plain floats: the table is kept
+    as one column, overwritten top-down, whose head is the next Newton
+    coefficient.  The table meets every pair of positions once, so it
+    refuses the first equal pair that is not a pair of neighbours.
     """
     z = [float(t) for t in nodes]
     if not z:
@@ -126,7 +127,12 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     d = len(z)
     _check_degree(d - 1)
     za = np.array(z)
-    col, slope = pot(za).tolist(), pot.deriv(za).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        h, dh = pot(za), pot.deriv(za)
+    bad = ~(np.isfinite(h) & np.isfinite(dh))
+    if bad.any():
+        raise CertificationError(f"kernel {pot.label} is not finite in binary64 at the node {z[int(bad.argmax())]!r}")
+    col, slope = h.tolist(), dh.tolist()
     newton = [col[0]]
     for j in range(1, d):
         for i in range(d - j):
@@ -316,10 +322,14 @@ def ulb(n: int, M: float, pot: Potential) -> tuple[float, QuadratureRule]:
     """Universal lower bound on E_h over all codes of M points in S^{n-1}.
 
     Solves L(n, r) = M and evaluates M^2 sum_i rho_i h(alpha_i) at the
-    resulting quadrature.
+    resulting quadrature; a sum that is not finite in binary64 raises
+    CertificationError.
     """
     r, rule = solve_cardinality(n, M)
-    value = float(M) ** 2 * float(np.dot(rule.weights, pot(rule.nodes)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(M) ** 2 * float(np.dot(rule.weights, pot(rule.nodes)))
+    if not math.isfinite(value):
+        raise CertificationError(f"kernel {pot.label} gives the lower bound {value!r}, not finite in binary64")
     return value, rule
 
 

@@ -265,8 +265,7 @@ def cmd_table(args) -> int:
         return _fmt(lo) if lo == hi else f"{_fmt(lo)}..{_fmt(hi)}"
     print(f"{'n':>3} {'M':>10} {'m':>3} {'L_m(n,1/2)':>12} {'ulb':>18} {'uub':>18}")
     for r in rows:
-        mm = str(r["M_lo"]) if r["M_lo"] == r["M_hi"] else f"{r['M_lo']}..{r['M_hi']}"
-        print(f"{r['n']:>3} {mm:>10} {r['m']:>3} {_fmt(r['L']):>12} "
+        print(f"{r['n']:>3} {span(r['M_lo'], r['M_hi']):>10} {r['m']:>3} {_fmt(r['L']):>12} "
               f"{span(r['ulb_lo'], r['ulb_hi']):>18} {span(r['uub_lo'], r['uub_hi']):>18}")
     return 0
 

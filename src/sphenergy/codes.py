@@ -187,8 +187,7 @@ def _icosahedron() -> np.ndarray:
     for u in (1.0, -1.0):
         for v in (phi, -phi):
             base.extend([(0.0, u, v), (u, v, 0.0), (v, 0.0, u)])
-    pts = np.array(base) / math.sqrt(1.0 + phi * phi)
-    return pts
+    return np.array(base) / math.sqrt(1.0 + phi * phi)
 
 
 def _hexagon() -> np.ndarray:
@@ -196,6 +195,10 @@ def _hexagon() -> np.ndarray:
     return np.array(
         [(1.0, 0.0), (0.5, h), (-0.5, h), (-1.0, 0.0), (-0.5, -h), (0.5, -h)]
     )
+
+
+# The named codes that live in one dimension, and their builders.
+_FIXED_DIM = {"icosahedron": (3, _icosahedron), "hexagon": (2, _hexagon)}
 
 
 def generate(kind: str, n: int | None = None) -> SphericalCode:
@@ -210,31 +213,22 @@ def generate(kind: str, n: int | None = None) -> SphericalCode:
         if kind == "cross_polytope":
             return SphericalCode(np.vstack([np.eye(n), -np.eye(n)]))
         return SphericalCode(np.eye(n))
-    if kind == "icosahedron":
-        if n not in (None, 3):
-            raise ValueError("icosahedron lives in dimension 3")
-        return SphericalCode(_icosahedron())
-    if kind == "hexagon":
-        if n not in (None, 2):
-            raise ValueError("hexagon lives in dimension 2")
-        return SphericalCode(_hexagon())
+    if kind in _FIXED_DIM:
+        dim, build = _FIXED_DIM[kind]
+        if n not in (None, dim):
+            raise ValueError(f"{kind} lives in dimension {dim}")
+        return SphericalCode(build())
     raise ValueError(f"unknown code kind {kind!r}")
 
 
 @functools.lru_cache(maxsize=None)
 def _key_weights(n: int) -> np.ndarray:
-    """The square roots of the first n primes, linearly independent over the
-    rationals: distinct points with rational coordinates, up to a common
-    scale, get distinct keys ``points @ w`` before rounding.  The n-th prime
-    is below n (ln n + ln ln n) for n >= 6 (Rosser), and below 14 for n < 6.
+    """cos 1, ..., cos n, linearly independent over the rationals: cos k =
+    T_k(cos 1) has degree k in cos 1, which is transcendental, so distinct
+    points with rational coordinates, up to a common scale, get distinct
+    keys ``points @ w`` before rounding.
     """
-    limit = max(14, math.ceil(n * (math.log(n) + math.log(math.log(n)))))
-    sieve = np.ones(limit, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    w = np.sqrt(np.flatnonzero(sieve)[:n].astype(float))
+    w = np.cos(np.arange(1.0, n + 1.0))
     w.setflags(write=False)
     return w
 

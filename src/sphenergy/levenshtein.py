@@ -306,12 +306,9 @@ def quadrature(n: int, s: float) -> QuadratureRule:
 
 def exactness_residual(table: np.ndarray, weights: np.ndarray, N: float) -> float:
     """max_j |sum_i rho_i P_j(alpha_i) - (delta_j0 - 1/N)|, table[j] = P_j(nodes)."""
-    # Rounds as subtracting the target array would, without building it.
-    dev = table @ weights
-    first = float(dev[0]) - (1.0 - 1.0 / N)
-    dev += 1.0 / N
-    dev[0] = first
-    return float(abs(dev).max())
+    target = np.full(table.shape[0], -1.0 / N)
+    target[0] += 1.0
+    return float(abs(table @ weights - target).max())
 
 
 def illinois_root(f, lo: float, hi: float, flo: float, fhi: float, tol: float) -> float:

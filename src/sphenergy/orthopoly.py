@@ -204,12 +204,8 @@ def _jacobi_matrix(a: float, b: float, i: int) -> tuple[np.ndarray, tuple[float,
     # beta_1 is written with (1 + a + b) cancelled, which vanishes for a + b = -1.
     beta = tuple(4 * (1 + a) * (1 + b) / ((2 + a + b) ** 2 * (3 + a + b)) if j == 1 else
                  4 * j * (j + a) * (j + b) * (j + a + b) / (s[j] * s[j] * (s[j] + 1) * (s[j] - 1)) for j in range(1, i))
-    # In the flat view of the i x i matrix the diagonal has stride i + 1 from
-    # 0, and the two off-diagonals the same stride from 1 and from i.
-    T = np.zeros((i, i))
-    flat = T.ravel()
-    flat[:: i + 1] = alpha
-    flat[1 :: i + 1] = flat[i :: i + 1] = np.sqrt(beta)
+    off = np.sqrt(beta)
+    T = np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1)
     T.setflags(write=False)
     return T, alpha, beta
 
@@ -300,8 +296,6 @@ def _mul_linear(n: int, coeffs: list[float], root: float) -> list[float]:
     out = [0.0] * (len(coeffs) + 1)
     ups, downs, ds, _ = _three_term(n)
     for i, ci in enumerate(coeffs):
-        if ci == 0.0:
-            continue
         if i == 0:
             out[1] += ci
         else:

@@ -43,7 +43,7 @@ from sphenergy.levenshtein import (
     levenshtein_poly,
     quadrature,
 )
-from sphenergy.orthopoly import _newton_to_gegen, gegenbauer_table
+from sphenergy.orthopoly import GegenPoly, _newton_to_gegen, gegenbauer_table
 from sphenergy.potentials import make_potential, parse_potential
 
 S_EZ = 0.13285354259858992
@@ -175,6 +175,32 @@ def test_lambda_star_degenerate_for_constant_kernel():
     choice = lambda_star(g, levenshtein_poly(rule))
     assert choice.degenerate
     assert choice.value == 0.0
+
+
+def test_lambda_star_with_nonpositive_ratios_is_degenerate():
+    # Every ratio g_i / l_i is negative; the largest is at i = 2.
+    assert lambda_star(GegenPoly(3, [1, -0.5, -0.25]), GegenPoly(3, [1, 1, 1, 1])) == (0.0, 2, True)
+
+
+NEWTON3 = make_potential("newton", n=3)
+
+
+@pytest.mark.parametrize("call, words", [
+    (lambda: hermite_interpolant(3, NEWTON3, []), "node multiset must be nonempty"),
+    (lambda: hermite_interpolant(3, NEWTON3, [1.0]), "nodes must lie in"),
+    (lambda: lambda_star(GegenPoly(3, [1, 1]), GegenPoly(4, [1, 1])), "different dimensions"),
+    (lambda: lambda_star(GegenPoly(3, [1, 1, 1, 1]), GegenPoly(3, [1, 1])),
+     "interpolant degree 3 exceeds node polynomial degree 1"),
+], ids=["hermite-empty", "hermite-at-one", "lambda-dimensions", "lambda-degree"])
+def test_interpolation_refuses_bad_input(call, words):
+    with pytest.raises(ValueError, match=words):
+        call()
+
+
+def test_ulb_refuses_a_sum_beyond_binary64():
+    # At M = 20 the nodes reach past 1/2, where (2 - 2t)^-5000 overflows.
+    with pytest.raises(CertificationError, match="riesz:10000 gives the lower bound inf"):
+        ulb(3, 20, parse_potential("riesz:10000", 3))
 
 
 def test_uub_reference_value():

@@ -95,6 +95,7 @@ def test_input_error_exit_codes(capsys):
         ("bound", "-n", "4", "-M", "1", "-s", "0.5"),
         ("bound", "-n", "4", "-M", "24", "-s", "one-half"),
         ("verify", "--code", "/no/such/file.txt"),
+        ("verify", "--generate", "simplex:x"),
         ("testfn", "-n", "5", "-s", "0", "--jmax", "0"),
         ("table", "--nmin", "9", "--nmax", "3"),
         ("table", "--nmin", "11", "--nmax", "12"),
@@ -114,6 +115,15 @@ def test_input_error_exit_codes(capsys):
         assert f"{kernel.partition(':')[0]} kernel needs a finite alpha > 0, got inf" in err
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["bound", "strip"])
+def test_a_kernel_beyond_binary64_at_a_node_is_a_certification_failure(capsys, command):
+    # h(0.6) = 0.8^-5000 overflows; the class and the kernel are both valid.
+    # A leaked RuntimeWarning fails the test (filterwarnings = error).
+    code, _, err = run(capsys, command, "-n", "3", "-M", "5", "-s", "0.6", "-h", "riesz:10000")
+    assert code == 3
+    assert err == "certification failure: kernel riesz:10000 is not finite in binary64 at the node 0.6\n"
 
 
 def test_strip_text_sharp_simplex(capsys):
@@ -263,6 +273,15 @@ def test_testfn_below_the_sign_test_settles_nothing(capsys):
     assert out.endswith("verdict: not settled (the sign test starts above --jmax 2)\n")
     doc, _ = run_json(capsys, "testfn", "-n", "5", "-s", "0.5", "--jmax", "2", "--format", "json")
     assert (doc["threshold"], doc["optimal_in_range"], doc["first_negative"]) == (6, False, None)
+
+
+def test_testfn_names_the_first_negative_test_function(capsys):
+    # At (3, 1/2), m = 5 and the sign test starts at j = 6; R_8 is the first negative.
+    code, out, _ = run(capsys, "testfn", "-n", "3", "-s", "0.5", "--jmax", "64")
+    assert code == 0
+    assert out.endswith("verdict: not settled (R_8 < 0)\n")
+    doc, _ = run_json(capsys, "testfn", "-n", "3", "-s", "0.5", "--jmax", "64", "--format", "json")
+    assert (doc["optimal_in_range"], doc["first_negative"]) == (False, 8)
 
 
 @pytest.mark.parametrize(

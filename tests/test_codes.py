@@ -797,11 +797,11 @@ def test_tied_keys_fall_back_to_the_lexicographic_pairing(monkeypatch):
     assert separation(SphericalCode(e8)) == pytest.approx(0.5, abs=1e-15)
 
 
-def test_key_weights_are_square_roots_of_primes():
-    assert np.array_equal(codes_module._key_weights(6), np.sqrt([2.0, 3.0, 5.0, 7.0, 11.0, 13.0]))
-    for n, last in ((2, 3), (5, 11), (6, 13), (1000, 7919)):
+def test_key_weights_are_cosines_of_the_integers():
+    for n in (2, 5, 6, 1000):
         w = codes_module._key_weights(n)
-        assert w.size == n and w[-1] == math.sqrt(last)
+        assert w.size == n and not w.flags.writeable
+        assert w == pytest.approx([math.cos(k) for k in range(1, n + 1)], rel=0.0, abs=4e-16)
 
 
 def test_energy_refuses_coincident_points_before_calling_the_kernel(monkeypatch):

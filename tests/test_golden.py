@@ -34,7 +34,12 @@ A change that must leave every output as it was is checked with
 run once on each tree: the two files must not ``diff``.  One line per case
 gives ``strip`` on every class-sweep class of seeds 1-3 and on every
 ``REFUSAL_CLASSES`` class, then stdout, stderr and the exit code of every
-command in ``CASES``; the last line is a sha256 of the lines above it.
+command in ``CASES``, then ``verify_strip`` on every code-check code of
+seeds 1-3 under its own kernel and on every ``FINGERPRINT_CODES`` code
+under newton: the separation, energy, moments, ulb and uub, and the
+verdict's flags, or the refusal.  The last line is a sha256 of the lines
+above it.  To compare with another tree, run this file with ``PYTHONPATH``
+set to that tree's ``src``.
 """
 
 import hashlib
@@ -53,6 +58,7 @@ import pytest
 from oracles import decimal_string, exact_ulb, exact_uub
 from sphenergy.bounds import strip
 from sphenergy.cli import main
+from sphenergy.codes import SphericalCode, generate, verify_strip
 from sphenergy.errors import CertificationError, NumericsError
 from sphenergy.levenshtein import dgs_number, interval_for
 from sphenergy.potentials import parse_potential
@@ -254,6 +260,11 @@ def test_every_pinned_bound_has_its_exact_value():
     assert sidecar == {}
 
 
+# Named codes that ``--fingerprint`` verifies under newton, after the code-check set.
+FINGERPRINT_CODES = [("cross_polytope", 5), ("cross_polytope", 24), ("icosahedron", None), ("simplex", 7),
+                     ("hexagon", None)]
+
+
 def fingerprint_lines():
     """The lines that ``--fingerprint`` prints, without the closing sha256."""
     sys.path.insert(0, os.path.join(os.path.dirname(DATA), os.pardir, "bench"))
@@ -275,6 +286,16 @@ def fingerprint_lines():
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
         yield f"{' '.join(argv)}: exit {code} stdout {out.getvalue()!r} stderr {err.getvalue()!r}"
+    codes = [(c.name, SphericalCode(c.points), c.kernel) for seed in (1, 2, 3) for c in gen.check_codes(seed)]
+    codes += [(f"{kind}:{n}" if n else kind, generate(kind, n), "newton") for kind, n in FINGERPRINT_CODES]
+    for name, code, kernel in codes:
+        try:
+            v = verify_strip(code, parse_potential(kernel, code.dim))
+            verdict = (f"{v.separation!r} {v.energy!r} {v.moments.tolist()!r} {v.strip.ulb!r} {v.strip.uub!r} "
+                       f"{v.inside!r} {v.attains_uub!r} {v.attains_ulb!r} {v.nodes_cover_products!r} {v.strip.sharp!r}")
+        except (CertificationError, NumericsError, ValueError) as exc:
+            verdict = f"{type(exc).__name__}: {exc}"
+        yield f"verify {name} {kernel}: {verdict}"
 
 
 def write_refusals():

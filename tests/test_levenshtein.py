@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import sphenergy
 from oracles import lev_value_inline
 from sphenergy.bounds import SHARP_TOL
-from sphenergy.errors import CertificationError
+from sphenergy.errors import CertificationError, NumericsError
 from sphenergy.levenshtein import (
     _lev_function,
     dgs_number,
@@ -217,6 +217,17 @@ def test_levenshtein_poly_antipodal_case():
     assert rule.multiset.count(-1.0) == 2
     assert (levenshtein_poly(rule).coeffs > 0.0).all()
     assert lev_value(3, iv, s) == pytest.approx(12.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("call, error, words", [
+    (lambda: interval_for(3, 65), ValueError, "interval index must be in 1..64, got 65"),
+    (lambda: dgs_number(3, 0), ValueError, "index must be a positive integer, got 0"),
+    (lambda: levenshtein_poly(quadrature(3, 0.5)._replace(nodes=quadrature(3, 0.5).nodes[:-1])),
+     NumericsError, "node multiset has 3 entries, expected m = 5"),
+], ids=["interval-index", "dgs-index", "multiset-length"])
+def test_index_and_multiset_refusals(call, error, words):
+    with pytest.raises(error, match=words):
+        call()
 
 
 def test_quadrature_orthonormal_case_is_exact():

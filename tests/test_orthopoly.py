@@ -134,14 +134,15 @@ def test_cached_dimension_constants_round_like_inline_arithmetic(n):
     rng = np.random.default_rng(n)
     for size in (1, 2, 7, MAX_DEGREE + 1):
         coeffs = rng.standard_normal(size)
-        coeffs[rng.random(size) < 0.2] = 0.0  # zero coefficients are skipped
+        # The inline form skips zero coefficients; adding their terms changes no bit.
+        coeffs[rng.random(size) < 0.2] = 0.0
         coeffs = coeffs.tolist()
         for root in (-1.0, 0.0, float(rng.uniform(-1.0, 1.0))):
             assert bits(_mul_linear(n, coeffs, root)) == bits(mul_linear_inline(n, coeffs, root))
 
 
 @pytest.mark.parametrize("n", (2, 3, 5, 8, 24))
-def test_jacobi_matrix_by_strided_writes_matches_diag_construction(n):
+def test_jacobi_matrix_from_its_diagonals_matches_the_oracle_construction(n):
     for p in (JacobiParams((n - 1) / 2.0, (n - 3) / 2.0), JacobiParams((n - 1) / 2.0, (n - 1) / 2.0)):
         for i in (1, 2, 3, 7, 33, MAX_DEGREE):
             # The Gauss-Radau shift needs fixed above every zero of P_{i-1}.
@@ -243,6 +244,7 @@ def test_jacobi_zeros_match_scipy():
 
 def test_greatest_zero_conventions_and_closed_forms():
     assert greatest_zero(JacobiParams(2.0, 2.0), 0) == -1.0
+    assert jacobi_zeros(JacobiParams(2.0, 2.0), 0).shape == (0,)
     # degree-1 zero is (b-a)/(a+b+2)
     assert greatest_zero(JacobiParams(1.5, 0.5), 1) == pytest.approx(-0.25, abs=1e-13)
     assert greatest_zero(JacobiParams(1.0, 0.0), 1) == pytest.approx(-1 / 3, abs=1e-13)
