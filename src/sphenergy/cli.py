@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: bound, strip, verify, table, testfn.  The potential flag is
-``-h`` (so ``--help`` prints usage); text output rounds to 6 significant
-digits while JSON output carries full double precision and is
-byte-for-byte reproducible for identical flags (no timestamps).
+``-h`` (so ``--help`` prints usage), taken by all but testfn; text output
+rounds to 6 significant digits while JSON output carries full double
+precision and is byte-for-byte reproducible for identical flags (no
+timestamps).
 
-Exit codes: 0 success, 2 the class (n, M, s) is infeasible, 3 a
-certification check failed or the class lies beyond the last supported
-interval I_m, m = ``MAX_INTERVAL``, 4 bad input (including a ``table``
-range outside 2..10).
+Exit codes: 0 success, 1 stdout was closed before the output was written
+(the reader of a pipe exited first), 2 the class (n, M, s) is infeasible,
+3 a certification check failed or the class lies beyond the last
+supported interval I_m, m = ``MAX_INTERVAL``, 4 bad input (including a
+``table`` range outside 2..10).
 The certificate's JSON form and ``recheck_certificate`` live in ``bounds``.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -30,12 +33,7 @@ from .bounds import (
     uub,
 )
 from .codes import generate, load_code, verify_strip
-from .errors import (
-    CertificationError,
-    InfeasibleClassError,
-    InfiniteEnergyError,
-    NumericsError,
-)
+from .errors import CertificationError, InfeasibleClassError, NumericsError
 from .levenshtein import ez_separation
 from .potentials import parse_potential
 
@@ -82,21 +80,27 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _add_shared(sp, run):
-    # The flags every subcommand takes, and the function that runs it.
-    sp.add_argument("-h", "--potential", default="newton",
-                    help="kernel: newton | riesz:a | gauss:a | log (default newton)")
+def _add_format(sp, run):
+    # The flag every subcommand takes, and the function that runs it.
     sp.add_argument("--format", choices=("text", "json"), default="text", help="output format")
     sp.set_defaults(run=run)
 
 
+def _add_shared(sp, run):
+    # The flags of every subcommand that evaluates a kernel, that is, all but testfn.
+    sp.add_argument("-h", "--potential", default="newton",
+                    help="kernel: newton | riesz:a | gauss:a | log (default newton)")
+    _add_format(sp, run)
+
+
 def _add_class(sp, run, with_M: bool = True):
+    # Without M the command is testfn, whose R_j depend on (n, s) alone: no -h.
     sp.add_argument("-n", "--dim", type=int, required=True, help="dimension of the ambient space")
     if with_M:
         sp.add_argument("-M", "--points", type=int, required=True, help="number of points (integer >= 2)")
     sp.add_argument("-s", "--separation", required=True,
                     help="maximal inner product, or 'auto-ez' for the (2n+1)-point separation")
-    _add_shared(sp, run)
+    (_add_shared if with_M else _add_format)(sp, run)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,7 +263,8 @@ def table_rows(nmin: int = 2, nmax: int = 10, potential_spec: str = "newton") ->
 def cmd_table(args) -> int:
     rows = table_rows(args.nmin, args.nmax, args.potential)
     if args.format == "json":
-        _emit_json({"meta": DOC_META, "potential": args.potential, "rows": rows})
+        label = parse_potential(args.potential, args.nmin).label
+        _emit_json({"meta": DOC_META, "potential": label, "rows": rows})
         return 0
     def span(lo, hi):
         return _fmt(lo) if lo == hi else f"{_fmt(lo)}..{_fmt(hi)}"
@@ -305,14 +310,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away; point stdout at devnull so that the
+        # interpreter's own flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InfeasibleClassError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 2
     except (CertificationError, NumericsError) as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, InfiniteEnergyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
 

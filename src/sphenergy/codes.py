@@ -35,19 +35,20 @@ The energy is twice a weighted sum of h and the moments are M + 2 sum P_i.
 
 Antipodal codes, closed under x -> -x as most sharp and optimal codes are
 (cross polytopes, the icosahedron, E8, the 600-cell, Leech), stream a
-quarter of the Gram.  ``_antipodal_half`` finds, exactly and from the points
-alone, a pairing with points[a] == -points[b] entry for entry; the blocks
-are then those of H = points[a], M/2 rows.  A product v of x, y in H stands
-for the pairs {x, y} and {-x, -y} of the code and -v for {x, -y} and
-{-x, y}, and the M/2 pairs {x, -x} have the products -<x, x>.  IEEE
-negation is exact and commutes with every product, FMA and sum, and the
-grid rounding (half to even) and the clip to [-1, 1] are odd, so the
-histograms of H with doubled counts, merged with their mirror images, are
-those of the whole code up to the GEMM's own rounding.  That rounding can
-depend on the shape of the product (a one-row block is a matrix-vector
-product), so a product, and with it the separation, can differ in its last
-bits from a stream of the whole code.  Every other code is streamed whole;
-no option chooses the path.
+quarter of the Gram when their key order pairs their rows
+(``_antipodal_half``): sorted by one linear key, the k-th row and the
+(M - 1 - k)-th are x and -x entry for entry.  The blocks are then those of
+H, the first M/2 rows of that order.  A product v of x, y in H stands for
+the pairs {x, y} and {-x, -y} of the code and -v for {x, -y} and {-x, y},
+and the M/2 pairs {x, -x} have the products -<x, x>.  IEEE negation is
+exact and commutes with every product, FMA and sum, and the grid rounding
+(half to even) and the clip to [-1, 1] are odd, so the histograms of H with
+doubled counts, merged with their mirror images, are those of the whole
+code up to the GEMM's own rounding.  That rounding can depend on the shape
+of the product (a one-row block is a matrix-vector product), so a product,
+and with it the separation, can differ in its last bits from a stream of
+the whole code.  Every other code, an antipodal one its key order does not
+pair included, is streamed whole; no option chooses the path.
 
 The grid 2**-53 is the spacing of doubles in [1/2, 1), so rounding is the
 identity on |<x,y>| >= 1/2 (and on 0 and +-1) and moves any other product
@@ -63,7 +64,6 @@ about each node.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Iterator, NamedTuple
@@ -221,39 +221,26 @@ def generate(kind: str, n: int | None = None) -> SphericalCode:
     raise ValueError(f"unknown code kind {kind!r}")
 
 
-@functools.lru_cache(maxsize=None)
 def _key_weights(n: int) -> np.ndarray:
     """cos 1, ..., cos n, linearly independent over the rationals: cos k =
     T_k(cos 1) has degree k in cos 1, which is transcendental, so distinct
     points with rational coordinates, up to a common scale, get distinct
     keys ``points @ w`` before rounding.
     """
-    w = np.cos(np.arange(1.0, n + 1.0))
-    w.setflags(write=False)
-    return w
-
-
-def _pairs_up(points: np.ndarray, order: np.ndarray) -> bool:
-    """Whether points[order[k]] == -points[order[M - 1 - k]] for every k < M/2,
-    entry for entry."""
-    half = order.size // 2
-    return np.array_equal(points[order[:half]], -points[order[: half - 1 : -1]])
+    return np.cos(np.arange(1.0, n + 1.0))
 
 
 def _antipodal_half(points: np.ndarray) -> np.ndarray | None:
-    """Row indices a of one point of each pair {x, -x} if the code is
-    antipodal, that is, if M is even and some pairing b of the other rows has
-    points[a] == -points[b] entry for entry; None otherwise.
+    """Row indices a of one point of each pair {x, -x} if the key order
+    pairs the rows, None otherwise.
 
-    The rows are sorted, and the k-th is paired with the (M - 1 - k)-th: an
-    order that negation reverses sorts -x to the place mirroring x's.  The
-    key ``points @ w`` (``_key_weights``) is fast.  Each key is within
-    gamma_n |w| of its exact value, so the sorted keys of an antipodal code
-    and their reversed negatives differ by at most 2 gamma_n |w| < 4 n u |w|,
-    and keys farther from symmetric refuse the code at once.  Tied keys of
-    distinct points can pair the wrong rows, so if the key's pairing fails
-    the rows are paired again in lexicographic order, which negation reverses
-    exactly.  The answer depends only on the points.
+    The rows are sorted by the key ``points @ w`` (``_key_weights``), and
+    the k-th is paired with the (M - 1 - k)-th: the exact key of -x is minus
+    that of x, so an order of distinct keys sorts -x to the place mirroring
+    x's.  The half a is returned only if points[a] == -points[b] entry for
+    entry, so it is exact and depends only on the points.  Where rounding
+    ties or swaps the keys of distinct points, an antipodal code may go
+    unpaired; it is then streamed whole, like every other code.
 
     Codes of 2 or 4 points are left whole, as their half would save
     nothing: one row has no block, and two rows make a single one-row block,
@@ -263,17 +250,9 @@ def _antipodal_half(points: np.ndarray) -> np.ndarray | None:
     size, n = points.shape
     if size % 2 or size < 6:
         return None
-    w = _key_weights(n)
-    key = points @ w
-    order = np.argsort(key)
-    ks = key[order]
-    if np.max(np.abs(ks + ks[::-1])) > 4.0 * n * 2.0**-53 * math.sqrt(float(w @ w)):
-        return None
-    if not _pairs_up(points, order):
-        order = np.lexsort(points.T[::-1])
-        if not _pairs_up(points, order):
-            return None
-    return order[: size // 2]
+    order = np.argsort(points @ _key_weights(n))
+    a, b = order[: size // 2], order[: size // 2 - 1 : -1]
+    return a if np.array_equal(points[a], -points[b]) else None
 
 
 def _row_blocks(size: int):

@@ -164,19 +164,10 @@ def gegenbauer_table(n: int, i_max: int, t) -> np.ndarray:
 
 
 def eval_gegenbauer(n: int, i: int, t):
-    """P_i^{(n)}(t) by the forward recurrence, normalized so P_i^{(n)}(1) = 1.
-
-    A scalar t gives a float, computed in plain Python floats.
-    """
-    n = _check_dim(n)
-    i = _check_degree(i)
-    t = np.array(t, dtype=float)  # a copy, since P_1 is t itself
-    cur = np.ones_like(t)
-    if t.ndim == 0:
-        t, cur = float(t), 1.0
-    for cur in gegenbauer_terms(n, i, t):
-        pass
-    return cur
+    """P_i^{(n)}(t), normalized so P_i^{(n)}(1) = 1: row i of
+    ``gegenbauer_table(n, i, t)``, a float for a scalar t."""
+    row = gegenbauer_table(n, i, t)[-1]
+    return float(row) if row.ndim == 0 else row
 
 
 class JacobiParams(NamedTuple("JacobiParams", [("a", float), ("b", float)])):

@@ -97,6 +97,8 @@ def test_input_error_exit_codes(capsys):
         ("verify", "--code", "/no/such/file.txt"),
         ("verify", "--generate", "simplex:x"),
         ("testfn", "-n", "5", "-s", "0", "--jmax", "0"),
+        # R_j depends on (n, s) only, so testfn takes no kernel flag.
+        ("testfn", "-n", "3", "-s", "0.5", "--jmax", "3", "-h", "bogus"),
         ("table", "--nmin", "9", "--nmax", "3"),
         ("table", "--nmin", "11", "--nmax", "12"),
         ("table", "--nmax", "12"),
@@ -244,6 +246,13 @@ def test_table_reference_row(capsys):
     assert row["uub_lo"] == pytest.approx(344.8946, abs=5e-4)
 
 
+def test_table_json_carries_the_kernel_label(capsys):
+    # The label, as bound, strip and verify write it, not the flag as typed.
+    doc, _ = run_json(capsys, "table", "--nmin", "2", "--nmax", "2", "-h", "riesz:1.50", "--format", "json")
+    strip_doc, _ = run_json(capsys, "strip", "-n", "2", "-M", "6", "-s", "0.5", "-h", "riesz:1.50", "--format", "json")
+    assert doc["potential"] == strip_doc["inputs"]["potential"] == "riesz:1.5"
+
+
 def test_table_plane_row_is_sharp(capsys):
     code, out, _ = run(capsys, "table", "--nmin", "2", "--nmax", "2")
     assert code == 0
@@ -359,11 +368,11 @@ def test_version_flag(capsys):
     assert "sphenergy" in capsys.readouterr().out
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this sphenergy, run with ``args``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
 
 
 def run_probe(code: str) -> str:
@@ -379,6 +388,18 @@ def test_python_dash_m_runs_the_cli():
     infeasible = run_python("-m", "sphenergy.cli", "bound", "-n", "4", "-M", "27", "-s", "0.5")
     assert infeasible.returncode == 2
     assert infeasible.stderr.startswith("infeasible:")
+
+
+def test_a_closed_stdout_exits_1_without_an_input_error():
+    # The read end is closed before the child starts, so its first write to
+    # stdout fails with EPIPE.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_python("-m", "sphenergy.cli", "table", "--format", "json", stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 IMPORT_PROBE = """

@@ -787,20 +787,25 @@ def test_antipodal_detection_is_exact(monkeypatch):
         assert len(calls) == len(list(codes_module._row_blocks(rows.pop())))
 
 
-def test_tied_keys_fall_back_to_the_lexicographic_pairing(monkeypatch):
-    # With weights 1..2 the unrotated E8 ties keys of distinct points, and
-    # sorting by the key pairs the wrong rows.
-    e8 = _e8_roots()
+def test_tied_keys_stream_the_code_whole(monkeypatch):
+    # With weights 1..2 the unrotated E8 ties keys of distinct points, the key
+    # order pairs the wrong rows, and the code is streamed whole: the verdict
+    # of its half, up to the rounding of the moments' longer sums.
+    e8 = SphericalCode(_e8_roots())
+    newton = make_potential("newton", n=8)
+    half = verify_strip(e8, newton)
     monkeypatch.setattr(codes_module, "_key_weights", lambda n: np.linspace(1.0, 2.0, n))
-    assert not codes_module._pairs_up(e8, np.argsort(e8 @ np.linspace(1.0, 2.0, 8)))
-    assert _is_half(e8, codes_module._antipodal_half(e8))
-    assert separation(SphericalCode(e8)) == pytest.approx(0.5, abs=1e-15)
+    assert codes_module._antipodal_half(e8.points) is None
+    whole = verify_strip(e8, newton)
+    fields = ("separation", "energy", "inside", "attains_uub", "attains_ulb", "nodes_cover_products")
+    assert [getattr(whole, f) for f in fields] == [getattr(half, f) for f in fields]
+    assert np.max(np.abs(whole.moments - half.moments)) <= 1e-12 * e8.size**2
 
 
 def test_key_weights_are_cosines_of_the_integers():
     for n in (2, 5, 6, 1000):
         w = codes_module._key_weights(n)
-        assert w.size == n and not w.flags.writeable
+        assert w.size == n
         assert w == pytest.approx([math.cos(k) for k in range(1, n + 1)], rel=0.0, abs=4e-16)
 
 

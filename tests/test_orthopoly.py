@@ -110,9 +110,9 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64).tolist()
 
 
-def test_gegenbauer_table_rows_are_eval_gegenbauer_bitwise():
-    # The rows, filled in place for 0-d, 1-d and 2-d t, equal eval_gegenbauer
-    # on the array and, point by point, its plain-float path.
+def test_gegenbauer_table_rows_are_the_plain_float_recurrence_bitwise():
+    # The rows, filled in place for 0-d, 1-d and 2-d t, equal, point by
+    # point, the recurrence on a Python float, the path quadrature takes.
     rng = np.random.RandomState(31)
     for n in (2, 3, 5, 24):
         for shape in ((), (7,), (3, 7)):
@@ -120,10 +120,11 @@ def test_gegenbauer_table_rows_are_eval_gegenbauer_bitwise():
             for i_max in (0, 1, 2, 20):
                 tab = gegenbauer_table(n, i_max, t)
                 assert tab.shape == (i_max + 1, *shape) and tab.flags.c_contiguous
-                for i in range(i_max + 1):
-                    assert bits(tab[i]) == bits(eval_gegenbauer(n, i, t))
-                    points = zip(np.ravel(t).tolist(), np.ravel(tab[i]))
-                    assert all(bits(p) == bits(eval_gegenbauer(n, i, x)) for x, p in points)
+                for j, x in enumerate(np.ravel(t).tolist()):
+                    floats = [1.0, *gegenbauer_terms(n, i_max, x)]
+                    assert all(type(p) is float for p in floats)
+                    assert bits(tab.reshape(i_max + 1, -1)[:, j]) == bits(floats)
+                    assert type(eval_gegenbauer(n, i_max, x)) is float
 
 
 @pytest.mark.parametrize("n", range(2, 25))
