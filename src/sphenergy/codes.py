@@ -17,9 +17,8 @@ block, which numpy runs as a matrix-vector product at a fraction of the
 GEMM's speed per product, and every code of at most B // L rows streams
 one block per strip.  Every reduction reads the blocks from one generator
 (``_gram_blocks``), so a product is the same float whichever reduction
-reads it.  The separation, a maximum that a mirrored pair cannot change,
-reads each block whole with its diagonal overwritten instead of masking it
-to the upper triangle.
+reads it, and reads each tile as the flat array of its products above the
+diagonal.
 
 ``verify_strip``, ``energy`` and ``moments`` stream the Gram once
 (``_gram_pass``) under a histogram budget.  The same GEMM gives each
@@ -275,37 +274,30 @@ def _row_blocks(size: int):
         i = j
 
 
-def _gram_blocks(rows: np.ndarray, mirrored: bool, start: int = 0):
-    """Yield (i, block, lower) for each tile of ``_row_blocks`` from the
-    start-th on: block is the GEMM ``rows[i:j] @ rows[lo:hi].T``.  In a
-    strip's first tile its j - i diagonal entries (flat stride hi - lo + 1)
-    are overwritten, and lower masks the diagonal and the entries left of
-    it, the transposes of pairs above it, in the tile's first j - i columns;
-    every later tile lies above the diagonal, and its lower has no column.
-    The diagonal is set to -2, below any inner product, or, when the rows
-    are the half H of an antipodal code (``mirrored``), to 0, below any
-    magnitude (see ``_block_max``).
+def _gram_blocks(rows: np.ndarray, start: int = 0) -> Iterator[np.ndarray]:
+    """Yield, for each tile of ``_row_blocks`` from the start-th on, the flat
+    array of the tile's products above the diagonal: the GEMM
+    ``rows[i:j] @ rows[lo:hi].T`` whole for a tile right of the diagonal,
+    its strict upper triangle for a strip's first tile (lo = i).
 
     Every reduction reads the Gram through here, so a tile's products are
     the same floats whichever reduction reads them.
     """
     tiles = list(_row_blocks(rows.shape[0]))[start:]
-    tri = np.tri(max((j - i for i, j, _, _ in tiles), default=0), dtype=bool)
+    shape = np.max([(0, 0)] + [(j - i, hi - lo) for i, j, lo, hi in tiles], axis=0)
+    upper = ~np.tri(*shape, dtype=bool)
     for i, j, lo, hi in tiles:
         block = rows[i:j] @ rows[lo:hi].T
-        b = j - i if lo == i else 0
-        if b:
-            block.ravel()[:: hi - lo + 1] = 0.0 if mirrored else -2.0
-        yield i, block, tri[: j - i, :b]
+        yield block[upper[: j - i, : hi - lo]] if lo == i else block.ravel()
 
 
-def _block_max(block: np.ndarray, mirrored: bool) -> float:
-    """The largest product a block of ``_gram_blocks`` stands for, read whole
-    with no mask: its maximum, or for H the largest |<x, y>|, as <x, -y> =
-    -<x, y> is a product of the code too."""
+def _block_max(vals: np.ndarray, mirrored: bool) -> float:
+    """The largest product a tile of ``_gram_blocks`` stands for: its
+    maximum, or for H the largest |<x, y>|, as <x, -y> = -<x, y> is a
+    product of the code too."""
     if mirrored:
-        return max(float(block.max()), -float(block.min()))
-    return float(block.max())
+        return max(float(vals.max()), -float(vals.min()))
+    return float(vals.max())
 
 
 def _streamed_rows(points: np.ndarray) -> tuple[np.ndarray, bool, np.ndarray]:
@@ -330,10 +322,10 @@ def _to_grid_units(x: np.ndarray) -> np.ndarray:
     return np.rint(x, out=x)
 
 
-def _grid_runs(vals: np.ndarray, drop: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def _grid_runs(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat array ``vals`` on the grid ``_GRID`` as a histogram: its
     distinct values, ascending and clipped to [-1, 1], and their counts (see
-    ``_runs``), with the ``drop`` largest left out.  Overwrites vals.
+    ``_runs``).  Overwrites vals.
 
     Rounding (``_to_grid_units``) comes before the sort, and the values stay
     in grid units until only the distinct ones are scaled back; the clip
@@ -341,7 +333,6 @@ def _grid_runs(vals: np.ndarray, drop: int = 0) -> tuple[np.ndarray, np.ndarray]
     one = 1.0 / _GRID
     vals = _to_grid_units(vals)
     vals.sort()
-    vals = vals[: vals.size - drop]
     vals[: np.searchsorted(vals, -one, "left")] = -one
     vals[np.searchsorted(vals, one, "right") :] = one
     values, at = _runs(vals)
@@ -357,18 +348,12 @@ def _merge(hist: tuple, other: tuple) -> tuple[np.ndarray, np.ndarray]:
     return values, np.add.reduceat(counts[order], at[:-1])
 
 
-def _group(block: np.ndarray, lower: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The strict upper triangle of a block of ``_gram_blocks`` as a
-    histogram (``_grid_runs``).  Overwrites the block.
-
-    The entries under ``lower``, b x b in a strip's first tile and none in
-    a later one, are set to +inf, so after the sort they are the block's
-    last b (b + 1) / 2 entries and are dropped.  A block of H
-    (``mirrored``) gives each value v with count c as (v, 2 c) and (-v, 2 c).
+def _group(vals: np.ndarray, mirrored: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The products of a tile of ``_gram_blocks`` as a histogram
+    (``_grid_runs``).  Overwrites vals.  A tile of H (``mirrored``) gives
+    each value v with count c as (v, 2 c) and (-v, 2 c).
     """
-    b = lower.shape[1]
-    np.copyto(block[:, :b], np.inf, where=lower)
-    values, counts = _grid_runs(block.ravel(), b * (b + 1) // 2)
+    values, counts = _grid_runs(vals)
     if not mirrored:
         return values, counts
     counts = 2.0 * counts
@@ -379,7 +364,7 @@ def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[tuple]]:
     """The separation and an iterator over the histograms to evaluate, by
     the budget rule of the module docstring.
 
-    Each block's maximum (``_block_max``) is taken in this call.  The first
+    Each tile's maximum (``_block_max``) is taken in this call.  The first
     histogram yielded is the running one, seeded with the values -<x, x> of
     an antipodal code's pairs {x, -x} (``_streamed_rows``); any later one is
     a single block's, and the blocks past the one that crossed the budget,
@@ -388,16 +373,16 @@ def _gram_pass(points: np.ndarray) -> tuple[float, Iterator[tuple]]:
     """
     rows, mirrored, pairs = _streamed_rows(points)
     s, hists, resume = float(pairs.max(initial=-1.0)), [_grid_runs(pairs)], 0
-    for k, (_, block, lower) in enumerate(_gram_blocks(rows, mirrored), 1):
-        s = max(s, _block_max(block, mirrored))
+    for k, vals in enumerate(_gram_blocks(rows), 1):
+        s = max(s, _block_max(vals, mirrored))
         if len(hists) == 1:
-            group = _group(block, lower, mirrored)
+            group = _group(vals, mirrored)
             if hists[0][0].size + group[0].size <= _BLOCK_ELEMS:
                 hists[0] = _merge(hists[0], group) if hists[0][0].size else group
             else:
                 hists.append(group)
             resume = k
-    again = (_group(b, tri, mirrored) for _, b, tri in _gram_blocks(rows, mirrored, resume))
+    again = (_group(vals, mirrored) for vals in _gram_blocks(rows, resume))
     return min(s, 1.0), itertools.chain(hists, again)
 
 
@@ -452,19 +437,17 @@ def _nodes_cover(vals: np.ndarray, nodes: np.ndarray) -> bool:
 def separation(code: SphericalCode) -> float:
     """Largest off-diagonal inner product, clipped to [-1, 1].
 
-    Each row block of the Gram (``_gram_blocks``) is read whole, with no
-    mask: its diagonal entries are -2, below any inner product, and the
-    entries left of the diagonal are genuine pairs, the transposes of entries
-    above it.  An antipodal code reads the blocks of its half H instead: the
-    largest |<x, y>| over distinct x, y in H, or the largest -<x, x> of a
-    pair {x, -x} where that is larger (``_streamed_rows``, ``_block_max``).
-    ``verify_strip``, ``energy`` and ``moments`` take the same maximum over
-    the same blocks in the pass that groups them.
+    The maximum of the products above the diagonal of each tile of the
+    Gram (``_gram_blocks``).  An antipodal code reads the tiles of its half
+    H instead: the largest |<x, y>| over distinct x, y in H, or the largest
+    -<x, x> of a pair {x, -x} where that is larger (``_streamed_rows``,
+    ``_block_max``).  ``verify_strip``, ``energy`` and ``moments`` take the
+    same maximum over the same tiles in the pass that groups them.
     """
     rows, mirrored, pairs = _streamed_rows(code.points)
     s = float(pairs.max(initial=-1.0))
-    for _, block, _ in _gram_blocks(rows, mirrored):
-        s = max(s, _block_max(block, mirrored))
+    for vals in _gram_blocks(rows):
+        s = max(s, _block_max(vals, mirrored))
     return min(s, 1.0)
 
 

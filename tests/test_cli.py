@@ -170,12 +170,20 @@ def test_verify_icosahedron_json(capsys):
     assert v["energy"] == pytest.approx(98.33050611525762, rel=1e-9)
 
 
-def test_verify_code_file(capsys, tmp_path):
+def test_verify_code_file(capsys, tmp_path, monkeypatch):
     path = tmp_path / "square.txt"
     path.write_text("1 0\n0 1\n-1 0\n0 -1\n")
     code, out, _ = run(capsys, "verify", "--code", str(path))
     assert code == 0
     assert "inside strip" in out
+
+    # A verdict outside its strip is a certification failure.
+    verify_strip = sphenergy.cli.verify_strip
+    monkeypatch.setattr(sphenergy.cli, "verify_strip", lambda *args: verify_strip(*args)._replace(inside=False))
+    code, out, err = run(capsys, "verify", "--code", str(path))
+    assert code == 3
+    assert "verdict: OUTSIDE STRIP" in out
+    assert err == "certification failure: code energy falls outside its certified strip\n"
 
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0\n0.2 0.2\n")

@@ -73,6 +73,10 @@ def test_spherical_code_validation():
         SphericalCode(np.array([[1.0, 0.0]]))
     with pytest.raises(ValueError):
         SphericalCode(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="2-D"):
+        SphericalCode(np.eye(2)[None])
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        SphericalCode(np.array([[1.0], [-1.0]]))
 
 
 def test_energy_matches_double_sum_oracle():
@@ -154,10 +158,7 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 50)
     rng = np.random.RandomState(73)
     code = random_code(rng, 37, 10)
-    own = [
-        codes_module._group(block, lower, False)
-        for _, block, lower in codes_module._gram_blocks(code.points, False)
-    ]
+    own = [codes_module._group(vals, False) for vals in codes_module._gram_blocks(code.points)]
     sizes = [counts.sum() for _, counts in own]
     assert len(sizes) == 21 and sizes[0] == 36 and sizes[-1] == 1
     assert sum(sizes) == 37 * 36 // 2
@@ -171,10 +172,9 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     # one histogram each.
     calls = _count_gram_blocks(monkeypatch)
     _, hists = codes_module._gram_pass(code.points)
-    starts = [i for i, *_ in codes_module._row_blocks(code.size)]
-    assert calls == {(code.size, i): 1 for i in starts}
+    assert calls == {(code.size, k): 1 for k in range(21)}
     again = list(hists)
-    assert calls == {(code.size, i): 1 if i in starts[:2] else 2 for i in starts}
+    assert calls == {(code.size, k): 1 if k < 2 else 2 for k in range(21)}
     assert len(again) == 21
     for (values, counts), (v2, c2) in zip(own, again):
         assert np.array_equal(values, v2) and np.array_equal(counts, c2)
@@ -191,6 +191,26 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     assert v.separation == separation(code)
     assert v.energy == energy(code, pot)
     assert np.array_equal(v.moments, moments(code, v.strip.uub_cert.quad.m))
+
+    # Each tile yields its products above the diagonal and nothing else:
+    # together they number M (M - 1) / 2 and, sorted, are the sorted strict
+    # upper triangles of the same tiles' GEMMs to the bit.  This code at
+    # budgets 50 and 2**10, a 300-point code whose rows wider than 128
+    # products take tiles at 2**10, and the half H of an antipodal code.
+    wide = random_code(rng, 300, 10).points
+    half, halved, _ = codes_module._streamed_rows(np.vstack([wide[:150], -wide[:150]]))
+    assert halved and half.shape[0] == 150
+    for budget, rows in ((50, code.points), (2**10, code.points), (2**10, wide), (50, half), (2**10, half)):
+        monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", budget)
+        size, tiles = rows.shape[0], list(codes_module._row_blocks(rows.shape[0]))
+        streamed = np.concatenate(list(codes_module._gram_blocks(rows)))
+        assert streamed.size == size * (size - 1) // 2
+        dense = np.concatenate([
+            (rows[i:j] @ rows[lo:hi].T)[np.arange(i, j)[:, None] < np.arange(lo, hi)]
+            for i, j, lo, hi in tiles
+        ])
+        assert np.array_equal(np.sort(streamed).view(np.int64), np.sort(dense).view(np.int64))
+        assert any(lo > i for i, _, lo, _ in tiles) == (budget == 2**10 and size > 128)
 
 
 @st.composite
@@ -426,9 +446,10 @@ def test_constant_kernel_returning_a_scalar():
 
 @pytest.mark.parametrize("block_elems", [7, 50, codes_module._BLOCK_ELEMS])
 def test_separation_is_the_maximum_of_the_masked_blocks(monkeypatch, block_elems):
-    # separation reads whole row blocks with the diagonal overwritten; it must
-    # give exactly the maximum over the upper triangle of the same GEMMs,
-    # masked here to the columns past each row.
+    # separation is the maximum of the products _gram_blocks yields, those
+    # above the diagonal of each tile: exactly the maximum over the strict
+    # upper triangle of the same GEMMs, masked here to the columns past each
+    # row.
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", block_elems)
     rng = np.random.RandomState(79)
     pair = random_code(rng, 2, 5)
@@ -461,16 +482,16 @@ def _d8_shell(size, jitter=0.0):
 
 
 def _count_gram_blocks(monkeypatch):
-    # Count the GEMMs of each row block, keyed by the number of rows streamed
-    # (M, or M/2 for the half of an antipodal code) and the block's first
-    # row, through the one generator that makes them.
+    # Count the GEMMs of each tile, keyed by the number of rows streamed (M,
+    # or M/2 for the half of an antipodal code) and the tile's position in
+    # _row_blocks, through the one generator that makes them.
     calls = collections.Counter()
     blocks = codes_module._gram_blocks
 
-    def counted(rows, *args):
-        for item in blocks(rows, *args):
-            calls[rows.shape[0], item[0]] += 1
-            yield item
+    def counted(rows, start=0):
+        for k, vals in enumerate(blocks(rows, start), start):
+            calls[rows.shape[0], k] += 1
+            yield vals
 
     monkeypatch.setattr(codes_module, "_gram_blocks", counted)
     return calls
@@ -483,22 +504,22 @@ def _grid_values(vals):
 
 def _blocks_past_budget(code):
     # The rows the pass streams (one point of each pair {x, -x} for an
-    # antipodal code, else all of them) and the row starts of the block whose
-    # distinct products, with the running histogram's, would pass
-    # _BLOCK_ELEMS, and of every block after it.  A block's distinct products
+    # antipodal code, else all of them) and the positions in _row_blocks of
+    # the tile whose distinct products, with the running histogram's, would
+    # pass _BLOCK_ELEMS, and of every tile after it.  A block's distinct products
     # are its upper triangle's on the grid, with their negatives for a half,
     # and the running histogram starts from the half's distinct -<x, x>.
     half = codes_module._antipodal_half(code.points)
     rows = code.points if half is None else code.points[half]
     starts = []
     running = np.empty(0) if half is None else _grid_values(-np.einsum("ij,ij->i", rows, rows))
-    for i, j, lo, hi in codes_module._row_blocks(rows.shape[0]):
+    for k, (i, j, lo, hi) in enumerate(codes_module._row_blocks(rows.shape[0])):
         block = rows[i:j] @ rows[lo:hi].T
         own = _grid_values(block[np.arange(i, j)[:, None] < np.arange(lo, hi)])
         if half is not None:
             own = np.union1d(own, -own)
         if starts or running.size + own.size > codes_module._BLOCK_ELEMS:
-            starts.append(i)
+            starts.append(k)
         else:
             running = np.union1d(running, own)
     return rows.shape[0], starts
@@ -525,8 +546,8 @@ def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatc
         assert v.inside
         rows, past[name] = _blocks_past_budget(code)
         assert rows == (code.size if name == "jittered" else code.size // 2)
-        starts = [i for i, *_ in codes_module._row_blocks(rows)]
-        assert calls == {(rows, i): 2 if i in past[name][1:] else 1 for i in starts}
+        tiles = len(list(codes_module._row_blocks(rows)))
+        assert calls == {(rows, k): 2 if k in past[name][1:] else 1 for k in range(tiles)}
     # A rotated E8 keeps about 13 distinct grid values per row block and 30
     # in all, so only a budget of 7 is passed, at its first block; the
     # cross polytope's half has the values -1 and 0 only.
@@ -546,8 +567,8 @@ def test_a_code_whose_merged_products_fit_the_budget_is_streamed_once(monkeypatc
     calls = _count_gram_blocks(monkeypatch)
     code = generate("cross_polytope", 8)
     v = verify_strip(code, make_potential("riesz", alpha=1.0))
-    starts = [i for i, *_ in codes_module._row_blocks(code.size // 2)]
-    assert len(starts) == 6 and calls == {(code.size // 2, i): 1 for i in starts}
+    assert len(list(codes_module._row_blocks(code.size // 2))) == 6
+    assert calls == {(code.size // 2, k): 1 for k in range(6)}
     assert v.inside and v.attains_uub and v.nodes_cover_products
     ((values, counts),) = list(codes_module._gram_pass(code.points)[1])
     assert np.array_equal(values, [-1.0, 0.0]) and np.array_equal(counts, [8.0, 112.0])
@@ -581,7 +602,7 @@ def test_wide_rows_stream_in_tiles_of_several_rows(monkeypatch):
 
         s, hists = codes_module._gram_pass(code.points)
         hists = list(hists)
-        own = [codes_module._group(b, lower, halved) for _, b, lower in codes_module._gram_blocks(rows, halved)]
+        own = [codes_module._group(vals, halved) for vals in codes_module._gram_blocks(rows)]
         assert len(own) == len(tiles)
         # Against the dense Gram: the separation, and every product.
         off = (code.points @ code.points.T)[np.triu_indices(code.size, k=1)]
@@ -689,7 +710,7 @@ def test_antipodal_codes_stream_their_half_and_match_the_dense_gram(case):
         rows, halved, seed = codes_module._streamed_rows(code.points)
         s, hists = codes_module._gram_pass(code.points)
         hists = list(hists)
-        own = [codes_module._group(b, lower, halved) for _, b, lower in codes_module._gram_blocks(rows, halved)]
+        own = [codes_module._group(vals, halved) for vals in codes_module._gram_blocks(rows)]
         verdict = _outcome(code, pot)
         if isinstance(verdict, StripVerdict):
             assert separation(code) == verdict.separation == s
@@ -917,6 +938,11 @@ def test_load_code_rejects_bad_files(tmp_path):
     empty.write_text("# nothing here\n")
     with pytest.raises(ValueError, match="no points"):
         load_code(empty)
+
+    column = tmp_path / "column.txt"
+    column.write_text("1\n-1\n")
+    with pytest.raises(ValueError, match="dimension must be at least 2"):
+        load_code(column)
 
 
 def test_verify_strip_sharp_configurations():

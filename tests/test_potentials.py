@@ -116,6 +116,8 @@ def test_parse_potential():
     assert parse_potential("riesz:1", 5)(-1.0) == pytest.approx(0.5)
     assert parse_potential("gauss:2.5", 4)(1.0) == pytest.approx(1.0)
     assert parse_potential("log", 3)(0.0) == pytest.approx(-math.log(2.0))
+    assert repr(parse_potential("riesz:1", 5)) == "Potential(label='riesz:1', finite_at_one=False)"
+    assert repr(parse_potential("gauss:2.5", 4)) == "Potential(label='gauss:2.5', finite_at_one=True)"
 
 
 def test_parse_potential_rejects_garbage():

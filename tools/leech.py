@@ -18,8 +18,8 @@ attains both bounds and has its nodes covering the products, and the
 relative error is at most 1e-13.  It is the only full-size run of the
 wide-row tiles of ``codes._row_blocks`` and of a 196,560-row key pairing.
 One run of that command on a 2-core Intel Xeon (Python 3.11.7, numpy
-2.4.6) built the vectors in 0.13 s and ran ``verify_strip`` in 28.9 s at a
-peak RSS of 109.2 MB, so it is not part of the test suite;
+2.4.6) built the vectors in 0.07 s and ran ``verify_strip`` in 27.3 s at a
+peak RSS of 108.5 MB, so it is not part of the test suite;
 ``tests/test_codes.py`` checks the construction on a slice.
 """
 
