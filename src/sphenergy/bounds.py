@@ -24,18 +24,27 @@ L(n, r) = M; when M = L_m(n, s) the two bounds collapse and the
 certificate is sharp.
 
 ``uub`` runs its gates from the cheapest up, so a refused class stops
-before the costlier work:
+before the costlier work.  After the node residual each gate is a row
+(gate, value, allowed), and ``_require`` raises CertificationError at the
+first row whose value exceeds its limit.  A kernel gate's limit is its
+tolerance times the certificate's one scale, max(|f_0|, max |h| on the
+nodes): 2^k h is absolutely monotone whenever h is, and every value the
+gates read is linear in h, so 2^k h gets the same verdict.  In order:
 
 1. the quadrature's weights and exactness, and the node polynomial's
-   Gegenbauer coefficients (all positive);
-2. the node residual, f = h at the nodes, read from the quadrature's own
-   node table;
-3. the two grid gates, on one feasibility grid and one table of P_j
-   there: the node polynomial <= 0 on [-1, s] (up to ``POSITIVITY_TOL``
-   of its scale), then f_i <= 0 for i >= 1 and f >= h;
-4. agreement of the two bound forms.
+   Gegenbauer coefficients (all positive); neither depends on h;
+2. the node residual, |f - h| / max(1, |h|) at each node against
+   ``NODE_TOL``, read from the quadrature's own node table;
+3. the scale, which must be a normal float (a kernel that underflows at
+   the nodes leaves no relative limit to state);
+4. on one feasibility grid and one table of P_j there: the node
+   polynomial's maximum against ``POSITIVITY_TOL`` * max(1, max |f_m|),
+   its own scale; the largest f_i, i >= 1, against ``COEFF_TOL`` * scale;
+   the largest h - f against ``GAP_TOL`` * scale;
+5. the difference of the two bound forms against ``FORMS_TOL`` * |uub|.
 
-A class refused before the grid gates never builds the grid table.
+``strip`` adds ulb against uub + ``INVERSION_TOL`` * |uub|.  A class
+refused before the grid gates never builds the grid table.
 
 ``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
 ``recheck_certificate`` re-runs the gates of ``uub`` on the stored numbers.
@@ -44,6 +53,7 @@ A class refused before the grid gates never builds the grid table.
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -78,9 +88,9 @@ __all__ = [
     "recheck_certificate",
 ]
 
-# Grid tolerance for f - h >= 0 and coefficient tolerance for f_i <= 0; the
-# largest value of the node polynomial on the grid, over its scale
-# max(1, max |f_m|), that counts as <= 0.
+# Grid tolerance for f - h >= 0 and coefficient tolerance for f_i <= 0, both
+# relative to the certificate's scale; the largest value of the node
+# polynomial on the grid, over its scale max(1, max |f_m|), that counts as <= 0.
 GAP_TOL = 1e-9
 COEFF_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
@@ -94,15 +104,12 @@ NODE_TOL = 1e-10
 FORMS_TOL = 1e-10
 # Relative slack between M and L_m(n, s) computed in floating point: within
 # it the class is sharp (M = L), beyond it on the high side infeasible.
+# L >= D(n, 1) = 2, so the slack SHARP_TOL * L needs no floor.
 SHARP_TOL = 1e-9
-# ``strip``'s slack for ulb above uub, relative to max(1, |uub|), and the
-# absolute slack below 0 of a negative R_j in ``test_functions``.
+# ``strip``'s slack for ulb above uub, relative to |uub|, and the absolute
+# slack below 0 of a negative R_j in ``test_functions``.
 INVERSION_TOL = 1e-9
 SIGN_TOL = 1e-9
-
-
-def _sharp_slack(L: float) -> float:
-    return SHARP_TOL * max(1.0, L)
 
 
 def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
@@ -156,21 +163,21 @@ class LambdaChoice(NamedTuple):
 def lambda_star(g: GegenPoly, lev: GegenPoly) -> LambdaChoice:
     """Smallest multiplier making every interior coefficient of f nonpositive.
 
-    lambda = max over 1 <= i <= deg(g) of g_i / l_i, where l_i > 0 are the
-    Gegenbauer coefficients of the node polynomial.  Ties resolve to the
-    smallest index.  A constant interpolant, or one whose interior
-    coefficients are all nonpositive already, yields the degenerate choice
-    lambda = 0 (f = g_T is feasible on its own).
+    lambda = max over every stored index i >= 1 of g of g_i / l_i, where
+    l_i > 0 are the Gegenbauer coefficients of the node polynomial: a
+    coefficient of g is read however small it is, so that 2^k g gets 2^k
+    lambda.  Ties resolve to the smallest index.  A constant interpolant,
+    or one whose interior coefficients are all nonpositive already, yields
+    the degenerate choice lambda = 0 (f = g_T is feasible on its own).
     """
-    lcoef = lev.coeffs
+    lcoef, size = lev.coeffs, g.coeffs.size
     if g.dim != lev.dim:
         raise ValueError("interpolant and node polynomial live in different dimensions")
-    dg = g.degree
-    if dg > lcoef.size - 1:
-        raise ValueError(f"interpolant degree {dg} exceeds node polynomial degree {lcoef.size - 1}")
-    if dg < 1:
+    if size > lcoef.size:
+        raise ValueError(f"interpolant degree {size - 1} exceeds node polynomial degree {lcoef.size - 1}")
+    if size == 1:
         return LambdaChoice(0.0, 0, True)
-    ratios = g.coeffs[1 : dg + 1] / lcoef[1 : dg + 1]
+    ratios = g.coeffs[1:] / lcoef[1:size]
     arg = int(ratios.argmax()) + 1
     lam = float(ratios[arg - 1])
     if lam <= 0.0:
@@ -228,31 +235,45 @@ def _node_residual(
     return res, h_vals
 
 
-def _grid_table(n: int, s: float, nodes: np.ndarray, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    # The feasibility grid and P_0..P_degree on it, C-contiguous, so
-    # p.coeffs @ table is p(grid) as GegenPoly.__call__ computes it.
+def _failing(rows) -> list:
+    # The rows (gate, value, allowed) whose value is not at most its limit; NaN fails.
+    return [row for row in rows if not row[1] <= row[2]]
+
+
+def _require(rows) -> None:
+    """Raise CertificationError at the first failing row (gate, value, allowed)."""
+    for gate, value, allowed in _failing(rows)[:1]:
+        raise CertificationError(f"{gate} {value:.3e} exceeds the allowed {allowed:.3e}")
+
+
+def _gates(f: GegenPoly, lev: GegenPoly, pot: Potential, M: float, L: float, s: float,
+           nodes: np.ndarray, weights: np.ndarray, h_vals: np.ndarray):
+    """The gates after the node residual, cheapest first, as rows (gate,
+    value, allowed), with the feasibility report and the bound's quadrature
+    form, which is reported, and value form.  A scale that is not a normal
+    float raises before the grid table is built.  The table of P_j on the
+    grid is C-contiguous, so p.coeffs @ table is p(grid) as GegenPoly
+    computes it."""
+    scale = max(abs(float(f.coeffs[0])), float(abs(h_vals).max()))
+    if not scale >= sys.float_info.min:
+        raise CertificationError(f"kernel {pot.label} underflows at the nodes: scale {scale!r} is not a normal float")
     grid = _feasibility_grid(s, nodes)
-    return grid, gegenbauer_table(n, degree, grid)
-
-
-def _check_feasibility(f: GegenPoly, pot: Potential, grid: np.ndarray, table: np.ndarray) -> FeasibilityReport:
-    # Every f_i with i >= 1; a constant f has none, and passes.
+    table = gegenbauer_table(f.dim, max(f.coeffs.size, lev.coeffs.size) - 1, grid)
+    lev_vals = lev.coeffs @ table[: lev.coeffs.size]
     max_interior = float(f.coeffs[1:].max(initial=-math.inf))
-    min_gap = float((f.coeffs @ table - pot(grid)).min())
-    passed = max_interior <= COEFF_TOL and min_gap >= -GAP_TOL
-    return FeasibilityReport(max_interior, min_gap, grid.size, passed)
-
-
-def _bound_forms(f: GegenPoly, M: float, L: float, weights, h_vals) -> tuple[float, float]:
-    # The quadrature form, which is the bound reported, and the value form.
+    min_gap = float((f.coeffs @ table[: f.coeffs.size] - pot(grid)).min())
     f_one = f.at_one()
     value_form = M * (float(f.coeffs[0]) * M - f_one)
-    quad_form = M * (M / L - 1.0) * f_one + M * M * float(np.dot(weights, h_vals))
-    return quad_form, value_form
-
-
-def _agree(value: float, other: float) -> bool:
-    return abs(value - other) <= FORMS_TOL * max(1.0, abs(value))
+    value = M * (M / L - 1.0) * f_one + M * M * float(np.dot(weights, h_vals))
+    rows = [
+        ("node polynomial is positive on [-1, s]: max", float(lev_vals.max()),
+         POSITIVITY_TOL * max(1.0, float(abs(lev_vals).max()))),
+        ("feasibility failed: max interior coefficient", max_interior, COEFF_TOL * scale),
+        ("feasibility failed: max h - f on the grid", -min_gap, GAP_TOL * scale),
+        ("bound forms disagree by", abs(value - value_form), FORMS_TOL * abs(value)),
+    ]
+    feas = FeasibilityReport(max_interior, min_gap, grid.size, not _failing(rows[1:3]))
+    return rows, feas, value, value_form
 
 
 def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
@@ -266,7 +287,7 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
         raise ValueError(f"cardinality must be at least 2, got {M!r}")
     quad = quadrature(n, s)
     L = quad.N
-    if M > L + _sharp_slack(L):
+    if M > L + SHARP_TOL * L:
         raise InfeasibleClassError(
             f"no code class: M = {M!r} exceeds L_{quad.m}({n}, {s:g}) = {L!r}"
         )
@@ -281,25 +302,8 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
     node_res, h_vals = _node_residual(f, quad.table, pot, quad.nodes)
     if node_res > NODE_TOL:
         raise CertificationError(f"interpolation residual {node_res:.3e} at the nodes")
-
-    grid, table = _grid_table(n, quad.s, quad.nodes, quad.m)
-    lev_vals = lev.coeffs @ table
-    lev_max = float(lev_vals.max())
-    # Below POSITIVITY_TOL the scale max(1, max |lev|) cannot change the verdict.
-    if lev_max > POSITIVITY_TOL and lev_max > POSITIVITY_TOL * max(1.0, float(abs(lev_vals).max())):
-        raise CertificationError(f"node polynomial is positive on [-1, s]: max {lev_max:.3e}")
-    feas = _check_feasibility(f, pot, grid, table)
-    if not feas.passed:
-        raise CertificationError(
-            f"feasibility failed: max interior coefficient {feas.max_interior_coeff:.3e}, "
-            f"min gap {feas.min_gap:.3e} on {feas.grid_size} points"
-        )
-
-    value, value_form = _bound_forms(f, M, L, quad.weights, h_vals)
-    if not _agree(value, value_form):
-        raise CertificationError(
-            f"bound forms disagree: {value!r} vs {value_form!r}"
-        )
+    rows, feas, value, value_form = _gates(f, lev, pot, M, L, quad.s, quad.nodes, quad.weights, h_vals)
+    _require(rows)
     return BoundCertificate(
         dim=n,
         M=M,
@@ -345,14 +349,11 @@ class EnergyStrip(NamedTuple):
 
 def strip(n: int, M: float, s: float, pot: Potential) -> EnergyStrip:
     """Two-sided energy strip; ``sharp`` flags M = L_m(n, s) within ``SHARP_TOL``, and
-    ulb above uub by more than ``INVERSION_TOL`` * max(1, |uub|) raises CertificationError."""
+    ulb above uub by more than ``INVERSION_TOL`` * |uub| raises CertificationError."""
     cert = uub(n, M, s, pot)
     low, rule = ulb(n, M, pot)
-    if low > cert.uub_value + INVERSION_TOL * max(1.0, abs(cert.uub_value)):
-        raise CertificationError(
-            f"strip is inverted: ulb {low!r} exceeds uub {cert.uub_value!r}"
-        )
-    sharp = abs(cert.quad.N - float(M)) <= _sharp_slack(cert.quad.N)
+    _require([("strip is inverted: ulb", low, cert.uub_value + INVERSION_TOL * abs(cert.uub_value))])
+    sharp = abs(cert.quad.N - float(M)) <= SHARP_TOL * cert.quad.N
     return EnergyStrip(low, cert.uub_value, sharp, rule, cert)
 
 
@@ -420,33 +421,40 @@ def strip_to_dict(es: EnergyStrip) -> dict:
 
 def recheck_certificate(doc: dict) -> dict:
     """Re-run the gates of ``uub`` and ``quadrature``, through the same code,
-    on the numbers a ``certificate_to_dict`` document stores; ``ok`` is the verdict."""
+    on the numbers a ``certificate_to_dict`` document stores; ``ok`` is the
+    verdict of every row.  A stored f whose scale is not a normal float
+    raises CertificationError, as ``uub`` does."""
     inputs, rule = doc["inputs"], doc["quadrature"]
     n, M, s = int(inputs["n"]), float(inputs["M"]), float(inputs["s"])
     m, L = int(rule["m"]), float(rule["L"])
     nodes, weights = np.array(rule["nodes"], dtype=float), np.array(rule["weights"], dtype=float)
     pot = parse_potential(inputs["potential"], n)
     f = GegenPoly(n, doc["coefficients"]["f"])
+    lev = GegenPoly(n, doc["coefficients"]["levenshtein"])
     table = gegenbauer_table(n, max(m, f.coeffs.size - 1), nodes)
     node_res, h_vals = _node_residual(f, table, pot, nodes)
-    feas = _check_feasibility(f, pot, *_grid_table(n, s, nodes, f.coeffs.size - 1))
-    value, value_form = _bound_forms(f, M, L, weights, h_vals)
+    gates, feas, value, _ = _gates(f, lev, pot, M, L, s, nodes, weights, h_vals)
     residual = exactness_residual(table[: m + 1], weights, L)
     stored = float(doc["bounds"]["uub"])
-    report = {
+    rows = [
+        ("interpolation residual at the nodes", node_res, NODE_TOL),
+        *gates,
+        ("stored bound disagrees by", abs(value - stored), FORMS_TOL * abs(value)),
+        ("quadrature exactness residual", residual, EXACTNESS_TOL),
+    ]
+    failing = {gate for gate, _, _ in _failing(rows)}
+    return {
         "node_residual": node_res,
         "max_interior_coeff": feas.max_interior_coeff,
         "min_gap": feas.min_gap,
         "grid_size": feas.grid_size,
         "bound_recomputed": value,
         "bound_stored": stored,
-        "forms_agree": _agree(value, value_form),
-        "matches_stored": _agree(value, stored),
+        "forms_agree": "bound forms disagree by" not in failing,
+        "matches_stored": "stored bound disagrees by" not in failing,
         "quadrature_residual": residual,
+        "ok": not failing,
     }
-    report["ok"] = bool(node_res <= NODE_TOL and feas.passed and residual <= EXACTNESS_TOL
-                        and report["forms_agree"] and report["matches_stored"])
-    return report
 
 
 class TestFunctionReport(NamedTuple):

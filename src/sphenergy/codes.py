@@ -102,7 +102,7 @@ NORM_TOL = 1e-9
 # Largest distance from an inner product to a node that counts as on it.
 COVER_TOL = 1e-7
 
-# Slack of an energy inside or on the strip, times max(1, |uub|, |ulb|), and
+# Slack of an energy inside or on the strip, times max(|uub|, |ulb|), and
 # the distance below 1 at which a separation means coincident points.
 STRIP_TOL = 1e-9
 COINCIDENT_TOL = 1e-12
@@ -500,7 +500,7 @@ class StripVerdict(NamedTuple):
 
 def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
     """Compute E_h(C) and place it inside [ulb, uub] for (n, M, s(C)), with a
-    slack of ``STRIP_TOL`` * max(1, |uub|, |ulb|) for ``inside`` and ``attains_*``.
+    slack of ``STRIP_TOL`` * max(|uub|, |ulb|) for ``inside`` and ``attains_*``.
 
     The attainment diagnostics report whether every off-diagonal inner
     product sits on a quadrature node (``_nodes_cover``) and include the
@@ -523,7 +523,7 @@ def verify_strip(code: SphericalCode, pot: Potential) -> StripVerdict:
         _add_gegen_sums(code.dim, values, counts, sums)
         covered = covered and _nodes_cover(values, quad.nodes)
     e = 2.0 * half_energy
-    tol = STRIP_TOL * max(1.0, abs(es.uub), abs(es.ulb))
+    tol = STRIP_TOL * max(abs(es.uub), abs(es.ulb))
     inside = (es.ulb - tol <= e) and (e <= es.uub + tol)
     return StripVerdict(
         dim=code.dim,

@@ -64,9 +64,6 @@ __all__ = [
 # ``levenshtein.MAX_INTERVAL``, are sized from it.
 MAX_DEGREE = 64
 
-# A coefficient counts toward ``GegenPoly.degree`` above this share of the scale.
-DEGREE_TOL = 1e-14
-
 
 def _check_dim(n) -> int:
     if not isinstance(n, (int, np.integer)) or n < 2:
@@ -236,8 +233,8 @@ class GegenPoly(NamedTuple("GegenPoly", [("dim", int), ("coeffs", np.ndarray)]))
     """A polynomial held as coefficients over {P_i^{(n)}}, index = degree.
 
     ``coeffs`` is a read-only copy of the coefficients given.  Trailing zero
-    coefficients are allowed; ``degree`` reports the last index that is
-    nonzero relative to the coefficient scale.
+    coefficients are allowed, and every stored coefficient counts: no size
+    of coefficient is small enough to drop.
     """
 
     __slots__ = ()
@@ -252,12 +249,6 @@ class GegenPoly(NamedTuple("GegenPoly", [("dim", int), ("coeffs", np.ndarray)]))
             raise ValueError("coefficients must be finite")
         c.setflags(write=False)
         return super().__new__(cls, dim, c)
-
-    @property
-    def degree(self) -> int:
-        mag = abs(self.coeffs)
-        live = (mag > DEGREE_TOL * max(1.0, float(mag.max()))).nonzero()[0]
-        return int(live[-1]) if live.size else 0
 
     def __call__(self, t):
         table = gegenbauer_table(self.dim, self.coeffs.size - 1, t)

@@ -7,6 +7,9 @@ configurations whose energies are known exactly.
 
 import itertools
 import math
+import os
+import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -46,20 +49,24 @@ from sphenergy.levenshtein import (
 from sphenergy.orthopoly import GegenPoly, _newton_to_gegen, gegenbauer_table
 from sphenergy.potentials import make_potential, parse_potential
 
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+import gen  # noqa: E402
+
 S_EZ = 0.13285354259858992
+SWEEP_SEED_1 = gen.sweep_classes(1)
 
 
 def monomial_coeffs(n, poly):
     """Recover monomial coefficients of a GegenPoly by dense sampling."""
     grid = np.linspace(-1.0, 1.0, 257)
-    return np.polyfit(grid, poly(grid), poly.degree)[::-1]
+    return np.polyfit(grid, poly(grid), poly.coeffs.size - 1)[::-1]
 
 
 def test_hermite_two_simple_nodes_is_the_secant():
     pot = make_potential("newton", n=5)
     g = hermite_interpolant(5, pot, (-1.0, 0.0))
     # secant line through (-1, h(-1)) and (0, h(0)): g = h(0) + (h(0)-h(-1)) t
-    assert g.degree == 1
+    assert g.coeffs.size == 2
     assert g.coeffs[0] == pytest.approx(pot(0.0), abs=1e-14)
     assert g.coeffs[1] == pytest.approx(pot(0.0) - pot(-1.0), abs=1e-14)
 
@@ -283,8 +290,8 @@ def test_uub_extra_node_changes_nothing():
         # the spare node raises the interpolation degree by one but the
         # bound value is untouched
         m = base.quad.m
-        assert base.interpolant.degree == m - 1
-        assert refined.degree == m
+        assert base.interpolant.coeffs.size == m
+        assert refined.coeffs.size == m + 1
 
 
 def test_ulb_reference_values():
@@ -596,3 +603,72 @@ def test_every_gate_refuses_once_its_tolerance_is_stricter(monkeypatch, module, 
         strip(n, M, s, make_potential("newton", n=n))
     assert words in str(refusal.value)
     assert "\n" not in str(refusal.value)
+
+
+
+def scaled_kernel(pot, k):
+    # 2^k h: the product with a power of two is exact in binary64, and 2^k h
+    # is absolutely monotone whenever h is.
+    c = 2.0 ** k
+    return pot._replace(eval_fn=lambda t: c * pot.eval_fn(t), deriv_fn=lambda t: c * pot.deriv_fn(t))
+
+
+def strip_outcome(n, M, s, pot):
+    """(ulb, uub, sharp) of a certified strip, or the refusing gate's words
+    up to the first number."""
+    try:
+        es = strip(n, M, s, pot)
+    except (CertificationError, NumericsError) as exc:
+        return f"{type(exc).__name__}: {re.split(r'[-+]?[.]?[0-9]', str(exc))[0].rstrip()}"
+    return es.ulb, es.uub, es.sharp
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SWEEP_SEED_1), st.integers(-200, 200))
+def test_strip_of_two_to_the_k_times_h_is_two_to_the_k_times_the_strip(cls, k):
+    # Every gate but the node residual scales with the certificate, so the
+    # verdict, the refusing gate and every bit of a certified strip carry
+    # over.  The residual's per-node max(1, |h|) is not covariant; a class
+    # on which the two kernels part there shows nothing about the others.
+    pot = parse_potential(cls.kernel, cls.n)
+    base, other = (strip_outcome(cls.n, cls.M, cls.s, p) for p in (pot, scaled_kernel(pot, k)))
+    residual = "CertificationError: interpolation residual"
+    assume((base == residual) == (other == residual))
+    if isinstance(base, str):
+        assert other == base
+    else:
+        ulb_value, uub_value, sharp = base
+        assert other == (ulb_value * 2.0 ** k, uub_value * 2.0 ** k, sharp)
+
+
+def test_a_kernel_that_underflows_at_every_node_is_refused():
+    # Newton's h = (2 - 2t)^(-(n - 2)/2) is 0 in binary64 at the one node
+    # s = -1/2 of I_1 at n = 3000, so every gate's limit would be 0.
+    with pytest.raises(CertificationError, match="newton underflows at the nodes: scale 0.0"):
+        strip(3000, 2, -0.5, make_potential("newton", n=3000))
+
+
+@st.composite
+def separation_steps(draw):
+    n = draw(st.sampled_from([3, 5, 8, 24]))
+    lo, hi = interval_for(n, 2).lo, interval_for(n, 9).hi
+    s1, s2 = sorted(draw(st.floats(lo, hi)) for _ in range(2))
+    top = lev_value(n, find_interval(n, s1), s1)
+    M = 2.0 + draw(st.floats(0.0, 1.0)) * (top - 2.0)
+    return n, M, s1, s2, draw(st.sampled_from(["newton", "gauss:2", "gauss:1000", "riesz:1", "riesz:3.5"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(separation_steps())
+def test_uub_is_positive_and_nondecreasing_in_s_with_m_fixed(case):
+    # A code with separation at most s1 has it at most s2 too, and every
+    # kernel here is positive.  gauss:1000 is far below scale 1 at most
+    # nodes, where a gate with an absolute limit passes negative bounds.
+    # Equal up to the bound forms' tolerance counts.
+    n, M, s1, s2, kernel = case
+    pot = parse_potential(kernel, n)
+    try:
+        low, high = (uub(n, M, s, pot).uub_value for s in (s1, s2))
+    except (CertificationError, NumericsError):
+        assume(False)
+    assert 0.0 < low <= high + sphenergy.bounds.FORMS_TOL * high

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import sphenergy
-from sphenergy.bounds import COEFF_TOL, GAP_TOL, NODE_TOL, recheck_certificate
+from sphenergy.bounds import COEFF_TOL, GAP_TOL, NODE_TOL, recheck_certificate, ulb
 from sphenergy.cli import main
 from sphenergy.levenshtein import EXACTNESS_TOL, interval_for
+from sphenergy.potentials import parse_potential
 
 SCHEMA_KEYS = {
     "meta",
@@ -367,6 +368,24 @@ def test_recheck_rejects_each_gate(capsys):
     assert swapped["min_gap"] < -GAP_TOL
     assert swapped["forms_agree"] is False
     assert recheck(inflate_uub)["matches_stored"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "-n", "200", "-M", "300", "-s", "0.1"],
+    ["strip", "-n", "3", "-M", "5", "-s", "0.6", "-h", "gauss:1000"],
+], ids=["newton-n200", "gauss1000"])
+def test_a_kernel_far_below_scale_one_gets_a_true_certificate(capsys, argv):
+    # The kernels' values at the nodes are near 5e-26 and 4e-174, so a gate
+    # with an absolute limit would pass uub < 0 here: f_i > 0 that lambda
+    # missed, or a gap far below the kernel.
+    doc, _ = run_json(capsys, *argv, "--format", "json")
+    n, M = doc["inputs"]["n"], doc["inputs"]["M"]
+    pot = parse_potential(doc["inputs"]["potential"], n)
+    f = doc["coefficients"]["f"]
+    scale = max(abs(f[0]), float(pot(np.array(doc["quadrature"]["nodes"])).max()))
+    assert max(f[1:]) <= COEFF_TOL * scale
+    low = doc["bounds"]["ulb"] if "ulb" in doc["bounds"] else ulb(n, M, pot)[0]
+    assert 0.0 <= low <= doc["bounds"]["uub"]
 
 
 def test_version_flag(capsys):

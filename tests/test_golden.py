@@ -32,12 +32,13 @@ A change that must leave every output as it was is checked with
     PYTHONPATH=src python tests/test_golden.py --fingerprint > after.txt
 
 run once on each tree: the two files must not ``diff``.  One line per case
-gives ``strip`` on every class-sweep class of seeds 1-3 and on every
-``REFUSAL_CLASSES`` class, then stdout, stderr and the exit code of every
-command in ``CASES``, then ``verify_strip`` on every code-check code of
-seeds 1-3 under its own kernel and on every ``FINGERPRINT_CODES`` code
-under newton: the separation, energy, moments, ulb and uub, and the
-verdict's flags, or the refusal.  The last line is a sha256 of the lines
+gives ``strip`` on every class-sweep class of seeds 1-3, on every
+``REFUSAL_CLASSES`` class and on every ``LARGE_N_CLASSES`` class, then
+stdout, stderr and the exit code of every command in ``CASES``, then
+``verify_strip`` on every code-check code of seeds 1-3 under its own
+kernel and on every ``FINGERPRINT_CODES`` code under newton: the
+separation, energy, moments, ulb and uub, and the verdict's flags, or the
+refusal.  The last line is a sha256 of the lines
 above it.  To compare with another tree, run this file with ``PYTHONPATH``
 set to that tree's ``src``.
 """
@@ -60,7 +61,7 @@ from sphenergy.bounds import strip
 from sphenergy.cli import main
 from sphenergy.codes import SphericalCode, generate, verify_strip
 from sphenergy.errors import CertificationError, NumericsError
-from sphenergy.levenshtein import dgs_number, interval_for
+from sphenergy.levenshtein import dgs_number, interval_for, lev_value
 from sphenergy.potentials import parse_potential
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -260,6 +261,15 @@ def test_every_pinned_bound_has_its_exact_value():
     assert sidecar == {}
 
 
+# Classes at the midpoint of I_m with M = floor(L_m(n, s)), that ``--fingerprint``
+# runs after the refusal classes: at these n the kernels' values at the nodes
+# run from 0 in binary64 (newton at n = 3000) up to about 1e33.
+LARGE_N_CLASSES = [
+    (n, m, kernel) for n in (100, 200, 400, 1000, 3000) for m in range(1, 13)
+    for kernel in ("newton", "gauss:1", "riesz:1")
+]
+
+
 # Named codes that ``--fingerprint`` verifies under newton, after the code-check set.
 FINGERPRINT_CODES = [("cross_polytope", 5), ("cross_polytope", 24), ("icosahedron", None), ("simplex", 7),
                      ("hexagon", None)]
@@ -274,6 +284,10 @@ def fingerprint_lines():
     for n, m, kernel in REFUSAL_CLASSES:
         iv = interval_for(n, m)
         classes.append((n, dgs_number(n, m), 0.5 * (iv.lo + iv.hi), kernel))
+    for n, m, kernel in LARGE_N_CLASSES:
+        iv = interval_for(n, m)
+        s = 0.5 * (iv.lo + iv.hi)
+        classes.append((n, math.floor(lev_value(n, iv, s)), s, kernel))
     for n, M, s, kernel in classes:
         try:
             es = strip(n, M, s, parse_potential(kernel, n))

@@ -265,11 +265,12 @@ def test_greatest_zero_interlacing_chain():
 
 def test_gegen_poly_eval_and_degree():
     poly = GegenPoly(5, (0.5, -1.0, 0.25))
-    assert poly.degree == 2
+    assert poly.coeffs.size == 3
     assert poly.at_one() == pytest.approx(-0.25)
     assert poly(1.0) == pytest.approx(sum(poly.coeffs), abs=1e-13)
-    trimmed = GegenPoly(5, (1.0, 2.0, 0.0, 1e-18))
-    assert trimmed.degree == 1
+    # Every stored coefficient is kept, however small.
+    tiny = GegenPoly(5, (1.0, 2.0, 0.0, 1e-18))
+    assert tiny.coeffs.tolist() == [1.0, 2.0, 0.0, 1e-18]
 
 
 def test_gegen_poly_call_matches_tensordot_bitwise():
@@ -314,7 +315,7 @@ def test_product_to_gegen_known_expansion():
 
 def test_product_to_gegen_empty_is_one():
     poly = product_to_gegen(4, [])
-    assert poly.degree == 0
+    assert poly.coeffs.size == 1
     assert poly.coeffs[0] == 1.0
 
 
