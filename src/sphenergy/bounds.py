@@ -47,7 +47,8 @@ gates read is linear in h, so 2^k h gets the same verdict.  In order:
 refused before the grid gates never builds the grid table.
 
 ``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
-``recheck_certificate`` re-runs the gates of ``uub`` on the stored numbers.
+``recheck_certificate`` re-runs the gates of ``uub``, and of a strip's lower
+side, on the stored numbers.
 """
 
 from __future__ import annotations
@@ -422,8 +423,12 @@ def strip_to_dict(es: EnergyStrip) -> dict:
 def recheck_certificate(doc: dict) -> dict:
     """Re-run the gates of ``uub`` and ``quadrature``, through the same code,
     on the numbers a ``certificate_to_dict`` document stores; ``ok`` is the
-    verdict of every row.  A stored f whose scale is not a normal float
-    raises CertificationError, as ``uub`` does."""
+    verdict of every row.  A ``strip_to_dict`` document adds the rows of its
+    lower side: the stored ulb against M^2 sum_i rho_i h(alpha_i) on the
+    stored rule, that rule's exactness, its positive weights, its L against
+    M within ``SHARP_TOL``, and ulb against uub + ``INVERSION_TOL`` * |uub|.
+    A stored f whose scale is not a normal float raises CertificationError,
+    as ``uub`` does."""
     inputs, rule = doc["inputs"], doc["quadrature"]
     n, M, s = int(inputs["n"]), float(inputs["M"]), float(inputs["s"])
     m, L = int(rule["m"]), float(rule["L"])
@@ -442,6 +447,20 @@ def recheck_certificate(doc: dict) -> dict:
         ("stored bound disagrees by", abs(value - stored), FORMS_TOL * abs(value)),
         ("quadrature exactness residual", residual, EXACTNESS_TOL),
     ]
+    if "ulb_quadrature" in doc:
+        low = doc["ulb_quadrature"]
+        low_nodes, low_weights = np.array(low["nodes"], dtype=float), np.array(low["weights"], dtype=float)
+        low_L = float(low["L"])
+        low_value = M * M * float(np.dot(low_weights, pot(low_nodes)))
+        stored_low = float(doc["bounds"]["ulb"])
+        rows += [
+            ("stored lower bound disagrees by", abs(low_value - stored_low), FORMS_TOL * abs(low_value)),
+            ("lower quadrature exactness residual", exactness_residual(
+                gegenbauer_table(n, int(low["m"]), low_nodes), low_weights, low_L), EXACTNESS_TOL),
+            ("nonpositive lower quadrature weights", int((low_weights <= 0.0).sum()), 0),
+            ("lower quadrature's L differs from M by", abs(low_L - M), SHARP_TOL * M),
+            ("strip is inverted: ulb", stored_low, stored + INVERSION_TOL * abs(stored)),
+        ]
     failing = {gate for gate, _, _ in _failing(rows)}
     return {
         "node_residual": node_res,

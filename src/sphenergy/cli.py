@@ -4,7 +4,8 @@ Subcommands: bound, strip, verify, table, testfn.  The potential flag is
 ``-h`` (so ``--help`` prints usage), taken by all but testfn; text output
 rounds to 6 significant digits while JSON output carries full double
 precision and is byte-for-byte reproducible for identical flags (no
-timestamps).
+timestamps).  Each subcommand builds its result once, as a JSON document
+and as text lines, and ``_emit`` prints the one that ``--format`` selects.
 
 Exit codes: 0 success, 1 stdout was closed before the output was written
 (the reader of a pipe exited first), 2 the class (n, M, s) is infeasible,
@@ -138,51 +139,47 @@ def _parse_separation(raw: str, n: int) -> float:
         raise ValueError(f"bad separation {raw!r}") from None
 
 
-def _emit_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=False))
+def _emit(args, doc: dict, lines: list[str]) -> None:
+    # The one place that reads --format and prints a result.
+    print(json.dumps(doc, indent=2, sort_keys=False) if args.format == "json" else "\n".join(lines))
 
 
-def _print_cert_text(cert: BoundCertificate) -> None:
-    quad = cert.quad
-    print(f"n = {cert.dim}  M = {_fmt(cert.M)}  s = {_fmt(cert.s)}  potential = {cert.potential.label}")
+def _cert_lines(cert: BoundCertificate) -> list[str]:
+    quad, feas = cert.quad, cert.feasibility
     tie = f" (tie with m = {quad.interval.tie_with})" if quad.interval.tie_with else ""
-    print(f"interval: m = {quad.m} (k = {quad.interval.k}, eps = {quad.interval.eps}){tie}")
-    print(f"L_m(n, s) = {_fmt(quad.N)}")
-    print(f"nodes   = [{', '.join(_fmt(x) for x in quad.nodes)}]")
-    print(f"weights = [{', '.join(_fmt(x) for x in quad.weights)}]")
     degen = "  [degenerate]" if cert.degenerate else f"  (argmax i = {cert.lam_argmax})"
-    print(f"lambda = {_fmt(cert.lam)}{degen}")
-    feas = cert.feasibility
-    print(
+    return [
+        f"n = {cert.dim}  M = {_fmt(cert.M)}  s = {_fmt(cert.s)}  potential = {cert.potential.label}",
+        f"interval: m = {quad.m} (k = {quad.interval.k}, eps = {quad.interval.eps}){tie}",
+        f"L_m(n, s) = {_fmt(quad.N)}",
+        f"nodes   = [{', '.join(_fmt(x) for x in quad.nodes)}]",
+        f"weights = [{', '.join(_fmt(x) for x in quad.weights)}]",
+        f"lambda = {_fmt(cert.lam)}{degen}",
         f"feasibility: max f_i (i >= 1) = {feas.max_interior_coeff:.3e}, "
-        f"min f - h = {feas.min_gap:.3e} on {feas.grid_size} points"
-    )
-    print(f"uub = {_fmt(cert.uub_value)}")
+        f"min f - h = {feas.min_gap:.3e} on {feas.grid_size} points",
+        f"uub = {_fmt(cert.uub_value)}",
+    ]
+
+
+def _strip_line(es) -> str:
+    return f"[{_fmt(es.ulb)}, {_fmt(es.uub)}]" + ("  [sharp]" if es.sharp else "")
 
 
 def cmd_bound(args) -> int:
-    n = args.dim
-    pot = parse_potential(args.potential, n)
-    s = _parse_separation(args.separation, n)
-    cert = uub(n, args.points, s, pot)
-    if args.format == "json":
-        _emit_json(certificate_to_dict(cert))
-    else:
-        _print_cert_text(cert)
+    pot = parse_potential(args.potential, args.dim)
+    cert = uub(args.dim, args.points, _parse_separation(args.separation, args.dim), pot)
+    _emit(args, certificate_to_dict(cert), _cert_lines(cert))
     return 0
 
 
 def cmd_strip(args) -> int:
-    n = args.dim
-    pot = parse_potential(args.potential, n)
-    s = _parse_separation(args.separation, n)
-    es = strip(n, args.points, s, pot)
-    if args.format == "json":
-        _emit_json(strip_to_dict(es))
-    else:
-        _print_cert_text(es.uub_cert)
-        print(f"ulb = {_fmt(es.ulb)}  (r = {_fmt(es.ulb_rule.s)}, m = {es.ulb_rule.m})")
-        print(f"strip = [{_fmt(es.ulb)}, {_fmt(es.uub)}]" + ("  [sharp]" if es.sharp else ""))
+    pot = parse_potential(args.potential, args.dim)
+    es = strip(args.dim, args.points, _parse_separation(args.separation, args.dim), pot)
+    _emit(args, strip_to_dict(es), [
+        *_cert_lines(es.uub_cert),
+        f"ulb = {_fmt(es.ulb)}  (r = {_fmt(es.ulb_rule.s)}, m = {es.ulb_rule.m})",
+        f"strip = {_strip_line(es)}",
+    ])
     return 0
 
 
@@ -201,34 +198,26 @@ def cmd_verify(args) -> int:
     code = load_code(args.code) if args.code else _parse_generate(args.generate)
     pot = parse_potential(args.potential, code.dim)
     verdict = verify_strip(code, pot)
-    es = verdict.strip
-    if args.format == "json":
-        doc = strip_to_dict(es)
-        doc["verify"] = {
-            "M": verdict.size,
-            "separation": verdict.separation,
-            "energy": verdict.energy,
-            "inside": verdict.inside,
-            "attains_uub": verdict.attains_uub,
-            "attains_ulb": verdict.attains_ulb,
-            "nodes_cover_products": verdict.nodes_cover_products,
-            "moments": verdict.moments.tolist(),
-        }
-        _emit_json(doc)
-    else:
-        print(f"n = {verdict.dim}  M = {verdict.size}  s(C) = {_fmt(verdict.separation)}  "
-              f"potential = {pot.label}")
-        print(f"energy = {_fmt(verdict.energy)}")
-        print(f"strip  = [{_fmt(es.ulb)}, {_fmt(es.uub)}]" + ("  [sharp]" if es.sharp else ""))
-        marks = []
-        if verdict.attains_ulb:
-            marks.append("attains ulb")
-        if verdict.attains_uub:
-            marks.append("attains uub")
-        if verdict.nodes_cover_products:
-            marks.append("inner products on quadrature nodes")
-        status = "inside strip" if verdict.inside else "OUTSIDE STRIP"
-        print(f"verdict: {status}" + (f" ({'; '.join(marks)})" if marks else ""))
+    doc = strip_to_dict(verdict.strip)
+    doc["verify"] = {
+        "M": verdict.size,
+        "separation": verdict.separation,
+        "energy": verdict.energy,
+        "inside": verdict.inside,
+        "attains_uub": verdict.attains_uub,
+        "attains_ulb": verdict.attains_ulb,
+        "nodes_cover_products": verdict.nodes_cover_products,
+        "moments": verdict.moments.tolist(),
+    }
+    marks = [mark for flag, mark in ((verdict.attains_ulb, "attains ulb"), (verdict.attains_uub, "attains uub"),
+                                     (verdict.nodes_cover_products, "inner products on quadrature nodes")) if flag]
+    status = "inside strip" if verdict.inside else "OUTSIDE STRIP"
+    _emit(args, doc, [
+        f"n = {verdict.dim}  M = {verdict.size}  s(C) = {_fmt(verdict.separation)}  potential = {pot.label}",
+        f"energy = {_fmt(verdict.energy)}",
+        f"strip  = {_strip_line(verdict.strip)}",
+        f"verdict: {status}" + (f" ({'; '.join(marks)})" if marks else ""),
+    ])
     if not verdict.inside:
         raise CertificationError("code energy falls outside its certified strip")
     return 0
@@ -262,16 +251,15 @@ def table_rows(nmin: int = 2, nmax: int = 10, potential_spec: str = "newton") ->
 
 def cmd_table(args) -> int:
     rows = table_rows(args.nmin, args.nmax, args.potential)
-    if args.format == "json":
-        label = parse_potential(args.potential, args.nmin).label
-        _emit_json({"meta": DOC_META, "potential": label, "rows": rows})
-        return 0
+    label = parse_potential(args.potential, args.nmin).label
+
     def span(lo, hi):
         return _fmt(lo) if lo == hi else f"{_fmt(lo)}..{_fmt(hi)}"
-    print(f"{'n':>3} {'M':>10} {'m':>3} {'L_m(n,1/2)':>12} {'ulb':>18} {'uub':>18}")
-    for r in rows:
-        print(f"{r['n']:>3} {span(r['M_lo'], r['M_hi']):>10} {r['m']:>3} {_fmt(r['L']):>12} "
-              f"{span(r['ulb_lo'], r['ulb_hi']):>18} {span(r['uub_lo'], r['uub_hi']):>18}")
+    _emit(args, {"meta": DOC_META, "potential": label, "rows": rows}, [
+        f"{'n':>3} {'M':>10} {'m':>3} {'L_m(n,1/2)':>12} {'ulb':>18} {'uub':>18}",
+        *(f"{r['n']:>3} {span(r['M_lo'], r['M_hi']):>10} {r['m']:>3} {_fmt(r['L']):>12} "
+          f"{span(r['ulb_lo'], r['ulb_hi']):>18} {span(r['uub_lo'], r['uub_hi']):>18}" for r in rows),
+    ])
     return 0
 
 
@@ -279,26 +267,25 @@ def cmd_testfn(args) -> int:
     n = args.dim
     s = _parse_separation(args.separation, n)
     report = test_functions(n, s, args.jmax)
-    if args.format == "json":
-        _emit_json({
-            "meta": DOC_META,
-            "inputs": {"n": n, "s": report.s, "jmax": args.jmax},
-            "m": report.m,
-            "threshold": report.threshold,
-            "values": [[j, v] for j, v in report.values],
-            "optimal_in_range": report.optimal_in_range,
-            "first_negative": report.first_negative,
-        })
-        return 0
-    print(f"n = {n}  s = {_fmt(report.s)}  m = {report.m}  sign test from j = {report.threshold}")
-    for j, v in report.values:
-        print(f"R_{j} = {_fmt(v)}")
     if report.optimal_in_range:
-        print(f"verdict: optimal in range (R_j >= 0 for {report.threshold} <= j <= {args.jmax})")
+        verdict = f"optimal in range (R_j >= 0 for {report.threshold} <= j <= {args.jmax})"
     elif report.first_negative is None:
-        print(f"verdict: not settled (the sign test starts above --jmax {args.jmax})")
+        verdict = f"not settled (the sign test starts above --jmax {args.jmax})"
     else:
-        print(f"verdict: not settled (R_{report.first_negative} < 0)")
+        verdict = f"not settled (R_{report.first_negative} < 0)"
+    _emit(args, {
+        "meta": DOC_META,
+        "inputs": {"n": n, "s": report.s, "jmax": args.jmax},
+        "m": report.m,
+        "threshold": report.threshold,
+        "values": [[j, v] for j, v in report.values],
+        "optimal_in_range": report.optimal_in_range,
+        "first_negative": report.first_negative,
+    }, [
+        f"n = {n}  s = {_fmt(report.s)}  m = {report.m}  sign test from j = {report.threshold}",
+        *(f"R_{j} = {_fmt(v)}" for j, v in report.values),
+        f"verdict: {verdict}",
+    ])
     return 0
 
 

@@ -331,6 +331,33 @@ def test_recheck_round_trip(capsys, command, n, M, s, kernel):
     shaved = json.loads(json.dumps(doc))
     shaved["coefficients"]["f"][0] *= 0.999
     assert recheck_certificate(shaved)["ok"] is False
+    if command == "bound":
+        return
+
+    # The lower side: its stored value, its place below uub, and its rule.
+    # The largest weight is the one tampered: the smallest can lie below
+    # the exactness tolerance.
+    bounds, weights = doc["bounds"], doc["ulb_quadrature"]["weights"]
+    heavier = [w * 1.001 if w == max(weights) else w for w in weights]
+    for part, key, value in [("bounds", "ulb", bounds["ulb"] * 1.001),
+                             ("bounds", "ulb", bounds["uub"] + abs(bounds["uub"])),
+                             ("ulb_quadrature", "weights", heavier)]:
+        tampered = json.loads(json.dumps(doc))
+        tampered[part][key] = value
+        assert recheck_certificate(tampered)["ok"] is False, (key, value)
+
+
+def test_recheck_refuses_a_lower_rule_for_another_cardinality(capsys):
+    # The rule of M = 11 is exact and positive, and the stored ulb is its
+    # sum at M = 12, below uub: only its L tells it from the rule of M = 12.
+    doc, _ = run_json(capsys, "strip", "-n", "3", "-M", "12", "-s", "0.5", "--format", "json")
+    assert recheck_certificate(doc)["ok"] is True
+    pot = parse_potential("newton", 3)
+    _, rule = ulb(3, 11, pot)
+    doc["ulb_quadrature"].update(m=rule.m, L=rule.N, nodes=rule.nodes.tolist(), weights=rule.weights.tolist())
+    doc["bounds"]["ulb"] = 144.0 * float(np.dot(rule.weights, pot(rule.nodes)))
+    assert doc["bounds"]["ulb"] < doc["bounds"]["uub"]
+    assert recheck_certificate(doc)["ok"] is False
 
 
 def test_recheck_rejects_each_gate(capsys):

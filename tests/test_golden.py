@@ -34,7 +34,8 @@ A change that must leave every output as it was is checked with
 run once on each tree: the two files must not ``diff``.  One line per case
 gives ``strip`` on every class-sweep class of seeds 1-3, on every
 ``REFUSAL_CLASSES`` class and on every ``LARGE_N_CLASSES`` class, then
-stdout, stderr and the exit code of every command in ``CASES``, then
+stdout, stderr and the exit code of every command in ``CASES``, each
+followed by the same command without ``--format json`` (its text), then
 ``verify_strip`` on every code-check code of seeds 1-3 under its own
 kernel and on every ``FINGERPRINT_CODES`` code under newton: the
 separation, energy, moments, ulb and uub, and the verdict's flags, or the
@@ -295,11 +296,13 @@ def fingerprint_lines():
         except (CertificationError, NumericsError) as exc:
             verdict = f"{type(exc).__name__}: {exc}"
         yield f"strip {n} {M!r} {s!r} {kernel}: {verdict}"
-    for _, argv in CASES:
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        yield f"{' '.join(argv)}: exit {code} stdout {out.getvalue()!r} stderr {err.getvalue()!r}"
+    for _, json_argv in CASES:
+        # The command as stored (JSON), then without --format json (text).
+        for argv in (json_argv, json_argv[: json_argv.index("--format")]):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            yield f"{' '.join(argv)}: exit {code} stdout {out.getvalue()!r} stderr {err.getvalue()!r}"
     codes = [(c.name, SphericalCode(c.points), c.kernel) for seed in (1, 2, 3) for c in gen.check_codes(seed)]
     codes += [(f"{kind}:{n}" if n else kind, generate(kind, n), "newton") for kind, n in FINGERPRINT_CODES]
     for name, code, kernel in codes:

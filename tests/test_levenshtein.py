@@ -230,6 +230,30 @@ def test_index_and_multiset_refusals(call, error, words):
         call()
 
 
+@pytest.mark.parametrize("m", [5, 4], ids=["eps0", "eps1"])
+def test_a_vanishing_lev_denominator_is_a_numerics_error(monkeypatch, m):
+    # With every Q_j(s) = 0 the denominator (1 - s) Q_k(s), or
+    # (1 - s) (Q_k(s) + Q_{k+1}(s)), is exactly 0.
+    iv = interval_for(4, m)
+    monkeypatch.setattr(sphenergy.levenshtein, "gegenbauer_terms", lambda n, k, s: [0.0] * k)
+    with pytest.raises(NumericsError, match=f"degenerate denominator in L_{m}"):
+        lev_value(4, iv, 0.5 * (iv.lo + iv.hi))
+
+
+@pytest.mark.parametrize("zeros, words", [
+    ([-1.5], "node -1.5 lies below -1"),
+    ([0.1, 0.0], "nodes are not strictly increasing: 1 of 2 gaps <= 0"),
+], ids=["below-minus-one", "not-increasing"])
+def test_lev_poly_roots_refuses_misplaced_zeros(monkeypatch, zeros, words):
+    # The shifted Jacobi eigensolve is replaced by one that returns the given
+    # zeros below a top zero at s itself.
+    iv = interval_for(4, 5)
+    s = 0.5 * (iv.lo + iv.hi)
+    monkeypatch.setattr(sphenergy.levenshtein, "jacobi_zeros", lambda params, k, fixed: np.array([*zeros, fixed]))
+    with pytest.raises(NumericsError, match=words):
+        lev_poly_roots(4, iv, s)
+
+
 def test_quadrature_orthonormal_case_is_exact():
     for n in (3, 5, 8, 10):
         rule = quadrature(n, 0.0)
