@@ -24,16 +24,19 @@ L(n, r) = M; when M = L_m(n, s) the two bounds collapse and the
 certificate is sharp.
 
 ``uub`` runs its gates from the cheapest up, so a refused class stops
-before the costlier work.  After the node residual each gate is a row
-(gate, value, allowed), and ``_require`` raises CertificationError at the
-first row whose value exceeds its limit.  A kernel gate's limit is its
-tolerance times the certificate's one scale, max(|f_0|, max |h| on the
-nodes): 2^k h is absolutely monotone whenever h is, and every value the
-gates read is linear in h, so 2^k h gets the same verdict.  In order:
+before the costlier work.  Every tolerance gate is a row (gate, value,
+allowed), and ``errors._require`` raises CertificationError at the first
+row whose value is not at most its limit, NaN included.  A kernel gate's
+limit is its tolerance times the certificate's one scale, max(|f_0|,
+max |h| on the nodes): 2^k h is absolutely monotone whenever h is, and
+every value the gates read is linear in h, so 2^k h gets the same
+verdict.  In order:
 
-1. the quadrature's weights and exactness, and the node polynomial's
-   Gegenbauer coefficients (all positive); neither depends on h;
-2. the node residual, |f - h| / max(1, |h|) at each node against
+1. the quadrature's rows (``levenshtein._rule_rows``: the count of
+   weights <= 0 against 0, exactness against ``EXACTNESS_TOL``), and the
+   node polynomial's Gegenbauer coefficients (all positive); neither
+   depends on h;
+2. the node residual row, |f - h| / max(1, |h|) at each node against
    ``NODE_TOL``, read from the quadrature's own node table;
 3. the scale, which must be a normal float (a kernel that underflows at
    the nodes leaves no relative limit to state);
@@ -43,12 +46,12 @@ gates read is linear in h, so 2^k h gets the same verdict.  In order:
    the largest h - f against ``GAP_TOL`` * scale;
 5. the difference of the two bound forms against ``FORMS_TOL`` * |uub|.
 
-``strip`` adds ulb against uub + ``INVERSION_TOL`` * |uub|.  A class
-refused before the grid gates never builds the grid table.
+``strip`` adds the row of ulb against uub + ``INVERSION_TOL`` * |uub|.  A
+class refused before the grid gates never builds the grid table.
 
 ``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
-``recheck_certificate`` re-runs the gates of ``uub``, and of a strip's lower
-side, on the stored numbers.
+``recheck_certificate`` builds the same rows, and those of a strip's lower
+side, from the stored numbers and returns them as its report.
 """
 
 from __future__ import annotations
@@ -60,15 +63,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .errors import CertificationError, InfeasibleClassError
-from .levenshtein import (
-    EXACTNESS_TOL,
-    QuadratureRule,
-    exactness_residual,
-    levenshtein_poly,
-    quadrature,
-    solve_cardinality,
-)
+from .errors import CertificationError, InfeasibleClassError, _failing, _require
+from .levenshtein import QuadratureRule, _rule_rows, levenshtein_poly, quadrature, solve_cardinality
 from .orthopoly import GegenPoly, _check_degree, _newton_to_gegen, gegenbauer_table
 from .potentials import Potential, parse_potential
 
@@ -227,24 +223,18 @@ def _feasibility_grid(s: float, nodes: np.ndarray) -> np.ndarray:
 
 def _node_residual(
     f: GegenPoly, table: np.ndarray, pot: Potential, nodes: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[tuple, np.ndarray]:
+    # The row of max |f - h| / max(1, |h|) over the nodes, and h there.
     # table[j] = P_j(nodes) for j up to at least deg f, C-contiguous, so
     # f.coeffs @ table[:len] is f(nodes) as GegenPoly.__call__ computes it.
     h_vals = pot(nodes)
     f_vals = f.coeffs @ table[: f.coeffs.size]
     res = float((abs(f_vals - h_vals) / np.maximum(1.0, abs(h_vals))).max())
-    return res, h_vals
+    return ("interpolation residual", res, NODE_TOL), h_vals
 
 
-def _failing(rows) -> list:
-    # The rows (gate, value, allowed) whose value is not at most its limit; NaN fails.
-    return [row for row in rows if not row[1] <= row[2]]
-
-
-def _require(rows) -> None:
-    """Raise CertificationError at the first failing row (gate, value, allowed)."""
-    for gate, value, allowed in _failing(rows)[:1]:
-        raise CertificationError(f"{gate} {value:.3e} exceeds the allowed {allowed:.3e}")
+def _inversion_row(ulb_value: float, uub_value: float) -> tuple:
+    return ("strip is inverted: ulb", ulb_value, uub_value + INVERSION_TOL * abs(uub_value))
 
 
 def _gates(f: GegenPoly, lev: GegenPoly, pot: Potential, M: float, L: float, s: float,
@@ -300,9 +290,8 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
     coeffs -= lam * lev.coeffs
     f = GegenPoly(n, coeffs)
 
-    node_res, h_vals = _node_residual(f, quad.table, pot, quad.nodes)
-    if node_res > NODE_TOL:
-        raise CertificationError(f"interpolation residual {node_res:.3e} at the nodes")
+    residual, h_vals = _node_residual(f, quad.table, pot, quad.nodes)
+    _require([residual])
     rows, feas, value, value_form = _gates(f, lev, pot, M, L, quad.s, quad.nodes, quad.weights, h_vals)
     _require(rows)
     return BoundCertificate(
@@ -353,7 +342,7 @@ def strip(n: int, M: float, s: float, pot: Potential) -> EnergyStrip:
     ulb above uub by more than ``INVERSION_TOL`` * |uub| raises CertificationError."""
     cert = uub(n, M, s, pot)
     low, rule = ulb(n, M, pot)
-    _require([("strip is inverted: ulb", low, cert.uub_value + INVERSION_TOL * abs(cert.uub_value))])
+    _require([_inversion_row(low, cert.uub_value)])
     sharp = abs(cert.quad.N - float(M)) <= SHARP_TOL * cert.quad.N
     return EnergyStrip(low, cert.uub_value, sharp, rule, cert)
 
@@ -420,60 +409,55 @@ def strip_to_dict(es: EnergyStrip) -> dict:
     return doc
 
 
+def _stored_rule(n: int, rule: dict, degree: int):
+    """Nodes, weights and the table of P_j, j up to max(m, degree), of a stored
+    rule, and its rows: the shape that m = 2k - 1 + eps asks for, k + eps
+    nodes with -1 the first when eps = 1, read from the stored m alone, then
+    ``quadrature``'s own rows."""
+    m = int(rule["m"])
+    k, eps = (m + 1) // 2, (m + 1) % 2
+    nodes, weights = np.array(rule["nodes"], dtype=float), np.array(rule["weights"], dtype=float)
+    table = gegenbauer_table(n, max(m, degree), nodes)
+    rows = [("quadrature node count differs from k + eps by", abs(nodes.size - k - eps), 0)]
+    if eps:
+        first = float(nodes[0]) if nodes.size else math.inf
+        rows.append(("quadrature's first node differs from -1 by", abs(first + 1.0), 0.0))
+    return nodes, weights, table, rows + _rule_rows(table[: m + 1], weights, float(rule["L"]))
+
+
 def recheck_certificate(doc: dict) -> dict:
     """Re-run the gates of ``uub`` and ``quadrature``, through the same code,
-    on the numbers a ``certificate_to_dict`` document stores; ``ok`` is the
-    verdict of every row.  A ``strip_to_dict`` document adds the rows of its
-    lower side: the stored ulb against M^2 sum_i rho_i h(alpha_i) on the
-    stored rule, that rule's exactness, its positive weights, its L against
-    M within ``SHARP_TOL``, and ulb against uub + ``INVERSION_TOL`` * |uub|.
-    A stored f whose scale is not a normal float raises CertificationError,
-    as ``uub`` does."""
-    inputs, rule = doc["inputs"], doc["quadrature"]
+    on the numbers a ``certificate_to_dict`` document stores, and return
+    them as ``gates``, the rows (gate, value, allowed), with ``ok``, the
+    verdict of every row.  The stored rule adds its shape rows, and the
+    stored bound its distance from the recomputed one.  A ``strip_to_dict``
+    document adds the rows of its lower side: the same rule rows on the
+    stored lower rule, prefixed "lower ", the stored ulb against
+    M^2 sum_i rho_i h(alpha_i) on that rule, its L against M within
+    ``SHARP_TOL``, and ``strip``'s inversion row.  A stored f whose scale is
+    not a normal float raises CertificationError, as ``uub`` does."""
+    inputs = doc["inputs"]
     n, M, s = int(inputs["n"]), float(inputs["M"]), float(inputs["s"])
-    m, L = int(rule["m"]), float(rule["L"])
-    nodes, weights = np.array(rule["nodes"], dtype=float), np.array(rule["weights"], dtype=float)
     pot = parse_potential(inputs["potential"], n)
     f = GegenPoly(n, doc["coefficients"]["f"])
     lev = GegenPoly(n, doc["coefficients"]["levenshtein"])
-    table = gegenbauer_table(n, max(m, f.coeffs.size - 1), nodes)
-    node_res, h_vals = _node_residual(f, table, pot, nodes)
-    gates, feas, value, _ = _gates(f, lev, pot, M, L, s, nodes, weights, h_vals)
-    residual = exactness_residual(table[: m + 1], weights, L)
+    nodes, weights, table, rows = _stored_rule(n, doc["quadrature"], f.coeffs.size - 1)
+    residual, h_vals = _node_residual(f, table, pot, nodes)
+    gates, _, value, _ = _gates(f, lev, pot, M, float(doc["quadrature"]["L"]), s, nodes, weights, h_vals)
     stored = float(doc["bounds"]["uub"])
-    rows = [
-        ("interpolation residual at the nodes", node_res, NODE_TOL),
-        *gates,
-        ("stored bound disagrees by", abs(value - stored), FORMS_TOL * abs(value)),
-        ("quadrature exactness residual", residual, EXACTNESS_TOL),
-    ]
+    rows += [residual, *gates, ("stored bound disagrees by", abs(value - stored), FORMS_TOL * abs(value))]
     if "ulb_quadrature" in doc:
         low = doc["ulb_quadrature"]
-        low_nodes, low_weights = np.array(low["nodes"], dtype=float), np.array(low["weights"], dtype=float)
-        low_L = float(low["L"])
+        low_nodes, low_weights, _, low_rows = _stored_rule(n, low, 0)
         low_value = M * M * float(np.dot(low_weights, pot(low_nodes)))
         stored_low = float(doc["bounds"]["ulb"])
+        rows += [(f"lower {gate}", v, allowed) for gate, v, allowed in low_rows]
         rows += [
             ("stored lower bound disagrees by", abs(low_value - stored_low), FORMS_TOL * abs(low_value)),
-            ("lower quadrature exactness residual", exactness_residual(
-                gegenbauer_table(n, int(low["m"]), low_nodes), low_weights, low_L), EXACTNESS_TOL),
-            ("nonpositive lower quadrature weights", int((low_weights <= 0.0).sum()), 0),
-            ("lower quadrature's L differs from M by", abs(low_L - M), SHARP_TOL * M),
-            ("strip is inverted: ulb", stored_low, stored + INVERSION_TOL * abs(stored)),
+            ("lower quadrature's L differs from M by", abs(float(low["L"]) - M), SHARP_TOL * M),
+            _inversion_row(stored_low, stored),
         ]
-    failing = {gate for gate, _, _ in _failing(rows)}
-    return {
-        "node_residual": node_res,
-        "max_interior_coeff": feas.max_interior_coeff,
-        "min_gap": feas.min_gap,
-        "grid_size": feas.grid_size,
-        "bound_recomputed": value,
-        "bound_stored": stored,
-        "forms_agree": "bound forms disagree by" not in failing,
-        "matches_stored": "stored bound disagrees by" not in failing,
-        "quadrature_residual": residual,
-        "ok": not failing,
-    }
+    return {"gates": rows, "ok": not _failing(rows)}
 
 
 class TestFunctionReport(NamedTuple):

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CertificationError, NumericsError
+from .errors import CertificationError, NumericsError, _require
 from .orthopoly import (
     MAX_DEGREE,
     GegenPoly,
@@ -272,8 +272,8 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     """Nodes and weights of the 1/N quadrature at separation s.
 
     The weights solve the square system sum_i rho_i P_j(alpha_i) =
-    delta_{j0} - 1/N for j = 0 .. k-1+eps; exactness for the remaining
-    degrees up to m is then verified, along with strict positivity.
+    delta_{j0} - 1/N for j = 0 .. k-1+eps; the rows of ``_rule_rows``
+    then require every weight positive and exactness up to degree m.
     """
     n = _check_dim(n)
     s = float(s)
@@ -292,16 +292,19 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     target = np.full(q, -1.0 / N)
     target[0] += 1.0
     weights = np.linalg.solve(table[:q], target)
-    if (weights <= 0.0).any():
-        raise CertificationError(
-            f"nonpositive quadrature weight for (n={n}, s={s}): {_nonpositive(weights, 'weights')}"
-        )
-    residual = exactness_residual(table, weights, N)
-    if residual > EXACTNESS_TOL:
-        raise CertificationError(
-            f"quadrature exactness residual {residual:.3e} exceeds {EXACTNESS_TOL:g} (n={n}, s={s})"
-        )
-    return QuadratureRule(n, interval, s, N, roots, weights, table, residual)
+    rows = _rule_rows(table, weights, N)
+    _require(rows)
+    return QuadratureRule(n, interval, s, N, roots, weights, table, rows[1][1])  # the exactness residual
+
+
+def _rule_rows(table: np.ndarray, weights: np.ndarray, N: float) -> list:
+    """The gates of a 1/N rule with table[j] = P_j(nodes), j = 0..m, as rows:
+    the count of weights <= 0 against 0, then exactness to degree m against
+    ``EXACTNESS_TOL``."""
+    return [
+        ("nonpositive quadrature weights", int((weights <= 0.0).sum()), 0),
+        ("quadrature exactness residual", exactness_residual(table, weights, N), EXACTNESS_TOL),
+    ]
 
 
 def exactness_residual(table: np.ndarray, weights: np.ndarray, N: float) -> float:

@@ -20,11 +20,9 @@ from hypothesis import strategies as st
 import sphenergy.bounds
 import sphenergy.cli
 import sphenergy.levenshtein
-from oracles import exact_uub, lp_upper, node_sign_on_linspace, spare_node_bound
+from oracles import exact_uub, ez_energy_n5, lp_upper, node_sign_on_linspace, spare_node_bound
 from sphenergy.bounds import (
     _GRID_COSINES,
-    COEFF_TOL,
-    NODE_TOL,
     _feasibility_grid,
     certificate_to_dict,
     hermite_interpolant,
@@ -36,7 +34,7 @@ from sphenergy.bounds import (
     uub,
 )
 from sphenergy.bounds import test_functions as lp_test_functions
-from sphenergy.errors import CertificationError, InfeasibleClassError, NumericsError
+from sphenergy.errors import CertificationError, InfeasibleClassError, NumericsError, _failing
 from sphenergy.levenshtein import (
     dgs_number,
     find_interval,
@@ -439,23 +437,44 @@ def test_moment_identity_on_quadrature():
         assert abs(val) < 1e-10
 
 
-def test_recheck_reports_the_gate_values_uub_computed():
-    # recheck runs the gate code uub ran, so a certificate's own numbers come
-    # back bit for bit, at the default grid the certificate records
+def gate_rows(report):
+    """A recheck report's rows by gate: {gate: (value, allowed)}."""
+    rows = {gate: (value, allowed) for gate, value, allowed in report["gates"]}
+    assert len(rows) == len(report["gates"])
+    return rows
+
+
+def test_recheck_reports_the_gate_values_uub_computed(monkeypatch):
+    # recheck runs the gate code that uub, quadrature and strip ran, so an
+    # untampered document's rows are the pipeline's rows bit for bit, at the
+    # default grid the certificate records, and a stored bound lies 0.0 from
+    # the recomputed one.  A strip builds its lower rule second, so the
+    # second rows of a gate are the lower rule's.
+    seen = []
+    for module in (sphenergy.bounds, sphenergy.levenshtein):
+        monkeypatch.setattr(module, "_require", lambda rows, real=module._require: seen.extend(rows) or real(rows))
     for n, M, s, kernel in [
         (5, 11, S_EZ, "newton"),
         (5, 11, 0.2, "riesz:1.2345678"),
         (8, 240, 0.5, "gauss:2.718281828"),
         (24, 196560, 0.5, "newton"),
     ]:
-        cert = uub(n, M, s, parse_potential(kernel, n))
-        for doc in (certificate_to_dict(cert), strip_to_dict(strip(n, M, s, cert.potential))):
+        pot = parse_potential(kernel, n)
+        for run, to_dict in ((uub, certificate_to_dict), (strip, strip_to_dict)):
+            seen.clear()
+            doc = to_dict(run(n, M, s, pot))
+            expected = {}
+            for gate, value, allowed in seen:
+                expected[f"lower {gate}" if gate in expected else gate] = (value, allowed)
             report = recheck_certificate(doc)
+            assert set(report) == {"gates", "ok"}
             assert report["ok"] is True
-            assert report["max_interior_coeff"] == cert.feasibility.max_interior_coeff
-            assert report["min_gap"] == cert.feasibility.min_gap
-            assert report["grid_size"] == cert.feasibility.grid_size
-            assert report["bound_recomputed"] == cert.uub_value
+            got = gate_rows(report)
+            assert {gate: got[gate] for gate in expected} == expected
+            assert got["stored bound disagrees by"][0] == 0.0
+            if run is strip:
+                assert "lower quadrature exactness residual" in expected
+                assert got["stored lower bound disagrees by"][0] == 0.0
     for name in ("certificate_to_dict", "strip_to_dict", "recheck_certificate"):
         assert getattr(sphenergy.cli, name) is globals()[name]
 
@@ -463,17 +482,68 @@ def test_recheck_reports_the_gate_values_uub_computed():
 def test_recheck_refuses_a_positive_coefficient_above_degree_m():
     # uub writes m + 1 coefficients, but every f_i with i >= 1 must be <= 0;
     # 1e-11 moves f by too little for any other gate to notice
+    gate = "feasibility failed: max interior coefficient"
     for n, M, s in [(5, 11, S_EZ), (8, 240, 0.5)]:
         doc = certificate_to_dict(uub(n, M, s, make_potential("newton", n=n)))
         doc["coefficients"]["f"].append(1e-11)
         report = recheck_certificate(doc)
-        assert report["max_interior_coeff"] == 1e-11
-        assert report["node_residual"] <= NODE_TOL
-        assert report["forms_agree"] and report["matches_stored"]
+        assert gate_rows(report)[gate][0] == 1e-11
+        assert [row[0] for row in _failing(report["gates"])] == [gate]
         assert report["ok"] is False
     # a constant f has no interior coefficient, so it passes that gate
     doc["coefficients"]["f"] = doc["coefficients"]["f"][:1]
-    assert recheck_certificate(doc)["max_interior_coeff"] <= COEFF_TOL
+    value, allowed = gate_rows(recheck_certificate(doc))[gate]
+    assert value <= allowed
+
+
+def ez_strip_with_lower_rule(nodes, m):
+    """The strip document of (5, 11, s_ez) under newton with its lower rule
+    replaced by the one on two ``nodes`` that is exact to degree 1 at
+    N = 11, stored with index m, and the ulb restated on it."""
+    pot = make_potential("newton", n=5)
+    doc = strip_to_dict(strip(5, 11, S_EZ, pot))
+    nodes = np.array(nodes)
+    weights = np.linalg.solve(gegenbauer_table(5, 1, nodes), [1.0 - 1.0 / 11, -1.0 / 11])
+    doc["ulb_quadrature"].update(m=m, L=11.0, nodes=nodes.tolist(), weights=weights.tolist())
+    doc["bounds"]["ulb"] = 121.0 * float(np.dot(weights, pot(nodes)))
+    return doc
+
+
+def e8_strip_restated_at_m_1():
+    doc = strip_to_dict(strip(8, 240, 0.5, make_potential("newton", n=8)))
+    doc["ulb_quadrature"]["m"] = 1
+    return doc
+
+
+def ez_strip_with_an_empty_lower_rule():
+    doc = ez_strip_with_lower_rule([-0.375, 0.3], 2)
+    doc["ulb_quadrature"].update(nodes=[], weights=[])
+    return doc
+
+
+_COUNT, _FIRST = "lower quadrature node count differs from k + eps by", "lower quadrature's first node differs from -1 by"
+
+
+@pytest.mark.parametrize("make, gates", [
+    (lambda: ez_strip_with_lower_rule([-0.48555489, 0.2469994], 1), [_COUNT]),
+    (lambda: ez_strip_with_lower_rule([-0.375, 0.3], 2), [_FIRST]),
+    (e8_strip_restated_at_m_1, [_COUNT]),
+    (ez_strip_with_an_empty_lower_rule,
+     [_COUNT, _FIRST, "lower quadrature exactness residual", "stored lower bound disagrees by"]),
+], ids=["ez-m1", "ez-m2", "e8-m1", "empty"])
+def test_recheck_refuses_a_lower_rule_of_another_shape(make, gates):
+    # Each rule but the empty one is positive and exact to its stored m,
+    # with L = M, and the stored ulb is its sum, below uub: only the shape
+    # that m = 2k - 1 + eps asks for (k + eps nodes, the first -1 when
+    # eps = 1) tells it from the Levenshtein rule.  The two (5, 11) fakes
+    # put ulb above the energy of the EZ code of 11 points in R^5, so they
+    # are false lower bounds.
+    doc = make()
+    if doc["inputs"]["n"] == 5:
+        assert doc["bounds"]["ulb"] > ez_energy_n5(make_potential("newton", n=5)) + 2.0
+    report = recheck_certificate(doc)
+    assert report["ok"] is False
+    assert [row[0] for row in _failing(report["gates"])] == gates
 
 
 @st.composite
@@ -570,6 +640,8 @@ def test_a_class_refused_at_the_node_residual_builds_no_grid(monkeypatch):
 # With the tolerance at -1.0 no computed margin can pass its gate; the weight
 # gate needs no edit, as the midpoint of I_64 at n = 24 has a negative weight.
 _GATES = [
+    (sphenergy.bounds, "NODE_TOL", 5, 11, S_EZ, CertificationError, "interpolation residual"),
+    (sphenergy.bounds, "COEFF_TOL", 5, 11, S_EZ, CertificationError, "feasibility failed: max interior coefficient"),
     (sphenergy.bounds, "POSITIVITY_TOL", 5, 11, S_EZ, CertificationError, "node polynomial is positive on [-1, s]"),
     (sphenergy.bounds, "GAP_TOL", 5, 11, S_EZ, CertificationError, "feasibility failed"),
     (sphenergy.bounds, "FORMS_TOL", 5, 11, S_EZ, CertificationError, "bound forms disagree"),
@@ -603,6 +675,10 @@ def test_every_gate_refuses_once_its_tolerance_is_stricter(monkeypatch, module, 
         strip(n, M, s, make_potential("newton", n=n))
     assert words in str(refusal.value)
     assert "\n" not in str(refusal.value)
+    if error is CertificationError and tol is not None:
+        # A tolerance gate is a row: its refusal names the gate, its value and its limit.
+        number = r"[-+]?\d\.\d{3}e[-+]\d{2}"
+        assert re.fullmatch(rf"{re.escape(words)}.* {number} exceeds the allowed {number}", str(refusal.value))
 
 
 

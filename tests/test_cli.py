@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import sphenergy
-from sphenergy.bounds import COEFF_TOL, GAP_TOL, NODE_TOL, recheck_certificate, ulb
+from sphenergy.bounds import COEFF_TOL, recheck_certificate, ulb
 from sphenergy.cli import main
-from sphenergy.levenshtein import EXACTNESS_TOL, interval_for
+from sphenergy.levenshtein import interval_for
 from sphenergy.potentials import parse_potential
 
 SCHEMA_KEYS = {
@@ -320,9 +320,10 @@ def test_recheck_round_trip(capsys, command, n, M, s, kernel):
     assert doc["inputs"]["potential"] == kernel
     report = recheck_certificate(doc)
     assert report["ok"] is True
-    assert report["forms_agree"] is True
-    assert report["matches_stored"] is True
-    assert report["quadrature_residual"] < 1e-9
+    rows = {gate: (value, allowed) for gate, value, allowed in report["gates"]}
+    for gate in ("bound forms disagree by", "stored bound disagrees by"):
+        assert rows[gate][0] <= rows[gate][1], gate
+    assert rows["quadrature exactness residual"][0] < 1e-9
 
     tampered = json.loads(json.dumps(doc))
     tampered["bounds"]["uub"] *= 1.001
@@ -365,12 +366,13 @@ def test_recheck_rejects_each_gate(capsys):
         capsys, "bound", "-n", "4", "-M", "24", "-s", "0.5", "--format", "json"
     )
 
-    def recheck(edit):
+    def failing(edit):
+        # The gates of the rows that the edit makes fail.
         tampered = json.loads(json.dumps(doc))
         edit(tampered)
         report = recheck_certificate(tampered)
         assert report["ok"] is False
-        return report
+        return {gate for gate, value, allowed in report["gates"] if not value <= allowed}
 
     def lift_f0(d):
         d["coefficients"]["f"][0] += 1e-6
@@ -388,13 +390,11 @@ def test_recheck_rejects_each_gate(capsys):
     def inflate_uub(d):
         d["bounds"]["uub"] *= 1.001
 
-    assert recheck(lift_f0)["node_residual"] > NODE_TOL
-    assert recheck(raise_interior)["max_interior_coeff"] > COEFF_TOL
-    assert recheck(scale_weight)["quadrature_residual"] > EXACTNESS_TOL
-    swapped = recheck(swap_kernel)
-    assert swapped["min_gap"] < -GAP_TOL
-    assert swapped["forms_agree"] is False
-    assert recheck(inflate_uub)["matches_stored"] is False
+    assert "interpolation residual" in failing(lift_f0)
+    assert "feasibility failed: max interior coefficient" in failing(raise_interior)
+    assert "quadrature exactness residual" in failing(scale_weight)
+    assert {"feasibility failed: max h - f on the grid", "bound forms disagree by"} <= failing(swap_kernel)
+    assert "stored bound disagrees by" in failing(inflate_uub)
 
 
 @pytest.mark.parametrize("argv", [
