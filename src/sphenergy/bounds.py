@@ -409,20 +409,25 @@ def strip_to_dict(es: EnergyStrip) -> dict:
     return doc
 
 
-def _stored_rule(n: int, rule: dict, degree: int):
-    """Nodes, weights and the table of P_j, j up to max(m, degree), of a stored
-    rule, and its rows: the shape that m = 2k - 1 + eps asks for, k + eps
-    nodes with -1 the first when eps = 1, read from the stored m alone, then
-    ``quadrature``'s own rows."""
-    m = int(rule["m"])
+def _stored_rule(n: int, doc: dict, name: str, degree: int):
+    """Nodes, weights and the table of P_j, j up to max(m, degree), of the
+    rule doc[name], and its rows: the shape that m = 2k - 1 + eps asks for,
+    k + eps nodes with -1 the first when eps = 1, read from the stored m
+    alone, then ``quadrature``'s own rows.  A rule with fewer or more weights
+    than nodes, or an upper rule without nodes, raises ValueError naming it."""
+    m = int(doc[name]["m"])
     k, eps = (m + 1) // 2, (m + 1) % 2
-    nodes, weights = np.array(rule["nodes"], dtype=float), np.array(rule["weights"], dtype=float)
+    nodes, weights = (np.array(doc[name][key], dtype=float) for key in ("nodes", "weights"))
+    # The upper rule's nodes give the node residual and the scale of the
+    # gates; a lower rule with none sums to 0 and fails its count row.
+    if nodes.shape != weights.shape or (name == "quadrature" and not nodes.size):
+        raise ValueError(f"{name} stores {nodes.size} nodes and {weights.size} weights")
     table = gegenbauer_table(n, max(m, degree), nodes)
     rows = [("quadrature node count differs from k + eps by", abs(nodes.size - k - eps), 0)]
     if eps:
         first = float(nodes[0]) if nodes.size else math.inf
         rows.append(("quadrature's first node differs from -1 by", abs(first + 1.0), 0.0))
-    return nodes, weights, table, rows + _rule_rows(table[: m + 1], weights, float(rule["L"]))
+    return nodes, weights, table, rows + _rule_rows(table[: m + 1], weights, float(doc[name]["L"]))
 
 
 def recheck_certificate(doc: dict) -> dict:
@@ -441,14 +446,14 @@ def recheck_certificate(doc: dict) -> dict:
     pot = parse_potential(inputs["potential"], n)
     f = GegenPoly(n, doc["coefficients"]["f"])
     lev = GegenPoly(n, doc["coefficients"]["levenshtein"])
-    nodes, weights, table, rows = _stored_rule(n, doc["quadrature"], f.coeffs.size - 1)
+    nodes, weights, table, rows = _stored_rule(n, doc, "quadrature", f.coeffs.size - 1)
     residual, h_vals = _node_residual(f, table, pot, nodes)
     gates, _, value, _ = _gates(f, lev, pot, M, float(doc["quadrature"]["L"]), s, nodes, weights, h_vals)
     stored = float(doc["bounds"]["uub"])
     rows += [residual, *gates, ("stored bound disagrees by", abs(value - stored), FORMS_TOL * abs(value))]
     if "ulb_quadrature" in doc:
         low = doc["ulb_quadrature"]
-        low_nodes, low_weights, _, low_rows = _stored_rule(n, low, 0)
+        low_nodes, low_weights, _, low_rows = _stored_rule(n, doc, "ulb_quadrature", 0)
         low_value = M * M * float(np.dot(low_weights, pot(low_nodes)))
         stored_low = float(doc["bounds"]["ulb"])
         rows += [(f"lower {gate}", v, allowed) for gate, v, allowed in low_rows]

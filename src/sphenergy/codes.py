@@ -6,19 +6,19 @@ ordered pairs including the diagonal, so the positive-definiteness of the
 basis makes every moment nonnegative.
 
 No Gram matrix is stored.  Every pairwise quantity is a reduction over the
-strict upper triangle of the Gram matrix, streamed in blocks of about
+strict upper triangle of the Gram matrix, streamed in blocks of at most
 B = ``_BLOCK_ELEMS`` inner products each, so memory is O(B + M) rather
-than O(M^2).  The strip of rows i..j-1 against the columns i..M-1, of
-width w = M - i, takes B // w rows (at least one) and is one block, unless
-that is fewer than L = isqrt(B) // 4 rows (64 at the default budget): a
-row wider than B // L products then gets a strip of L rows, split into
-tiles of B // L columns, each a block.  So a wide row is not a one-row
-block, which numpy runs as a matrix-vector product at a fraction of the
-GEMM's speed per product, and every code of at most B // L rows streams
-one block per strip.  Every reduction reads the blocks from one generator
-(``_gram_blocks``), so a product is the same float whichever reduction
-reads it, and reads each tile as the flat array of its products above the
-diagonal.
+than O(M^2).  The strip that starts at row i, against the columns
+i..M-1, is cut into tiles of t = min(M - i, C) columns, with
+C = B // max(1, isqrt(B) // 4) (1,024 at the default budget), and takes
+B // t rows, so each tile is one block of at most B products.  A strip of
+rows wider than C thus takes B // C rows (64 at the default budget), not
+one: a one-row block is a matrix-vector product, which numpy runs at a
+fraction of the GEMM's speed per product.  Every code of at most C rows
+streams one block per strip.  Every reduction reads the blocks from one
+generator (``_gram_blocks``), so a product is the same float whichever
+reduction reads it, and reads each tile as the flat array of its products
+above the diagonal, of which every tile holds one or more when B >= 2.
 
 ``verify_strip``, ``energy`` and ``moments`` stream the Gram once
 (``_gram_pass``) under a histogram budget.  The same GEMM gives each
@@ -261,14 +261,11 @@ def _row_blocks(size: int):
     strict upper triangle once; row size - 1 has no column past it.  A
     strip's first tile starts at lo = i and holds its diagonal.
     """
-    least = math.isqrt(_BLOCK_ELEMS) // 4
+    cap = _BLOCK_ELEMS // max(1, math.isqrt(_BLOCK_ELEMS) // 4)
     i = 0
     while i < size - 1:
-        width = size - i
-        rows, tile = max(1, _BLOCK_ELEMS // width), width
-        if rows < least:
-            rows, tile = least, _BLOCK_ELEMS // least
-        j = min(size - 1, i + rows)
+        tile = min(size - i, cap)
+        j = min(size - 1, i + _BLOCK_ELEMS // tile)
         for lo in range(i, size, tile):
             yield i, j, lo, min(size, lo + tile)
         i = j
@@ -283,12 +280,9 @@ def _gram_blocks(rows: np.ndarray, start: int = 0) -> Iterator[np.ndarray]:
     Every reduction reads the Gram through here, so a tile's products are
     the same floats whichever reduction reads them.
     """
-    tiles = list(_row_blocks(rows.shape[0]))[start:]
-    shape = np.max([(0, 0)] + [(j - i, hi - lo) for i, j, lo, hi in tiles], axis=0)
-    upper = ~np.tri(*shape, dtype=bool)
-    for i, j, lo, hi in tiles:
+    for i, j, lo, hi in itertools.islice(_row_blocks(rows.shape[0]), start, None):
         block = rows[i:j] @ rows[lo:hi].T
-        yield block[upper[: j - i, : hi - lo]] if lo == i else block.ravel()
+        yield block[~np.tri(j - i, hi - lo, dtype=bool)] if lo == i else block.ravel()
 
 
 def _block_max(vals: np.ndarray, mirrored: bool) -> float:

@@ -118,6 +118,9 @@ def interval_for(n: int, m: int) -> IntervalIndex:
 def find_interval(n: int, s: float) -> IntervalIndex:
     """Locate the interval I_m containing s.
 
+    m is the least index with s <= hi_m + ``TIE_TOL``, found by bisection
+    over the right ends hi_m (``_right_end``), which strictly increase in m,
+    so a cold lookup solves about log2(MAX_INTERVAL) of them, whatever m is.
     At a shared endpoint of I_m and I_{m+1} the smaller index wins and the
     tie is recorded in ``tie_with``; by continuity both choices give the
     same maximal cardinality.  A valid s above I_MAX_INTERVAL raises
@@ -127,14 +130,12 @@ def find_interval(n: int, s: float) -> IntervalIndex:
     s = float(s)
     if not -1.0 <= s < 1.0:
         raise ValueError(f"separation must lie in [-1, 1), got {s!r}")
-    for m in range(1, MAX_INTERVAL + 1):
-        hi = _right_end(n, m)
-        if s <= hi + TIE_TOL:
-            return _interval(n, m, m + 1 if abs(s - hi) <= TIE_TOL else None)
-    raise CertificationError(
-        f"separation {s!r} lies beyond I_{MAX_INTERVAL} = [{_right_end(n, m - 1)!r}, {hi!r}], "
-        f"the last supported interval for n = {n}"
-    )
+    m = bisect_left(range(1, MAX_INTERVAL + 1), s, key=lambda j: _right_end(n, j) + TIE_TOL) + 1
+    if m > MAX_INTERVAL:
+        last = _interval(n, MAX_INTERVAL)
+        raise CertificationError(f"separation {s!r} lies beyond I_{MAX_INTERVAL} = [{last.lo!r}, {last.hi!r}], "
+                                 f"the last supported interval for n = {n}")
+    return _interval(n, m, m + 1 if abs(s - _right_end(n, m)) <= TIE_TOL else None)
 
 
 @lru_cache(maxsize=None)

@@ -19,13 +19,13 @@ dispatch than in arithmetic.  The coefficients become an ndarray once, when
 a ``GegenPoly`` is built.  Evaluation on grids and on blocks of inner
 products runs on ndarrays, through the one recurrence ``gegenbauer_terms``,
 P_{i+1} = a_i (t P_i) - b_i P_{i-1}.  For an ndarray argument a step is
-four in-place passes.  ``gegenbauer_table`` has the recurrence write each
-term into its own row of the table, which the caller keeps; streamed
-alone, the terms take turns in three reused buffers, so a yielded array
-is overwritten two steps later and a caller that keeps terms must copy
-them.  A table at a
-handful of points (the quadrature nodes) is cheaper on plain floats, one
-point at a time, which rounds exactly like the ndarray path.
+four in-place passes, and P_j goes into row j % R of a table of R rows:
+``gegenbauer_table`` passes its own table of i_max + 1 rows, which it
+keeps; streamed alone, the terms take turns in a ring of R = 3 rows, so a
+yielded array is overwritten three steps later and a caller that keeps
+terms must copy them.  A table at a handful of points (the quadrature
+nodes) is cheaper on plain floats, one point at a time, which rounds
+exactly like the ndarray path.
 
 The three-term relation is tabulated once per dimension (``_three_term``):
 its integer factors as floats, and the ratios a_i, b_i derived from them.
@@ -103,13 +103,13 @@ def gegenbauer_terms(n: int, i_max: int, t, rows=None):
     P_0 = 1 is left to the caller.  t may be a float, which keeps the whole
     recurrence in plain Python floats, or an ndarray; both paths round the
     same operations in the same order, so they agree bitwise.  P_1 is t
-    itself.  For an ndarray each later step makes four in-place passes, and
-    where P_j is written depends on ``rows``: given an array of shape
-    (i_max + 1, *t.shape), P_j goes into rows[j] for j >= 2 and stays there
-    for the caller to keep; without it, the terms live in three buffers of
-    t's shape that take turns, so the array yielded as P_j is overwritten
-    while P_{j+2} is computed and a caller that keeps a term past the next
-    step must copy it.  t is never written.  i_max is at most ``MAX_DEGREE``.
+    itself.  For an ndarray each later step makes four in-place passes and
+    writes P_j, j >= 2, into rows[j % len(rows)]: ``rows`` is the caller's
+    array of shape (i_max + 1, *t.shape), whose rows the caller keeps, or,
+    when it is not given, a ring of three rows of t's shape, so the array
+    yielded as P_j is overwritten while P_{j+3} is computed and a caller
+    that keeps a term past the next two steps must copy it.  t is never
+    written.  i_max is at most ``MAX_DEGREE``.
     """
     if i_max < 1:
         return
@@ -123,21 +123,17 @@ def gegenbauer_terms(n: int, i_max: int, t, rows=None):
             prev, cur = cur, a * (t * cur) - b * prev
             yield cur
         return
-    # Step i writes t * P_i, then P_{i+1}, into the first array of its pair
-    # and b_i * P_{i-1} into the second: rows[i + 1] and one spare buffer, or,
-    # streamed, bufs[i % 3] and bufs[(i + 1) % 3], which from i = 3 on is the
-    # buffer of P_{i-1}.
+    # Step i writes t * P_i, then P_{i+1}, into rows[(i + 1) % len(rows)], which
+    # in a ring of three held P_{i-2}, and b_i * P_{i-1} into one spare buffer.
     if rows is None:
-        bufs = [np.empty_like(t, dtype=float) for _ in range(3)]
-        pairs = [(bufs[i % 3], bufs[(i + 1) % 3]) for i in range(1, i_max)]
-    else:
-        spare = np.empty_like(t, dtype=float)
-        pairs = [(rows[i + 1, ...], spare) for i in range(1, i_max)]  # views, also for 0-d t
+        rows = np.empty((3, *t.shape))
+    spare = np.empty_like(t, dtype=float)
     prev, cur = 1.0, t
-    for (new, scaled), (a, b) in zip(pairs, ratios):
+    for i, (a, b) in enumerate(ratios, 1):
+        new = rows[(i + 1) % len(rows), ...]  # a view, also for 0-d t
         np.multiply(t, cur, out=new)
         new *= a
-        new -= np.multiply(b, prev, out=scaled)
+        new -= np.multiply(b, prev, out=spare)
         prev, cur = cur, new
         yield new
 

@@ -546,6 +546,31 @@ def test_recheck_refuses_a_lower_rule_of_another_shape(make, gates):
     assert [row[0] for row in _failing(report["gates"])] == gates
 
 
+def _drop_last_weight(rule):
+    rule["weights"].pop()
+
+
+def _empty(rule):
+    rule.update(nodes=[], weights=[])
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("quadrature", _drop_last_weight),
+    ("ulb_quadrature", _drop_last_weight),
+    ("quadrature", _empty),
+], ids=["upper-weight", "lower-weight", "upper-empty"])
+def test_recheck_names_a_stored_rule_whose_nodes_and_weights_do_not_pair(name, edit):
+    # A stored rule with one weight fewer than its nodes, or an upper rule
+    # without nodes, is refused with an input error that names the rule,
+    # before any array arithmetic could fail on the shapes.  The document is
+    # what `sphenergy strip -n 8 -M 240 -s 0.5 --format json` prints.
+    doc = strip_to_dict(strip(8, 240, 0.5, make_potential("newton", n=8)))
+    assert recheck_certificate(doc)["ok"] is True
+    edit(doc[name])
+    with pytest.raises(ValueError, match=rf"^{name} stores \d+ nodes and \d+ weights$"):
+        recheck_certificate(doc)
+
+
 @st.composite
 def grid_classes(draw):
     n = draw(st.integers(2, 24))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import tracemalloc
@@ -195,8 +195,9 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
     # Each tile yields its products above the diagonal and nothing else:
     # together they number M (M - 1) / 2 and, sorted, are the sorted strict
     # upper triangles of the same tiles' GEMMs to the bit.  This code at
-    # budgets 50 and 2**10, a 300-point code whose rows wider than 128
-    # products take tiles at 2**10, and the half H of an antipodal code.
+    # budgets 50 and 2**10, a 300-point code, and the half H of an antipodal
+    # code, 150 rows: rows wider than 50 products take tiles at 50 and rows
+    # wider than 128 at 2**10.
     wide = random_code(rng, 300, 10).points
     half, halved, _ = codes_module._streamed_rows(np.vstack([wide[:150], -wide[:150]]))
     assert halved and half.shape[0] == 150
@@ -210,7 +211,7 @@ def test_block_streaming_matches_dense_reference(monkeypatch):
             for i, j, lo, hi in tiles
         ])
         assert np.array_equal(np.sort(streamed).view(np.int64), np.sort(dense).view(np.int64))
-        assert any(lo > i for i, _, lo, _ in tiles) == (budget == 2**10 and size > 128)
+        assert any(lo > i for i, _, lo, _ in tiles) == (size > {50: 50, 2**10: 128}[budget])
 
 
 @st.composite
@@ -557,18 +558,21 @@ def test_verify_strip_computes_a_row_block_twice_only_past_the_budget(monkeypatc
 
 
 def test_a_code_whose_merged_products_fit_the_budget_is_streamed_once(monkeypatch):
-    # The cross polytope in R^8 streams its half, an orthonormal basis, in 6
-    # row blocks at a budget of 7.  Each block holds the one product 0, which
-    # stands for 0 and -0, and the pairs {x, -x} add -1.  Counted block by
-    # block, 1 + 2 + 2 + 2 + 2 values pass the budget at the fourth block;
-    # merged, the code has the 2 values -1 and 0, so every block is computed
-    # once.
+    # The cross polytope in R^8 streams its half, an orthonormal basis, in 7
+    # tiles at a budget of 7: the first row's 8 columns in tiles of 7 and 1,
+    # then strips of 1, 1, 1, 1 and 2 rows.  Each block holds the one product
+    # 0, which stands for 0 and -0, and the pairs {x, -x} add -1.  Counted
+    # block by block, 1 + 2 + 2 + 2 + 2 values pass the budget at the fourth
+    # block; merged, the code has the 2 values -1 and 0, so every block is
+    # computed once.
     monkeypatch.setattr(codes_module, "_BLOCK_ELEMS", 7)
     calls = _count_gram_blocks(monkeypatch)
     code = generate("cross_polytope", 8)
     v = verify_strip(code, make_potential("riesz", alpha=1.0))
-    assert len(list(codes_module._row_blocks(code.size // 2))) == 6
-    assert calls == {(code.size // 2, k): 1 for k in range(6)}
+    assert list(codes_module._row_blocks(code.size // 2)) == [
+        (0, 1, 0, 7), (0, 1, 7, 8), (1, 2, 1, 8), (2, 3, 2, 8), (3, 4, 3, 8), (4, 5, 4, 8), (5, 7, 5, 8)
+    ]
+    assert calls == {(code.size // 2, k): 1 for k in range(7)}
     assert v.inside and v.attains_uub and v.nodes_cover_products
     ((values, counts),) = list(codes_module._gram_pass(code.points)[1])
     assert np.array_equal(values, [-1.0, 0.0]) and np.array_equal(counts, [8.0, 112.0])
@@ -630,6 +634,58 @@ def test_wide_rows_stream_in_tiles_of_several_rows(monkeypatch):
         assert energy(code, pot) == verdict.energy
         assert np.array_equal(moments(code, verdict.strip.uub_cert.quad.m), verdict.moments)
         assert verdict.inside
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 2**16), st.integers(2, 600))
+def test_row_blocks_cover_the_upper_triangle_once_within_the_budget(budget, size):
+    # The strips are consecutive rows from 0 to size - 2, each cut into
+    # consecutive columns from its own first row to size - 1, so every pair
+    # above the diagonal lies in exactly one tile and a strip's first tile
+    # starts at lo = i.  No tile's GEMM holds more than the budget.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes_module, "_BLOCK_ELEMS", budget)
+        tiles = list(codes_module._row_blocks(size))
+    strips = {}
+    for i, j, lo, hi in tiles:
+        assert i < j and lo < hi and (j - i) * (hi - lo) <= budget
+        strips.setdefault((i, j), []).append((lo, hi))
+    assert tiles == [(i, j, lo, hi) for (i, j), cols in strips.items() for lo, hi in cols]
+    rows = [0] + [j for _, j in strips]
+    assert list(strips) == list(zip(rows, rows[1:])) and rows[-1] == size - 1
+    for (i, _), cols in strips.items():
+        edges = [lo for lo, _ in cols] + [size]
+        assert edges[0] == i and cols == list(zip(edges, edges[1:]))
+
+
+def _two_regime_row_blocks(size, budget):
+    # Tiles by a rule of two regimes: the strip at row i, of width
+    # w = size - i, takes budget // w rows (at least one) and is one tile,
+    # unless that is fewer than L = isqrt(budget) // 4 rows; it then takes L
+    # rows in tiles of budget // L columns.
+    least = math.isqrt(budget) // 4
+    i = 0
+    while i < size - 1:
+        width = size - i
+        rows, tile = max(1, budget // width), width
+        if rows < least:
+            rows, tile = least, budget // least
+        j = min(size - 1, i + rows)
+        for lo in range(i, size, tile):
+            yield i, j, lo, min(size, lo + tile)
+        i = j
+
+
+def test_the_default_budget_gives_the_tiles_of_the_two_regime_rule():
+    # At 2**16 products the one rule of _row_blocks cuts every size, here
+    # 2..3000 and the 98,280 rows of the half of Leech's minimal vectors,
+    # into the tiles of the two-regime rule.  At small budgets they part:
+    # there L rounds to 0 or 1, and a row wider than the budget is one tile
+    # of more products than it (300 at 50, for 300 rows).
+    assert codes_module._BLOCK_ELEMS == 2**16
+    for size in [*range(2, 3001), 98280]:
+        assert list(codes_module._row_blocks(size)) == list(_two_regime_row_blocks(size, 2**16))
+    assert max((j - i) * (hi - lo) for i, j, lo, hi in _two_regime_row_blocks(300, 50)) == 300
 
 
 def test_leech_builder_gives_golay_words_and_minimal_vectors():
@@ -694,8 +750,20 @@ def antipodal_codes(draw):
     return SphericalCode(pts), kernel, draw(st.sampled_from((7, 50, codes_module._BLOCK_ELEMS)))
 
 
+# A 4-point code in R^2, streamed whole at a budget of 7 in one-row blocks,
+# which numpy runs as matrix-vector products: its separation is 19 ulps
+# (1.65e-17) from the dense GEMM's.
+_GEMV_PAIR = np.array([
+    [-0.9725753441713926, -0.23258804765055552],
+    [0.9725753441713926, 0.23258804765055552],
+    [-0.22693787709139138, 0.9739092359872417],
+    [0.22693787709139138, -0.9739092359872417],
+])
+
+
 @settings(max_examples=80, deadline=None)
 @given(antipodal_codes())
+@example((SphericalCode(_GEMV_PAIR), "newton", 7))
 def test_antipodal_codes_stream_their_half_and_match_the_dense_gram(case):
     # Against a dense reference, the full Gram rounded to the grid, and
     # against the same code streamed whole, as any other code is.
@@ -720,7 +788,11 @@ def test_antipodal_codes_stream_their_half_and_match_the_dense_gram(case):
         whole_s = separation(code)
         whole = _outcome(code, pot)
     assert halved == (size >= 6)
-    assert abs(s - dense_s) <= 4 * np.spacing(abs(dense_s))
+    # Two evaluations of one product of unit vectors in R^n, each within
+    # gamma_n of the exact one (Higham, ch. 3), differ by up to 2 gamma_n
+    # whatever the product's size, and so may the maxima of two streams.
+    gamma = code.dim * 2.0**-53 / (1.0 - code.dim * 2.0**-53)
+    assert abs(s - dense_s) <= 2 * gamma
     assert sum(c.sum() for _, c in hists) == size * (size - 1) // 2
     # Each histogram ascends strictly, as node coverage needs.
     assert all(np.all(v[1:] > v[:-1]) for v, _ in hists)

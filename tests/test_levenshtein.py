@@ -1,10 +1,6 @@
 """Interval classification, Levenshtein function, node polynomial, quadrature."""
 
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -16,7 +12,10 @@ from oracles import lev_value_inline
 from sphenergy.bounds import SHARP_TOL
 from sphenergy.errors import CertificationError, NumericsError
 from sphenergy.levenshtein import (
+    MAX_INTERVAL,
+    TIE_TOL,
     _lev_function,
+    _right_end,
     dgs_number,
     exactness_residual,
     find_interval,
@@ -74,36 +73,57 @@ def test_find_interval_beyond_the_last_interval():
     assert find_interval(5, hi).m == 64
 
 
-EIGENSOLVE_PROBE = """
-import json, numpy.linalg
-calls = 0
-eigvalsh = numpy.linalg.eigvalsh
-def counted(*args, **kwargs):
-    global calls
-    calls += 1
-    return eigvalsh(*args, **kwargs)
-numpy.linalg.eigvalsh = counted
-from sphenergy.levenshtein import find_interval, interval_for
-out = []
-for n, s in ((5, 0.92), (24, 0.93)):
-    before = calls
-    m = find_interval(n, s).m
-    cold = calls - before
-    interval_for(n, m)
-    find_interval(n, s)
-    out.append([m, cold, calls - before - cold])
-print(json.dumps(out))
-"""
+def test_a_cold_lookup_makes_at_most_eight_eigensolves(monkeypatch):
+    # The right end hi_m of I_m is one eigensolve, cached.  A cold lookup
+    # bisects over hi_1 .. hi_64, which probes at most ceil(log2 65) = 7 of
+    # them, and builds I_m from hi_{m-1} and hi_m, of which its last probe
+    # was one (hi_0 = -1 takes none): at most 8 eigensolves in any I_m, where
+    # a walk to I_m made m.  Once they are cached, a lookup makes none.
+    eigvalsh, calls = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    for n in (5, 24):
+        for m in range(1, MAX_INTERVAL + 1):
+            iv = interval_for(n, m)
+            s = (iv.lo + iv.hi) / 2
+            _right_end.cache_clear()
+            calls.clear()
+            assert find_interval(n, s).m == m
+            cold = len(calls)
+            assert cold <= 8
+            interval_for(n, m)
+            find_interval(n, s)
+            assert len(calls) == cold
 
 
-def test_a_cold_lookup_in_i_m_makes_m_eigensolves():
-    # The right end of I_m is one eigensolve, shared with I_{m+1} as its left
-    # end and cached: the walk to I_m solves hi_1 .. hi_m once each.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sphenergy.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", EIGENSOLVE_PROBE], env=env, capture_output=True, text=True)
-    out.check_returncode()
-    assert json.loads(out.stdout) == [[21, 21, 0], [63, 63, 0]]
+def _walk(n, s):
+    # The interval of s by a walk over I_1, I_2, ...: the first m with
+    # s <= hi_m + TIE_TOL, tied with I_{m+1} when s is within TIE_TOL of
+    # hi_m; None past I_64.
+    for m in range(1, MAX_INTERVAL + 1):
+        iv = interval_for(n, m)
+        if s <= iv.hi + TIE_TOL:
+            return iv._replace(tie_with=m + 1 if abs(s - iv.hi) <= TIE_TOL else None)
+    return None
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 8, 10, 24, 100, 200, 400, 1000, 3000))
+def test_find_interval_bisects_to_the_interval_of_the_walk(n):
+    # The bisection needs the right ends to increase; they are more than
+    # 2 TIE_TOL apart, so s ties with one end at most.  At every midpoint,
+    # at every right end and TIE_TOL either side of it, and past I_64, the
+    # lookup gives the walk's interval and tie, or refuses where it ends.
+    ends = [-1.0] + [interval_for(n, m).hi for m in range(1, MAX_INTERVAL + 1)]
+    assert np.all(np.diff(ends) > 2 * TIE_TOL)
+    points = [-1.0, ends[-1] + 2 * TIE_TOL]
+    for lo, hi in zip(ends, ends[1:]):
+        points += [(lo + hi) / 2, hi - TIE_TOL, hi, hi + TIE_TOL]
+    for s in points:
+        expected = _walk(n, s)
+        if expected is None:
+            with pytest.raises(CertificationError, match=r"beyond I_64"):
+                find_interval(n, s)
+        else:
+            assert find_interval(n, s) == expected
 
 
 def test_lev_value_reference_points():

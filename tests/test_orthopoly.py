@@ -127,6 +127,25 @@ def test_gegenbauer_table_rows_are_the_plain_float_recurrence_bitwise():
                     assert type(eval_gegenbauer(n, i_max, x)) is float
 
 
+def test_streamed_terms_are_the_table_rows_and_last_two_more_steps():
+    # Without rows, the terms take turns in a ring of three rows: each
+    # yielded P_j equals row j of the table bitwise, for 0-d, 1-d and 2-d t,
+    # and is still intact after P_{j+1} and P_{j+2} are yielded.
+    rng = np.random.RandomState(37)
+    for n in (2, 3, 5, 24):
+        for shape in ((), (7,), (3, 7)):
+            t = rng.uniform(-1, 1, size=shape)
+            for i_max in (1, 2, 3, 4, 20, MAX_DEGREE):
+                table = gegenbauer_table(n, i_max, t)
+                kept = []
+                for j, p in enumerate(gegenbauer_terms(n, i_max, t), 1):
+                    assert p.shape == shape
+                    kept.append((j, p, p.copy()))
+                    for i, term, copy in kept[-3:]:
+                        assert bits(term) == bits(copy) == bits(table[i])
+                assert len(kept) == i_max
+
+
 @pytest.mark.parametrize("n", range(2, 25))
 def test_cached_dimension_constants_round_like_inline_arithmetic(n):
     for t in (0.3, -0.77, 1.0, np.linspace(-1.0, 1.0, 9)):

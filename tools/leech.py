@@ -16,7 +16,8 @@ It exits 1, naming what failed, unless the key order of
 ``codes._antipodal_half`` paired the vectors, the verdict is sharp, inside,
 attains both bounds and has its nodes covering the products, and the
 relative error is at most 1e-13.  It is the only full-size run of the
-wide-row tiles of ``codes._row_blocks`` and of a 196,560-row key pairing.
+64 x 1,024 tiles into which ``codes._row_blocks`` cuts strips wider than
+1,024 columns, and of a 196,560-row key pairing.
 One run of that command on a 2-core Intel Xeon (Python 3.11.7, numpy
 2.4.6) built the vectors in 0.07 s and ran ``verify_strip`` in 27.3 s at a
 peak RSS of 108.5 MB, so it is not part of the test suite;
