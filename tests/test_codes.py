@@ -753,7 +753,7 @@ def antipodal_codes(draw):
 # A 4-point code in R^2, streamed whole at a budget of 7 in one-row blocks,
 # which numpy runs as matrix-vector products: its separation is 19 ulps
 # (1.65e-17) from the dense GEMM's.
-_GEMV_PAIR = np.array([
+_GEMV_CODE = np.array([
     [-0.9725753441713926, -0.23258804765055552],
     [0.9725753441713926, 0.23258804765055552],
     [-0.22693787709139138, 0.9739092359872417],
@@ -763,7 +763,7 @@ _GEMV_PAIR = np.array([
 
 @settings(max_examples=80, deadline=None)
 @given(antipodal_codes())
-@example((SphericalCode(_GEMV_PAIR), "newton", 7))
+@example((SphericalCode(_GEMV_CODE), "newton", 7))
 def test_antipodal_codes_stream_their_half_and_match_the_dense_gram(case):
     # Against a dense reference, the full Gram rounded to the grid, and
     # against the same code streamed whole, as any other code is.

@@ -77,8 +77,8 @@ def test_a_cold_lookup_makes_at_most_eight_eigensolves(monkeypatch):
     # The right end hi_m of I_m is one eigensolve, cached.  A cold lookup
     # bisects over hi_1 .. hi_64, which probes at most ceil(log2 65) = 7 of
     # them, and builds I_m from hi_{m-1} and hi_m, of which its last probe
-    # was one (hi_0 = -1 takes none): at most 8 eigensolves in any I_m, where
-    # a walk to I_m made m.  Once they are cached, a lookup makes none.
+    # was one (hi_0 = -1 takes none): at most 8 eigensolves in any I_m.
+    # Once they are cached, a lookup makes none.
     eigvalsh, calls = np.linalg.eigvalsh, []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
     for n in (5, 24):
