@@ -32,10 +32,12 @@ max |h| on the nodes): 2^k h is absolutely monotone whenever h is, and
 every value the gates read is linear in h, so 2^k h gets the same
 verdict.  In order:
 
-1. the quadrature's rows (``levenshtein._rule_rows``: the count of
+1. the quadrature's rows (``levenshtein._node_rows``: k + eps nodes,
+   the first -1 when eps = 1 and not below -1 when eps = 0, every gap
+   positive, the last s; ``levenshtein._rule_rows``: the count of
    weights <= 0 against 0, exactness against ``EXACTNESS_TOL``), and the
-   node polynomial's Gegenbauer coefficients (all positive); neither
-   depends on h;
+   node polynomial's sign row (``levenshtein._sign_row``: the count of
+   its Gegenbauer coefficients <= 0 against 0); none depends on h;
 2. the node residual row, |f - h| / max(1, |h|) at each node against
    ``NODE_TOL``, read from the quadrature's own node table;
 3. the scale, which must be a normal float (a kernel that underflows at
@@ -51,7 +53,8 @@ class refused before the grid gates never builds the grid table.
 
 ``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
 ``recheck_certificate`` builds the same rows, and those of a strip's lower
-side, from the stored numbers and returns them as its report.
+side, from the stored numbers and returns them as its report.  ``bounds``
+reads the shape of a rule on I_m only through ``levenshtein._node_rows``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CertificationError, InfeasibleClassError, _failing, _require
-from .levenshtein import QuadratureRule, _rule_rows, levenshtein_poly, quadrature, solve_cardinality
+from .levenshtein import QuadratureRule, _node_rows, _rule_rows, _sign_row, levenshtein_poly, quadrature, solve_cardinality
 from .orthopoly import GegenPoly, _check_degree, _newton_to_gegen, gegenbauer_table
 from .potentials import Potential, parse_potential
 
@@ -126,7 +129,7 @@ def hermite_interpolant(n: int, pot: Potential, nodes) -> GegenPoly:
     z = [float(t) for t in nodes]
     if not z:
         raise ValueError("node multiset must be nonempty")
-    if max(z) >= 1.0 or min(z) < -1.0:
+    if not all(-1.0 <= t < 1.0 for t in z):
         raise ValueError("interpolation nodes must lie in [-1, 1)")
     d = len(z)
     _check_degree(d - 1)
@@ -274,8 +277,8 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
     also decides sharpness in ``strip``.
     """
     M = float(M)
-    if not M >= 2.0:
-        raise ValueError(f"cardinality must be at least 2, got {M!r}")
+    if not 2.0 <= M < math.inf:
+        raise ValueError(f"cardinality must be finite and at least 2, got {M!r}")
     quad = quadrature(n, s)
     L = quad.N
     if M > L + SHARP_TOL * L:
@@ -409,51 +412,48 @@ def strip_to_dict(es: EnergyStrip) -> dict:
     return doc
 
 
-def _stored_rule(n: int, doc: dict, name: str, degree: int):
+def _stored_rule(n: int, doc: dict, name: str, degree: int, s: float):
     """Nodes, weights and the table of P_j, j up to max(m, degree), of the
-    rule doc[name], and its rows: the shape that m = 2k - 1 + eps asks for,
-    k + eps nodes with -1 the first when eps = 1, read from the stored m
-    alone, then ``quadrature``'s own rows.  A rule with fewer or more weights
-    than nodes, or an upper rule without nodes, raises ValueError naming it."""
+    rule doc[name], and its rows: ``_node_rows`` on the stored m and the
+    separation s the rule is built at, then ``quadrature``'s own rows.  A
+    rule with fewer or more weights than nodes, or an upper rule without
+    nodes, raises ValueError naming it."""
     m = int(doc[name]["m"])
-    k, eps = (m + 1) // 2, (m + 1) % 2
     nodes, weights = (np.array(doc[name][key], dtype=float) for key in ("nodes", "weights"))
     # The upper rule's nodes give the node residual and the scale of the
     # gates; a lower rule with none sums to 0 and fails its count row.
     if nodes.shape != weights.shape or (name == "quadrature" and not nodes.size):
         raise ValueError(f"{name} stores {nodes.size} nodes and {weights.size} weights")
     table = gegenbauer_table(n, max(m, degree), nodes)
-    rows = [("quadrature node count differs from k + eps by", abs(nodes.size - k - eps), 0)]
-    if eps:
-        first = float(nodes[0]) if nodes.size else math.inf
-        rows.append(("quadrature's first node differs from -1 by", abs(first + 1.0), 0.0))
-    return nodes, weights, table, rows + _rule_rows(table[: m + 1], weights, float(doc[name]["L"]))
+    rows = _node_rows(nodes, m, s) + _rule_rows(table[: m + 1], weights, float(doc[name]["L"]))
+    return nodes, weights, table, rows
 
 
 def recheck_certificate(doc: dict) -> dict:
     """Re-run the gates of ``uub`` and ``quadrature``, through the same code,
     on the numbers a ``certificate_to_dict`` document stores, and return
     them as ``gates``, the rows (gate, value, allowed), with ``ok``, the
-    verdict of every row.  The stored rule adds its shape rows, and the
-    stored bound its distance from the recomputed one.  A ``strip_to_dict``
-    document adds the rows of its lower side: the same rule rows on the
-    stored lower rule, prefixed "lower ", the stored ulb against
-    M^2 sum_i rho_i h(alpha_i) on that rule, its L against M within
-    ``SHARP_TOL``, and ``strip``'s inversion row.  A stored f whose scale is
-    not a normal float raises CertificationError, as ``uub`` does."""
+    verdict of every row.  The stored rule's node rows are read at the
+    stored s, and the stored bound adds its distance from the recomputed
+    one.  A ``strip_to_dict`` document adds the rows of its lower side: the
+    same rule rows on the stored lower rule at its stored r, prefixed
+    "lower ", the stored ulb against M^2 sum_i rho_i h(alpha_i) on that
+    rule, its L against M within ``SHARP_TOL``, and ``strip``'s inversion
+    row.  A stored f whose scale is not a normal float raises
+    CertificationError, as ``uub`` does."""
     inputs = doc["inputs"]
     n, M, s = int(inputs["n"]), float(inputs["M"]), float(inputs["s"])
     pot = parse_potential(inputs["potential"], n)
     f = GegenPoly(n, doc["coefficients"]["f"])
     lev = GegenPoly(n, doc["coefficients"]["levenshtein"])
-    nodes, weights, table, rows = _stored_rule(n, doc, "quadrature", f.coeffs.size - 1)
+    nodes, weights, table, rows = _stored_rule(n, doc, "quadrature", f.coeffs.size - 1, s)
     residual, h_vals = _node_residual(f, table, pot, nodes)
     gates, _, value, _ = _gates(f, lev, pot, M, float(doc["quadrature"]["L"]), s, nodes, weights, h_vals)
     stored = float(doc["bounds"]["uub"])
-    rows += [residual, *gates, ("stored bound disagrees by", abs(value - stored), FORMS_TOL * abs(value))]
+    rows += [_sign_row(lev), residual, *gates, ("stored bound disagrees by", abs(value - stored), FORMS_TOL * abs(value))]
     if "ulb_quadrature" in doc:
         low = doc["ulb_quadrature"]
-        low_nodes, low_weights, _, low_rows = _stored_rule(n, doc, "ulb_quadrature", 0)
+        low_nodes, low_weights, _, low_rows = _stored_rule(n, doc, "ulb_quadrature", 0, float(low["r"]))
         low_value = M * M * float(np.dot(low_weights, pot(low_nodes)))
         stored_low = float(doc["bounds"]["ulb"])
         rows += [(f"lower {gate}", v, allowed) for gate, v, allowed in low_rows]
@@ -490,7 +490,7 @@ def test_functions(n: int, s: float, j_max: int) -> TestFunctionReport:
     rule = quadrature(n, s)
     table = gegenbauer_table(n, int(j_max), rule.nodes)
     sums = table @ rule.weights + 1.0 / rule.N
-    threshold = 2 * rule.interval.k + rule.interval.eps
+    threshold = rule.m + 1  # 2k + eps
     values = tuple((j, float(sums[j])) for j in range(1, int(j_max) + 1))
     bad = [j for j, v in values if j >= threshold and v < -SIGN_TOL]
     return TestFunctionReport(

@@ -181,10 +181,29 @@ def dgs_number(n: int, m: int) -> float:
     return float(math.comb(n + k - 1, n - 1) + math.comb(n + k - 2, n - 1))
 
 
-def _nonpositive(values: np.ndarray, noun: str) -> str:
-    """One line for a refusal: how many of ``values`` are <= 0, the smallest and its index."""
-    i = int(np.argmin(values))
-    return f"{int((values <= 0.0).sum())} of {values.size} {noun} <= 0, worst {values[i]:.3e} at index {i}"
+def _count_row(nodes: np.ndarray, m: int) -> tuple:
+    # k + eps = m // 2 + 1 nodes for m = 2k - 1 + eps.
+    return ("quadrature node count differs from k + eps by", abs(nodes.size - m // 2 - 1), 0)
+
+
+def _node_rows(nodes: np.ndarray, m: int, s: float) -> list:
+    """The node list of a 1/N rule on I_m at separation s as rows (gate,
+    value, allowed): k + eps nodes, the first -1 when eps = 1 and not below
+    -1 when eps = 0, every gap positive, and the last s.  An empty list
+    reads inf at both ends."""
+    first, last = (float(nodes[0]), float(nodes[-1])) if nodes.size else (math.inf, math.inf)
+    return [
+        _count_row(nodes, m),
+        ("quadrature's first node differs from -1 by", abs(first + 1.0), 0.0) if m % 2 == 0
+        else ("quadrature's first node lies below -1 by", -1.0 - first, 0.0),
+        ("nonpositive quadrature node gaps", int(np.count_nonzero(nodes[1:] <= nodes[:-1])), 0),
+        ("quadrature's largest node differs from s by", abs(last - s), 0.0),
+    ]
+
+
+def _sign_row(poly: GegenPoly) -> tuple:
+    """The node polynomial's row: the count of its Gegenbauer coefficients <= 0, against 0."""
+    return ("nonpositive node polynomial coefficients", int(np.count_nonzero(poly.coeffs <= 0.0)), 0)
 
 
 def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
@@ -195,7 +214,10 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
     c = pi_k(s) / pi_{k-1}(s): the eigenvalues of the Jacobi matrix of Q_k
     modified to have s as an eigenvalue.  On I_m, s lies above every zero of
     Q_{k-1}, as that shift requires.  The largest eigenvalue must lie within
-    ``LARGEST_NODE_TOL`` of s and becomes s; for eps = 1, -1 is prepended.
+    ``LARGEST_NODE_TOL`` of s, or NumericsError is raised, and becomes s;
+    for eps = 1, -1 is prepended.  The list must then pass its rows
+    (``_node_rows``), so a zero below -1 or out of order raises
+    CertificationError.
     """
     n = _check_dim(n)
     s = float(s)
@@ -208,15 +230,8 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
             f"largest node {roots[-1]} does not match separation {s} (n={n}, m={interval.m})"
         )
     roots[-1] = s
-    if roots[0] < -1.0:
-        raise NumericsError(
-            f"node {roots[0]} lies below -1 (n={n}, m={interval.m}, s={s})"
-        )
     out = np.concatenate(([-1.0], roots)) if eps == 1 else roots
-    if (out[1:] <= out[:-1]).any():
-        raise NumericsError(
-            f"nodes are not strictly increasing: {_nonpositive(np.diff(out), 'gaps')}"
-        )
+    _require(_node_rows(out, interval.m, s))
     return out
 
 
@@ -255,17 +270,15 @@ def levenshtein_poly(rule: QuadratureRule) -> GegenPoly:
     """The monic node polynomial prod_{t_j in rule.multiset} (t - t_j) over
     the Gegenbauer basis, certified to have every coefficient positive.
 
-    That it is <= 0 on [-1, s] is checked by ``bounds.uub``, on the grid it
-    checks f >= h on.
+    Before the multiset is read, the rule must pass the count row of
+    ``_node_rows``: k + eps nodes, which is m entries in the multiset.  The
+    expansion must then pass its sign row (``_sign_row``).  That it is <= 0
+    on [-1, s] is checked by ``bounds.uub``, on the grid it checks f >= h
+    on.
     """
-    multiset = rule.multiset
-    if len(multiset) != rule.m:
-        raise NumericsError(f"node multiset has {len(multiset)} entries, expected m = {rule.m}")
-    poly = product_to_gegen(rule.dim, multiset)
-    if (poly.coeffs <= 0.0).any():
-        raise CertificationError(
-            f"node polynomial has nonpositive Gegenbauer coefficients: {_nonpositive(poly.coeffs, 'coefficients')}"
-        )
+    _require([_count_row(rule.nodes, rule.m)])
+    poly = product_to_gegen(rule.dim, rule.multiset)
+    _require([_sign_row(poly)])
     return poly
 
 
@@ -386,8 +399,8 @@ def solve_cardinality(n: int, M: float) -> tuple[float, QuadratureRule]:
     """
     n = _check_dim(n)
     M = float(M)
-    if not M >= 2.0:
-        raise ValueError(f"cardinality must be at least 2, got {M!r}")
+    if not 2.0 <= M < math.inf:
+        raise ValueError(f"cardinality must be finite and at least 2, got {M!r}")
     D = _dgs_table(n)  # D[m] = D(n, m + 1)
     m = bisect_left(D, M, 1)  # the least m >= 1 with M <= D(n, m + 1)
     if m > MAX_INTERVAL:

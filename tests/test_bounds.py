@@ -193,10 +193,11 @@ NEWTON3 = make_potential("newton", n=3)
 @pytest.mark.parametrize("call, words", [
     (lambda: hermite_interpolant(3, NEWTON3, []), "node multiset must be nonempty"),
     (lambda: hermite_interpolant(3, NEWTON3, [1.0]), "nodes must lie in"),
+    (lambda: hermite_interpolant(3, NEWTON3, [math.nan, 0.5]), "nodes must lie in"),
     (lambda: lambda_star(GegenPoly(3, [1, 1]), GegenPoly(4, [1, 1])), "different dimensions"),
     (lambda: lambda_star(GegenPoly(3, [1, 1, 1, 1]), GegenPoly(3, [1, 1])),
      "interpolant degree 3 exceeds node polynomial degree 1"),
-], ids=["hermite-empty", "hermite-at-one", "lambda-dimensions", "lambda-degree"])
+], ids=["hermite-empty", "hermite-at-one", "hermite-nan", "lambda-dimensions", "lambda-degree"])
 def test_interpolation_refuses_bad_input(call, words):
     with pytest.raises(ValueError, match=words):
         call()
@@ -264,6 +265,17 @@ def test_uub_interior_coefficients_nonpositive():
 def test_uub_infeasible_class():
     with pytest.raises(InfeasibleClassError):
         uub(4, 27, 0.5, make_potential("newton", n=4))
+
+
+@pytest.mark.parametrize("M", [math.inf, math.nan])
+@pytest.mark.parametrize("run", [lambda M: uub(3, M, 0.5, NEWTON3), lambda M: ulb(3, M, NEWTON3)], ids=["uub", "ulb"])
+def test_a_cardinality_that_is_not_finite_is_an_input_error(run, M):
+    # An M that is not finite is neither an infeasible class nor a
+    # certification failure, so the refusal is a plain ValueError, not its
+    # subclass InfeasibleClassError.
+    with pytest.raises(ValueError, match=r"^cardinality must be finite and at least 2, got ") as refusal:
+        run(M)
+    assert type(refusal.value) is ValueError
 
 
 def test_uub_degenerate_constant_kernel():
@@ -448,8 +460,10 @@ def test_recheck_reports_the_gate_values_uub_computed(monkeypatch):
     # recheck runs the gate code that uub, quadrature and strip ran, so an
     # untampered document's rows are the pipeline's rows bit for bit, at the
     # default grid the certificate records, and a stored bound lies 0.0 from
-    # the recomputed one.  A strip builds its lower rule second, so the
-    # second rows of a gate are the lower rule's.
+    # the recomputed one.  A strip builds its lower rule after the upper
+    # bound's last row, so the rows after it but the inversion row are the
+    # lower rule's.  ``levenshtein_poly`` restates the count row that
+    # ``lev_poly_roots`` required, with the same value.
     seen = []
     for module in (sphenergy.bounds, sphenergy.levenshtein):
         monkeypatch.setattr(module, "_require", lambda rows, real=module._require: seen.extend(rows) or real(rows))
@@ -463,9 +477,11 @@ def test_recheck_reports_the_gate_values_uub_computed(monkeypatch):
         for run, to_dict in ((uub, certificate_to_dict), (strip, strip_to_dict)):
             seen.clear()
             doc = to_dict(run(n, M, s, pot))
-            expected = {}
+            expected, lower = {}, ""
             for gate, value, allowed in seen:
-                expected[f"lower {gate}" if gate in expected else gate] = (value, allowed)
+                name = gate if gate.startswith("strip is inverted") else lower + gate
+                assert expected.setdefault(name, (value, allowed)) == (value, allowed)
+                lower = "lower " if gate == "bound forms disagree by" else lower
             report = recheck_certificate(doc)
             assert set(report) == {"gates", "ok"}
             assert report["ok"] is True
@@ -522,22 +538,23 @@ def ez_strip_with_an_empty_lower_rule():
 
 
 _COUNT, _FIRST = "lower quadrature node count differs from k + eps by", "lower quadrature's first node differs from -1 by"
+_LAST = "lower quadrature's largest node differs from s by"
 
 
 @pytest.mark.parametrize("make, gates", [
-    (lambda: ez_strip_with_lower_rule([-0.48555489, 0.2469994], 1), [_COUNT]),
-    (lambda: ez_strip_with_lower_rule([-0.375, 0.3], 2), [_FIRST]),
+    (lambda: ez_strip_with_lower_rule([-0.48555489, 0.2469994], 1), [_COUNT, _LAST]),
+    (lambda: ez_strip_with_lower_rule([-0.375, 0.3], 2), [_FIRST, _LAST]),
     (e8_strip_restated_at_m_1, [_COUNT]),
     (ez_strip_with_an_empty_lower_rule,
-     [_COUNT, _FIRST, "lower quadrature exactness residual", "stored lower bound disagrees by"]),
+     [_COUNT, _FIRST, _LAST, "lower quadrature exactness residual", "stored lower bound disagrees by"]),
 ], ids=["ez-m1", "ez-m2", "e8-m1", "empty"])
 def test_recheck_refuses_a_lower_rule_of_another_shape(make, gates):
     # Each rule but the empty one is positive and exact to its stored m,
-    # with L = M, and the stored ulb is its sum, below uub: only the shape
-    # that m = 2k - 1 + eps asks for (k + eps nodes, the first -1 when
-    # eps = 1) tells it from the Levenshtein rule.  The two (5, 11) fakes
-    # put ulb above the energy of the EZ code of 11 points in R^5, so they
-    # are false lower bounds.
+    # with L = M, and the stored ulb is its sum, below uub: only the node
+    # rows (k + eps nodes for m = 2k - 1 + eps, the first -1 when eps = 1,
+    # the last the stored r) tell it from the Levenshtein rule.  The two
+    # (5, 11) fakes do not end at r, and they put ulb above the energy of
+    # the EZ code of 11 points in R^5, so they are false lower bounds.
     doc = make()
     if doc["inputs"]["n"] == 5:
         assert doc["bounds"]["ulb"] > ez_energy_n5(make_potential("newton", n=5)) + 2.0
@@ -552,6 +569,36 @@ def _drop_last_weight(rule):
 
 def _empty(rule):
     rule.update(nodes=[], weights=[])
+
+
+def _negative_lev_0(doc):
+    doc["coefficients"]["levenshtein"][0] = -1e-300
+
+
+def _raise_r(doc):
+    doc["ulb_quadrature"]["r"] += 1e-3
+
+
+def _lower_s(doc):
+    doc["inputs"]["s"] -= 1e-3
+
+
+@pytest.mark.parametrize("edit, gate", [
+    (_negative_lev_0, "nonpositive node polynomial coefficients"),
+    (_raise_r, "lower quadrature's largest node differs from s by"),
+    (_lower_s, "quadrature's largest node differs from s by"),
+])
+def test_recheck_refuses_a_stored_rule_or_node_polynomial_that_does_not_match_its_class(edit, gate):
+    # Each edit moves no value that another row reads by enough to notice:
+    # a node polynomial with one nonpositive coefficient, a lower rule
+    # stored with another r, an upper rule stored with another s.  Only the
+    # sign row and the rows that tie a rule's last node to its separation
+    # tell them apart.  The document is the (8, 240, 0.5) strip under newton.
+    doc = strip_to_dict(strip(8, 240, 0.5, make_potential("newton", n=8)))
+    edit(doc)
+    report = recheck_certificate(doc)
+    assert [row[0] for row in _failing(report["gates"])] == [gate]
+    assert report["ok"] is False
 
 
 @pytest.mark.parametrize("name, edit", [
@@ -674,7 +721,7 @@ _GATES = [
     (sphenergy.levenshtein, "EXACTNESS_TOL", 5, 11, S_EZ, CertificationError, "quadrature exactness residual"),
     (sphenergy.levenshtein, "LARGEST_NODE_TOL", 5, 11, S_EZ, NumericsError, "does not match separation"),
     (None, None, 24, dgs_number(24, 64), 0.9311822325014847, CertificationError, "nonpositive quadrature weight"),
-    (None, None, 3, 2, 0.99, CertificationError, "nonpositive Gegenbauer coefficients"),
+    (None, None, 3, 2, 0.99, CertificationError, "nonpositive node polynomial coefficients"),
 ]
 
 
@@ -685,7 +732,7 @@ def test_the_coefficient_gate_refuses_a_perturbed_root_set():
     iv = interval_for(5, 3)
     rule = quadrature(5, 0.5 * (iv.lo + iv.hi))
     assert (levenshtein_poly(rule).coeffs > 0.0).all()
-    with pytest.raises(CertificationError, match="nonpositive Gegenbauer coefficients: 2 of 4") as refusal:
+    with pytest.raises(CertificationError, match="nonpositive node polynomial coefficients 2.000e[+]00 exceeds") as refusal:
         levenshtein_poly(rule._replace(nodes=rule.nodes + 0.5))
     assert "\n" not in str(refusal.value)
 

@@ -238,7 +238,7 @@ def test_verify_thirty_random_codes_records_every_exit(capsys, tmp_path):
     assert tally == {
         (0, ""): 5,
         (3, "certification failure: interpolation residual"): 17,
-        (3, "certification failure: node polynomial has nonpositive Gegenbauer coefficients:"): 2,
+        (3, "certification failure: nonpositive node polynomial coefficients"): 2,
         (3, "certification failure: separation"): 6,
     }
 

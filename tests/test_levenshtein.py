@@ -243,7 +243,7 @@ def test_levenshtein_poly_antipodal_case():
     (lambda: interval_for(3, 65), ValueError, "interval index must be in 1..64, got 65"),
     (lambda: dgs_number(3, 0), ValueError, "index must be a positive integer, got 0"),
     (lambda: levenshtein_poly(quadrature(3, 0.5)._replace(nodes=quadrature(3, 0.5).nodes[:-1])),
-     NumericsError, "node multiset has 3 entries, expected m = 5"),
+     CertificationError, "quadrature node count differs from k [+] eps by 1.000e[+]00 exceeds the allowed 0.000e[+]00"),
 ], ids=["interval-index", "dgs-index", "multiset-length"])
 def test_index_and_multiset_refusals(call, error, words):
     with pytest.raises(error, match=words):
@@ -260,17 +260,20 @@ def test_a_vanishing_lev_denominator_is_a_numerics_error(monkeypatch, m):
         lev_value(4, iv, 0.5 * (iv.lo + iv.hi))
 
 
-@pytest.mark.parametrize("zeros, words", [
-    ([-1.5], "node -1.5 lies below -1"),
-    ([0.1, 0.0], "nodes are not strictly increasing: 1 of 2 gaps <= 0"),
-], ids=["below-minus-one", "not-increasing"])
-def test_lev_poly_roots_refuses_misplaced_zeros(monkeypatch, zeros, words):
+@pytest.mark.parametrize("m, zeros, row", [
+    (5, [-1.5, 0.0], "quadrature's first node lies below -1 by 5.000e-01"),
+    (5, [0.1, 0.0], "nonpositive quadrature node gaps 1.000e[+]00"),
+    (4, [-1.5], "nonpositive quadrature node gaps 1.000e[+]00"),
+], ids=["below-minus-one", "not-increasing", "eps1-below-minus-one"])
+def test_lev_poly_roots_refuses_misplaced_zeros(monkeypatch, m, zeros, row):
     # The shifted Jacobi eigensolve is replaced by one that returns the given
-    # zeros below a top zero at s itself.
-    iv = interval_for(4, 5)
+    # zeros below a top zero at s itself, k in all.  At eps = 1 the list
+    # starts with -1, so a zero below it is out of order.
+    iv = interval_for(4, m)
     s = 0.5 * (iv.lo + iv.hi)
+    assert len(zeros) + 1 == iv.k and s > 0.1
     monkeypatch.setattr(sphenergy.levenshtein, "jacobi_zeros", lambda params, k, fixed: np.array([*zeros, fixed]))
-    with pytest.raises(NumericsError, match=words):
+    with pytest.raises(CertificationError, match=f"^{row} exceeds the allowed 0.000e[+]00$"):
         lev_poly_roots(4, iv, s)
 
 
@@ -356,6 +359,12 @@ def test_solve_cardinality_inverts_lev_on_every_sweep_interval():
 def test_solve_cardinality_rejects_small_m():
     with pytest.raises(ValueError):
         solve_cardinality(4, 1.5)
+
+
+@pytest.mark.parametrize("M", [math.inf, math.nan])
+def test_solve_cardinality_rejects_a_cardinality_that_is_not_finite(M):
+    with pytest.raises(ValueError, match=f"^cardinality must be finite and at least 2, got {M!r}$"):
+        solve_cardinality(3, M)
 
 
 def test_lev_poly_roots_left_endpoints_stay_in_range():
