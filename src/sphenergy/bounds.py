@@ -51,6 +51,19 @@ verdict.  In order:
 ``strip`` adds the row of ulb against uub + ``INVERSION_TOL`` * |uub|.  A
 class refused before the grid gates never builds the grid table.
 
+The part of ``uub`` that depends on neither the kernel nor M, the rule
+``quadrature(n, s)`` and its node polynomial ``levenshtein_poly``, is kept
+for the last 8 separations (n, s) in an LRU memo whose one size is that
+literal, keyed by the bits of s, so that 0.0 and -0.0 stay apart; the
+lower rule is kept per (n, M) by ``solve_cardinality``.  ``uub``,
+``strip`` and ``test_functions`` read it.  A hit returns the same objects
+and re-requires their rows (``levenshtein._quadrature_rows``, then the
+count and sign rows that ``levenshtein_poly`` requires) at the current
+tolerances, at the points where a miss requires them, so every
+certificate and refusal is the one a miss gives.  An exception is never
+memoized, and nothing that depends on the kernel is: neither the
+interpolant nor the feasibility grid and its table.
+
 ``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
 ``recheck_certificate`` builds the same rows, and those of a strip's lower
 side, from the stored numbers and returns them as its report.  ``bounds``
@@ -67,8 +80,19 @@ import numpy as np
 
 from . import __version__
 from .errors import CertificationError, InfeasibleClassError, _failing, _require
-from .levenshtein import QuadratureRule, _node_rows, _rule_rows, _sign_row, levenshtein_poly, quadrature, solve_cardinality
-from .orthopoly import GegenPoly, _check_degree, _newton_to_gegen, gegenbauer_table
+from .levenshtein import (
+    QuadratureRule,
+    _count_row,
+    _Memo,
+    _node_rows,
+    _quadrature_rows,
+    _rule_rows,
+    _sign_row,
+    levenshtein_poly,
+    quadrature,
+    solve_cardinality,
+)
+from .orthopoly import GegenPoly, _check_degree, _check_dim, _newton_to_gegen, gegenbauer_table
 from .potentials import Potential, parse_potential
 
 __all__ = [
@@ -270,6 +294,20 @@ def _gates(f: GegenPoly, lev: GegenPoly, pot: Potential, M: float, L: float, s: 
     return rows, feas, value, value_form
 
 
+# [quadrature(n, s), its node polynomial, or None until ``uub`` first
+# expands it] for the last 8 separations, keyed by (n, the bits of s).
+_UPPER_RULES = _Memo(8)
+
+
+def _upper_rule(n: int, s: float) -> list:
+    """The memo's entry at (n, s); a hit first requires the rule's rows, as a miss did."""
+    n, s = _check_dim(n), float(s)
+    entry, hit = _UPPER_RULES.get((n, s.hex()), lambda: [quadrature(n, s), None])
+    if hit:
+        _require(_quadrature_rows(entry[0]))
+    return entry
+
+
 def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
     """Universal upper bound on E_h for M points with separation at most s.
 
@@ -279,13 +317,18 @@ def uub(n: int, M: float, s: float, pot: Potential) -> BoundCertificate:
     M = float(M)
     if not 2.0 <= M < math.inf:
         raise ValueError(f"cardinality must be finite and at least 2, got {M!r}")
-    quad = quadrature(n, s)
+    entry = _upper_rule(n, s)
+    quad = entry[0]
     L = quad.N
     if M > L + SHARP_TOL * L:
         raise InfeasibleClassError(
             f"no code class: M = {M!r} exceeds L_{quad.m}({n}, {s:g}) = {L!r}"
         )
-    lev = levenshtein_poly(quad)
+    if entry[1] is None:
+        entry[1] = levenshtein_poly(quad)
+    else:
+        _require([_count_row(quad.nodes, quad.m), _sign_row(entry[1])])
+    lev = entry[1]
     g = hermite_interpolant(n, pot, quad.multiset)
     lam, arg, degenerate = lambda_star(g, lev)
     coeffs = np.zeros(quad.m + 1)
@@ -487,7 +530,7 @@ def test_functions(n: int, s: float, j_max: int) -> TestFunctionReport:
     """R_1, ..., R_{j_max} at (n, s); an R_j below -``SIGN_TOL`` counts as negative."""
     if not isinstance(j_max, (int, np.integer)) or j_max < 1:
         raise ValueError(f"j_max must be a positive integer, got {j_max!r}")
-    rule = quadrature(n, s)
+    rule = _upper_rule(n, s)[0]
     table = gegenbauer_table(n, int(j_max), rule.nodes)
     sums = table @ rule.weights + 1.0 / rule.N
     threshold = rule.m + 1  # 2k + eps

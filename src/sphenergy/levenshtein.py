@@ -19,12 +19,22 @@ L_m(n, .) with its binomial factor and constant term, which ``lev_value``,
 ``quadrature`` and the root search of ``solve_cardinality`` all call.  The
 factors are the same expressions, so every value is bitwise what inline
 arithmetic gives.
+
+The lower bound's rule depends on (n, M) alone: ``solve_cardinality``
+keeps its (r, rule) for the last 8 classes (n, M) in an LRU memo
+(``_Memo``), whose one size is that literal.  A hit returns the same
+objects, and first requires the rows ``quadrature`` required of the rule
+(``_quadrature_rows``), rebuilt at the current tolerances, so it refuses
+exactly when a miss would.  An exception is never memoized.  The rule's
+``nodes``, ``weights`` and ``table`` are read-only.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_left
+from collections import OrderedDict
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -238,6 +248,7 @@ def lev_poly_roots(n: int, interval: IntervalIndex, s: float) -> np.ndarray:
 class QuadratureRule(NamedTuple):
     """1/N quadrature: f_0 = f(1)/N + sum rho_i f(alpha_i), exact to degree m.
 
+    ``nodes`` and ``weights`` are read-only, as memoized rules are shared.
     ``table`` is the read-only, C-contiguous (m + 1) x q array with
     table[j, i] = P_j^{(n)}(alpha_i), the one the weights were solved and
     checked with; a polynomial f of degree m takes the values
@@ -308,6 +319,8 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     weights = np.linalg.solve(table[:q], target)
     rows = _rule_rows(table, weights, N)
     _require(rows)
+    roots.setflags(write=False)
+    weights.setflags(write=False)
     return QuadratureRule(n, interval, s, N, roots, weights, table, rows[1][1])  # the exactness residual
 
 
@@ -389,18 +402,72 @@ def _dgs_table(n: int) -> tuple[float, ...]:
     return tuple(dgs_number(n, m) for m in range(1, MAX_INTERVAL + 2))
 
 
+class _Memo:
+    """The objects one builder returned for the last ``size`` keys, the least
+    recently used evicted first.  ``get(key, build)`` returns (object, hit)
+    and calls ``build()`` on a miss; a build that raises stores nothing.
+    A lock guards the entries but not the build, so two threads that miss
+    one key both build it, and the last store stays."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self._entries: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key, build):
+        entries = self._entries
+        with self._lock:
+            value = entries.get(key)  # built objects are never None
+            if value is not None:
+                entries.move_to_end(key)
+                return value, True
+        value = build()
+        with self._lock:
+            entries[key] = value
+            entries.move_to_end(key)
+            if len(entries) > self.size:
+                entries.popitem(last=False)
+        return value, False
+
+    def cache_clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+def _quadrature_rows(rule: QuadratureRule) -> list:
+    """The rows ``quadrature`` required of the rule: ``_node_rows`` at its
+    separation, then ``_rule_rows``."""
+    return _node_rows(rule.nodes, rule.m, rule.s) + _rule_rows(rule.table, rule.weights, rule.N)
+
+
+# (r, rule) of ``solve_cardinality`` for the last 8 classes (n, M).
+_LOWER_RULES = _Memo(8)
+
+
 def solve_cardinality(n: int, M: float) -> tuple[float, QuadratureRule]:
     """Invert L(n, .) at cardinality M and return the quadrature there.
 
     L_m(n, .) climbs from D(n, m) to D(n, m + 1) across I_m (``dgs_number``),
     so M picks the interval, those two values bracket L - M at its ends, and
     ``illinois_root`` runs inside it until the bracket is narrower than
-    ``CARDINALITY_TOL``.
+    ``CARDINALITY_TOL``.  The result is memoized per (n, M); a hit returns
+    the same objects once the rule passes the rows ``quadrature`` required
+    of it (``_quadrature_rows``), rebuilt at the current tolerances.
     """
     n = _check_dim(n)
     M = float(M)
     if not 2.0 <= M < math.inf:
         raise ValueError(f"cardinality must be finite and at least 2, got {M!r}")
+    (r, rule), hit = _LOWER_RULES.get((n, M), lambda: _invert_cardinality(n, M))
+    if hit:
+        _require(_quadrature_rows(rule))
+    return r, rule
+
+
+def _invert_cardinality(n: int, M: float) -> tuple[float, QuadratureRule]:
     D = _dgs_table(n)  # D[m] = D(n, m + 1)
     m = bisect_left(D, M, 1)  # the least m >= 1 with M <= D(n, m + 1)
     if m > MAX_INTERVAL:

@@ -743,6 +743,10 @@ def test_the_coefficient_gate_refuses_a_perturbed_root_set():
 def test_every_gate_refuses_once_its_tolerance_is_stricter(monkeypatch, module, tol, n, M, s, error, words):
     if tol is not None:
         monkeypatch.setattr(module, tol, -1.0)
+    # LARGEST_NODE_TOL checks the eigensolve, which only a memo miss runs;
+    # every row gate refuses on a hit as well (tests/test_memos.py).
+    sphenergy.bounds._UPPER_RULES.cache_clear()
+    sphenergy.levenshtein._LOWER_RULES.cache_clear()
     with pytest.raises(error) as refusal:
         strip(n, M, s, make_potential("newton", n=n))
     assert words in str(refusal.value)
