@@ -64,9 +64,13 @@ certificate and refusal is the one a miss gives.  An exception is never
 memoized, and nothing that depends on the kernel is: neither the
 interpolant nor the feasibility grid and its table.
 
-``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON, and
-``recheck_certificate`` builds the same rows, and those of a strip's lower
-side, from the stored numbers and returns them as its report.  ``bounds``
+``certificate_to_dict``/``strip_to_dict`` write a certificate as JSON
+(schema 3): the inputs, each rule's m, L, nodes and weights (and r), f
+and the node polynomial, and the stored bounds, which is exactly what
+``recheck_certificate`` reads.  It builds the same rows, and those of a
+strip's lower side, from the stored numbers and returns them as its
+report.  lambda, the interpolant, the feasibility margins, the value form
+and ``sharp`` are functions of these and stay in memory.  ``bounds``
 reads the shape of a rule on I_m only through ``levenshtein._node_rows``.
 """
 
@@ -215,7 +219,6 @@ class FeasibilityReport(NamedTuple):
     max_interior_coeff: float
     min_gap: float
     grid_size: int
-    passed: bool
 
 
 class BoundCertificate(NamedTuple):
@@ -290,8 +293,7 @@ def _gates(f: GegenPoly, lev: GegenPoly, pot: Potential, M: float, L: float, s: 
         ("feasibility failed: max h - f on the grid", -min_gap, GAP_TOL * scale),
         ("bound forms disagree by", abs(value - value_form), FORMS_TOL * abs(value)),
     ]
-    feas = FeasibilityReport(max_interior, min_gap, grid.size, not _failing(rows[1:3]))
-    return rows, feas, value, value_form
+    return rows, FeasibilityReport(max_interior, min_gap, grid.size), value, value_form
 
 
 # [quadrature(n, s), its node polynomial, or None until ``uub`` first
@@ -393,11 +395,12 @@ def strip(n: int, M: float, s: float, pot: Potential) -> EnergyStrip:
     return EnergyStrip(low, cert.uub_value, sharp, rule, cert)
 
 
-DOC_META = {"tool": "sphenergy", "version": __version__, "schema": 2}
+DOC_META = {"tool": "sphenergy", "version": __version__, "schema": 3}
 
 
 def certificate_to_dict(cert: BoundCertificate) -> dict:
-    """Lossless JSON form of an upper-bound certificate."""
+    """JSON form of an upper-bound certificate: the fields that
+    ``recheck_certificate`` reads, and no others."""
     quad = cert.quad
     return {
         "meta": dict(DOC_META),
@@ -409,33 +412,15 @@ def certificate_to_dict(cert: BoundCertificate) -> dict:
         },
         "quadrature": {
             "m": quad.m,
-            "k": quad.interval.k,
-            "eps": quad.interval.eps,
-            "interval": [quad.interval.lo, quad.interval.hi],
-            "tie_with": quad.interval.tie_with,
             "L": quad.N,
             "nodes": quad.nodes.tolist(),
             "weights": quad.weights.tolist(),
-            "residual": quad.residual,
-        },
-        "interpolant": {
-            "nodes": list(quad.multiset),
-            "gegenbauer": cert.interpolant.coeffs.tolist(),
-        },
-        "lambda": {
-            "value": cert.lam,
-            "argmax": cert.lam_argmax,
-            "degenerate": cert.degenerate,
         },
         "coefficients": {
             "f": cert.f.coeffs.tolist(),
             "levenshtein": cert.lev.coeffs.tolist(),
         },
-        "feasibility": cert.feasibility._asdict(),
-        "bounds": {
-            "uub": cert.uub_value,
-            "uub_value_form": cert.value_form,
-        },
+        "bounds": {"uub": cert.uub_value},
     }
 
 
@@ -443,14 +428,12 @@ def strip_to_dict(es: EnergyStrip) -> dict:
     """``certificate_to_dict`` of the upper bound, plus the lower bound and its rule."""
     doc = certificate_to_dict(es.uub_cert)
     doc["bounds"]["ulb"] = es.ulb
-    doc["bounds"]["sharp"] = es.sharp
     doc["ulb_quadrature"] = {
         "m": es.ulb_rule.m,
         "r": es.ulb_rule.s,
         "L": es.ulb_rule.N,
         "nodes": es.ulb_rule.nodes.tolist(),
         "weights": es.ulb_rule.weights.tolist(),
-        "residual": es.ulb_rule.residual,
     }
     return doc
 
@@ -483,7 +466,12 @@ def recheck_certificate(doc: dict) -> dict:
     "lower ", the stored ulb against M^2 sum_i rho_i h(alpha_i) on that
     rule, its L against M within ``SHARP_TOL``, and ``strip``'s inversion
     row.  A stored f whose scale is not a normal float raises
-    CertificationError, as ``uub`` does."""
+    CertificationError, as ``uub`` does; a document whose ``meta.schema`` is
+    missing or is not ``DOC_META``'s raises ValueError, as an older schema
+    stores fields that no row reads."""
+    schema = doc.get("meta", {}).get("schema")
+    if schema != DOC_META["schema"]:
+        raise ValueError(f"certificate schema {schema!r} is not {DOC_META['schema']}")
     inputs = doc["inputs"]
     n, M, s = int(inputs["n"]), float(inputs["M"]), float(inputs["s"])
     pot = parse_potential(inputs["potential"], n)

@@ -262,7 +262,6 @@ class QuadratureRule(NamedTuple):
     nodes: np.ndarray
     weights: np.ndarray
     table: np.ndarray
-    residual: float
 
     @property
     def m(self) -> int:
@@ -317,11 +316,10 @@ def quadrature(n: int, s: float) -> QuadratureRule:
     target = np.full(q, -1.0 / N)
     target[0] += 1.0
     weights = np.linalg.solve(table[:q], target)
-    rows = _rule_rows(table, weights, N)
-    _require(rows)
+    _require(_rule_rows(table, weights, N))
     roots.setflags(write=False)
     weights.setflags(write=False)
-    return QuadratureRule(n, interval, s, N, roots, weights, table, rows[1][1])  # the exactness residual
+    return QuadratureRule(n, interval, s, N, roots, weights, table)
 
 
 def _rule_rows(table: np.ndarray, weights: np.ndarray, N: float) -> list:

@@ -12,21 +12,16 @@ import numpy as np
 import pytest
 
 import sphenergy
-from sphenergy.bounds import COEFF_TOL, recheck_certificate, ulb
+from sphenergy.bounds import COEFF_TOL, DOC_META, recheck_certificate, strip, ulb
 from sphenergy.cli import main
+from sphenergy.errors import CertificationError
 from sphenergy.levenshtein import interval_for
 from sphenergy.potentials import parse_potential
+from test_golden import ANCHORS
 
-SCHEMA_KEYS = {
-    "meta",
-    "inputs",
-    "quadrature",
-    "interpolant",
-    "lambda",
-    "coefficients",
-    "feasibility",
-    "bounds",
-}
+# The top-level keys of a schema-3 ``bound`` document; ``strip`` adds
+# ``ulb_quadrature``.
+SCHEMA_KEYS = {"meta", "inputs", "quadrature", "coefficients", "bounds"}
 
 
 def run(capsys, *argv):
@@ -45,8 +40,9 @@ def test_bound_json_document(capsys):
     doc, _ = run_json(
         capsys, "bound", "-n", "5", "-M", "11", "-s", "auto-ez", "--format", "json"
     )
-    assert SCHEMA_KEYS <= set(doc)
+    assert set(doc) == SCHEMA_KEYS
     assert doc["meta"]["tool"] == "sphenergy"
+    assert doc["meta"]["schema"] == DOC_META["schema"] == 3
     assert doc["inputs"] == {
         "n": 5,
         "M": 11.0,
@@ -55,13 +51,7 @@ def test_bound_json_document(capsys):
     }
     assert doc["quadrature"]["m"] == 3
     assert doc["quadrature"]["L"] == pytest.approx(13.3014, abs=1e-3)
-    assert doc["lambda"]["value"] == pytest.approx(0.66, abs=5e-3)
-    assert doc["lambda"]["argmax"] == 1
-    assert doc["feasibility"]["passed"] is True
-    assert doc["bounds"]["uub"] == pytest.approx(41.90201357470821, rel=1e-10)
-    assert doc["bounds"]["uub_value_form"] == pytest.approx(
-        doc["bounds"]["uub"], rel=1e-10
-    )
+    assert doc["bounds"] == {"uub": pytest.approx(41.90201357470821, rel=1e-10)}
 
 
 def test_bound_output_is_deterministic(capsys):
@@ -144,7 +134,8 @@ def test_strip_json_reference(capsys):
     )
     assert doc["bounds"]["ulb"] == pytest.approx(98.3305, abs=1e-3)
     assert doc["bounds"]["uub"] == pytest.approx(101.38479, abs=1e-3)
-    assert doc["bounds"]["sharp"] is False
+    assert set(doc) == SCHEMA_KEYS | {"ulb_quadrature"}
+    assert strip(3, 12, 0.5, parse_potential("newton", 3)).sharp is False
     assert doc["ulb_quadrature"]["L"] == pytest.approx(12.0, abs=1e-8)
     assert doc["ulb_quadrature"]["r"] < 0.5
 
@@ -395,6 +386,80 @@ def test_recheck_rejects_each_gate(capsys):
     assert "quadrature exactness residual" in failing(scale_weight)
     assert {"feasibility failed: max h - f on the grid", "bound forms disagree by"} <= failing(swap_kernel)
     assert "stored bound disagrees by" in failing(inflate_uub)
+
+
+def test_recheck_refuses_a_document_of_another_schema(capsys):
+    # A schema-2 document stores fields that no row reads; an ok would vouch for them.
+    doc, _ = run_json(capsys, "strip", "-n", "8", "-M", "240", "-s", "0.5", "--format", "json")
+    assert recheck_certificate(doc)["ok"] is True
+    doc["meta"]["schema"] = 2
+    with pytest.raises(ValueError, match="^certificate schema 2 is not 3$"):
+        recheck_certificate(doc)
+    del doc["meta"]
+    with pytest.raises(ValueError, match="^certificate schema None is not 3$"):
+        recheck_certificate(doc)
+
+
+STORED_KERNELS = ["newton", "gauss:2", "riesz:1.5", "log"]
+
+
+def stored_leaves(node, path=()):
+    """(path, value, the list that holds it or None) of every leaf under node."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from stored_leaves(value, path + (key,))
+        else:
+            yield path + (key,), value, node if isinstance(node, list) else None
+
+
+def leaf_moves(value, array):
+    """The moves of a stored leaf: a float by 1e-6 of its scale (the largest
+    magnitude of its list, or its own, and at least 1) either way, an int
+    by 1 either way, a bool to its negation, a kernel label to two other
+    kernels.  A leaf of any other type has no move, so no row can be shown
+    to read it."""
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value - 1, value + 1]
+    if isinstance(value, float):
+        step = 1e-6 * max(1.0, *(abs(x) for x in (array or [value])))
+        return [value - step, value + step]
+    if isinstance(value, str):
+        return [k for k in STORED_KERNELS if k != value][:2]
+    return []
+
+
+def refused(doc):
+    try:
+        return not recheck_certificate(doc)["ok"]
+    except (CertificationError, ValueError):
+        return True
+
+
+def test_every_stored_field_is_read(capsys):
+    # Each leaf of the anchor documents, moved alone, must fail a row of the
+    # recheck in at least one of its moves; the paths of those that fail
+    # none are collected, without list indices.
+    docs = [run_json(capsys, cmd, "-n", n, "-M", M, "-s", s, "-h", kernel, "--format", "json")[0]
+            for kernel in STORED_KERNELS for cmd in ("bound", "strip") for n, M, s in ANCHORS]
+    docs.append(run_json(capsys, "verify", "--generate", "icosahedron", "--format", "json")[0])
+    unread = set()
+    for doc in docs:
+        assert recheck_certificate(doc)["ok"] is True
+        stored = {key: part for key, part in doc.items() if key not in ("meta", "verify")}
+        for path, value, array in stored_leaves(stored):
+            for moved in leaf_moves(value, array):
+                tampered = json.loads(json.dumps(doc))
+                parent = tampered
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = moved
+                if refused(tampered):
+                    break
+            else:
+                unread.add(".".join(key for key in path if isinstance(key, str)))
+    assert not unread, f"no row reads {sorted(unread)}"
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,9 @@
 ``tests/data`` holds the JSON that ``bound``, ``strip`` and ``table`` printed
 for the four anchor classes before the coefficient kernels moved to plain
 floats, and that ``verify`` on the icosahedron and ``testfn`` at (5, s_ez)
-printed before the unused Jacobi evaluator was removed.  Ints, strings,
+printed before the unused Jacobi evaluator was removed; schema 3 deleted
+the fields no recheck row read from those files, so every kept value is
+the one first stored.  Ints, strings,
 bools and nulls must match exactly; floats within 1e-12 * max(1, |old|, |new|).
 
 A certified bound is pinned by its exact value instead: the exact value of
@@ -170,7 +172,7 @@ def golden_exact_table():
             args = doc["inputs"]
             pot = parse_potential(args["potential"], args["n"])
             ex = exact_strings(strip(args["n"], args["M"], args["s"], pot))
-            out[name] = {f"$.bounds.{key}": ex[key[:3]] for key, v in doc["bounds"].items() if isinstance(v, float)}
+            out[name] = {f"$.bounds.{key}": ex[key] for key, v in doc["bounds"].items() if isinstance(v, float)}
         elif "rows" in doc:
             out[name] = {}
             for i, row in enumerate(doc["rows"]):
